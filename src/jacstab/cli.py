@@ -43,7 +43,7 @@ def _load_graph(path: str) -> MarkedDualGraph:
 
 def _load_profile(pol_path: str, graph: MarkedDualGraph):
     pol = docio.parse_polarization_document(_read_json(pol_path), graph)
-    return pol, docio.resolve_profile(pol, graph)
+    return pol, polarization.compile_polarization(pol, graph)
 
 
 def _emit(result: dict) -> None:
@@ -83,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        return p
+        return sub.add_parser(name, help=help_text)
 
     p = add("validate", "validate a graph document")
     p.add_argument("--graph", required=True)

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
+from operator import or_
+from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
 
@@ -293,33 +295,81 @@ def proper_subcurves(graph: MarkedDualGraph, connected_only: bool = True
     connected subgraph, which is enough for every stability question
     (degrees, weights and cut counts are all additive over components).
     """
+    if connected_only:
+        return tuple(sub.vertices for sub in subcurve_table(graph).subcurves)
     ids = graph.vertex_ids
-    out = []
-    for r in range(1, len(ids)):
-        for combo in itertools.combinations(ids, r):
-            Y = frozenset(combo)
-            if connected_only and len(graph._components(Y)) != 1:
-                continue
-            out.append(Y)
-    return tuple(sorted(out, key=subcurve_sort_key))
+    return tuple(sorted((frozenset(c) for r in range(1, len(ids))
+                         for c in itertools.combinations(ids, r)), key=subcurve_sort_key))
+
+
+# -- the shared subcurve table ---------------------------------------------
+
+# How many distinct graph structures keep their subcurve table cached.
+SUBCURVE_TABLE_CACHE_SIZE = 128
+
+
+class Subcurve(NamedTuple):
+    """A connected proper subcurve; bit i of ``mask`` is the i-th vertex."""
+
+    vertices: frozenset[str]
+    members: tuple[int, ...]
+    mask: int
+    k: int
+
+
+class SubcurveTable(NamedTuple):
+    """``adjacency[i]`` masks vertex i and its neighbours, ``edge_masks[e]``
+    the ends of edge e; ``subcurves`` are the connected proper subcurves in
+    canonical order (``subcurve_sort_key``)."""
+
+    adjacency: tuple[int, ...]
+    edge_masks: tuple[int, ...]
+    subcurves: tuple[Subcurve, ...]
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def mask_components(adjacency, mask: int):
+    """Masks of the components of the subgraph on ``mask``, by first vertex."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            bit = frontier & -frontier
+            new = adjacency[bit.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier = frontier ^ bit | new
+        mask &= ~comp
+        yield comp
+
+
+def subcurve_table(graph: MarkedDualGraph) -> SubcurveTable:
+    """The subcurve table, shared by all graphs with the same structure."""
+    return _subcurve_table(graph.vertices, graph.edges)
+
+
+@lru_cache(maxsize=SUBCURVE_TABLE_CACHE_SIZE)
+def _subcurve_table(vertices, edges) -> SubcurveTable:
+    ids = [v for v, _ in vertices]
+    n = len(ids)
+    edge_masks = tuple(1 << ids.index(u) | 1 << ids.index(v) for u, v in edges)
+    adjacency = tuple(reduce(or_, (e for e in edge_masks if e >> i & 1), 1 << i)
+                      for i in range(n))
+    masks, level = set(), {1 << i for i in range(n)}
+    while level:  # grow connected sets one neighbour at a time
+        masks |= level
+        level = {m | 1 << j for m in level for j in _bits(
+            reduce(or_, (adjacency[i] for i in _bits(m))))} - masks
+    masks.discard((1 << n) - 1)
+    subcurves = sorted(
+        (Subcurve(frozenset(ids[i] for i in _bits(m)), _bits(m), m,
+                  sum(1 for e in edge_masks if e & m and e & ~m)) for m in masks),
+        key=lambda sub: subcurve_sort_key(sub.vertices))
+    return SubcurveTable(adjacency, edge_masks, tuple(subcurves))
 
 
 # -- separating nodes and their types ------------------------------------
-
-
-def _edge_sides(graph: MarkedDualGraph, edge_index: int
-                ) -> tuple[frozenset[str], frozenset[str]] | None:
-    """Vertex sets of the two sides after cutting one edge, or None."""
-    u, v = graph.edges[edge_index]
-    if u == v:
-        return None
-    comps = graph._components(frozenset(graph.vertex_ids),
-                              skip_edges=frozenset([edge_index]))
-    if len(comps) == 1:
-        return None
-    side_u = next(c for c in comps if u in c)
-    side_v = next(c for c in comps if v in c)
-    return side_u, side_v
 
 
 def _side_label(graph: MarkedDualGraph, side: frozenset[str]) -> NodeTypeLabel:
@@ -338,53 +388,36 @@ def node_type(graph: MarkedDualGraph, edge_index: int) -> NodeTypeLabel | None:
     """
     if not 0 <= edge_index < len(graph.edges):
         raise ValidationError(f"unknown edge index {edge_index}")
-    sides = _edge_sides(graph, edge_index)
-    if sides is None:
-        return None
-    designated = designated_side(graph, edge_index)
-    if designated is None:
-        return _side_label(graph, sides[0])
-    return _side_label(graph, designated)
+    entry = _edge_type(graph, edge_index)
+    return None if entry is None else entry[0]
 
 
 def designated_side(graph: MarkedDualGraph, edge_index: int) -> frozenset[str] | None:
     """Canonical side of a separating edge; None if non-separating or
     self-symmetric (no orientation)."""
-    sides = _edge_sides(graph, edge_index)
-    if sides is None:
+    entry = _edge_type(graph, edge_index)
+    return None if entry is None else entry[1]
+
+
+def _edge_type(graph: MarkedDualGraph, edge_index: int
+               ) -> tuple[NodeTypeLabel, frozenset[str] | None] | None:
+    """(canonical label, designated side) of a separating edge, or None."""
+    u, v = graph.edges[edge_index]
+    if u == v:
         return None
-    side_a, side_b = sides
+    comps = graph._components(frozenset(graph.vertex_ids),
+                              skip_edges=frozenset([edge_index]))
+    if len(comps) == 1:
+        return None
+    side_a = next(c for c in comps if u in c)
+    side_b = next(c for c in comps if v in c)
     if graph.markings:
-        smallest = min(graph.marking_labels, key=label_sort_key)
-        vertex = graph.marking_map[smallest]
-        return side_a if vertex in side_a else side_b
-    ga = subcurve_genus(graph, side_a)
-    gb = subcurve_genus(graph, side_b)
-    if ga < gb:
-        return side_a
-    if gb < ga:
-        return side_b
-    return None
-
-
-def edge_type_table(graph: MarkedDualGraph
-                    ) -> tuple[tuple[NodeTypeLabel, frozenset[str] | None] | None, ...]:
-    """Per edge: (canonical label, designated side) or None if non-separating."""
-    table = []
-    for i in range(len(graph.edges)):
-        sides = _edge_sides(graph, i)
-        if sides is None:
-            table.append(None)
-            continue
-        side = designated_side(graph, i)
-        label = _side_label(graph, side if side is not None else sides[0])
-        table.append((label, side))
-    return tuple(table)
-
-
-def is_self_symmetric(label: NodeTypeLabel, genus: int, marking_labels) -> bool:
-    return not tuple(marking_labels) and not label.side_markings \
-        and 2 * label.side_genus == genus
+        vertex = graph.marking_map[min(graph.marking_labels, key=label_sort_key)]
+        side = side_a if vertex in side_a else side_b
+    else:
+        ga, gb = subcurve_genus(graph, side_a), subcurve_genus(graph, side_b)
+        side = side_a if ga < gb else side_b if gb < ga else None
+    return _side_label(graph, side or side_a), side
 
 
 def admissible_labels(genus: int, marking_labels) -> tuple[NodeTypeLabel, ...]:
@@ -429,19 +462,18 @@ def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) ->
     known = set(graph.vertex_ids)
     if not Y or not Y <= known:
         raise ValidationError("invalid subcurve for boundary degree")
-    table = edge_type_table(graph)
-    total = 0
-    for i, entry in enumerate(table):
-        if entry is None:
-            continue
-        edge_label, side = entry
-        if edge_label != label or side is None:
-            continue
-        u, v = graph.edges[i]
-        for endpoint in (u, v):
-            if endpoint in Y:
-                total += 1 if endpoint in side else -1
-    return total
+    return sum(sign for endpoint, edge_label, sign in separating_ends(graph)
+               if edge_label == label and endpoint in Y)
+
+
+def separating_ends(graph: MarkedDualGraph):
+    """(endpoint, type label, +1 on the designated side or -1) for both ends
+    of every oriented separating edge."""
+    for i, ends in enumerate(graph.edges):
+        entry = _edge_type(graph, i)
+        if entry is not None and entry[1] is not None:
+            for endpoint in ends:
+                yield endpoint, entry[0], 1 if endpoint in entry[1] else -1
 
 
 # -- forgetting a marked point --------------------------------------------

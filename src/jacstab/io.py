@@ -15,7 +15,7 @@ from .errors import ValidationError
 from .graphs import MarkedDualGraph, NodeTypeLabel, label_sort_key
 from .maps import PhiTable
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
-                           QProfile, compile_polarization, make_profile)
+                           QProfile, make_profile)
 from .sheaves import SheafType, validate_sheaf
 
 
@@ -188,10 +188,6 @@ def profile_document(profile: QProfile) -> dict:
         "q": {v: format_rational(f) for v, f in profile.q},
         "d": profile.d,
     }
-
-
-def resolve_profile(pol, graph: MarkedDualGraph) -> QProfile:
-    return compile_polarization(pol, graph)
 
 
 # -- sheaves ------------------------------------------------------------------

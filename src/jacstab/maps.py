@@ -179,9 +179,8 @@ def check_star(pol, graph: MarkedDualGraph, x: str) -> bool:
     _, _, report = stabilize_forgetting(graph, x)
     if report.case is None:
         return True
-    if isinstance(pol, ExplicitPolarization) and pol.a_map.get(x, Fraction(0)) != 0:
-        return False
-    if isinstance(pol, CanonicalPolarization) and pol.a_map.get(x, Fraction(0)) != 0:
+    if isinstance(pol, (ExplicitPolarization, CanonicalPolarization)) \
+            and pol.a_map.get(x, Fraction(0)) != 0:
         return False
     profile = compile_polarization(pol, graph)
     return profile.q_map[report.removed_vertex] == 0

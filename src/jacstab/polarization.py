@@ -18,7 +18,6 @@ and stable sheaf types coincide.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,8 +26,8 @@ from functools import cached_property
 
 from .errors import PreconditionError, ValidationError
 from .graphs import (MarkedDualGraph, NodeTypeLabel, admissible_labels,
-                     check_subcurve, edge_type_table, label_sort_key,
-                     subcurve_k, subcurve_sort_key)
+                     check_subcurve, label_sort_key, mask_components,
+                     separating_ends, subcurve_sort_key, subcurve_table)
 
 
 @dataclass(frozen=True)
@@ -148,40 +147,37 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
                 f"markings {list(graph.marking_labels)}")
 
     alpha = pol.alpha_map
-    table = edge_type_table(graph) if alpha else ()
-    marks_at = graph.markings_by_vertex
     a_map = pol.a_map
     for label in a_map:
         if label not in graph.marking_map:
             raise ValidationError(f"marking coefficient for unknown label {label}")
 
-    q: dict[str, Fraction] = {}
-    for v in graph.vertex_ids:
-        w_v = graph.w_of(v)
-        numerator = pol.s * w_v
-        for mark in marks_at.get(v, ()):
-            numerator += a_map.get(mark, Fraction(0))
-        if alpha:
-            for i, entry in enumerate(table):
-                if entry is None:
-                    continue
-                edge_label, side = entry
-                coeff = alpha.get(edge_label)
-                if coeff is None or side is None:
-                    continue
-                u1, u2 = graph.edges[i]
-                for endpoint in (u1, u2):
-                    if endpoint == v:
-                        numerator += coeff if v in side else -coeff
-        q[v] = numerator / pol.r + Fraction(w_v, 2)
-
-    profile = make_profile(graph, q, d)
-    return profile
+    # per vertex: its marking coefficients and its signed boundary terms
+    extra = dict.fromkeys(graph.vertex_ids, Fraction(0))
+    for label, v in graph.markings:
+        extra[v] += a_map.get(label, Fraction(0))
+    for endpoint, label, sign in separating_ends(graph) if alpha else ():
+        extra[endpoint] += sign * alpha.get(label, 0)
+    q = {v: (pol.s * graph.w_of(v) + extra[v]) / pol.r + Fraction(graph.w_of(v), 2)
+         for v in graph.vertex_ids}
+    return make_profile(graph, q, d)
 
 
 def q_subcurve(profile: QProfile, graph: MarkedDualGraph, vertex_set) -> Fraction:
     Y = check_subcurve(graph, vertex_set)
     return profile.q_of(Y)
+
+
+def subcurve_thresholds(profile: QProfile) -> tuple[tuple[int, bool], ...]:
+    """(ceil(b_Y), b_Y is an integer) per subcurve of the graph's table,
+    where b_Y = q_Y - k_Y/2, in integers after scaling by L = lcm(2,
+    denominators of q).  deg_Y < ceil(b_Y) violates Y; deg_Y == b_Y is an
+    equality."""
+    scale = math.lcm(2, *(f.denominator for _, f in profile.q))
+    scaled = [f.numerator * (scale // f.denominator) for _, f in profile.q]
+    walls = (sum(scaled[i] for i in sub.members) - scale // 2 * sub.k
+             for sub in subcurve_table(profile.graph).subcurves)
+    return tuple((-(-b // scale), b % scale == 0) for b in walls)
 
 
 def is_general(graph: MarkedDualGraph, profile: QProfile
@@ -193,26 +189,21 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
     general when no Y is integral.  Witnesses are the integral subcurves,
     one canonical representative per complementary pair.
     """
+    table = subcurve_table(graph)
+    integral = {sub.mask for sub, (_, exact)
+                in zip(table.subcurves, subcurve_thresholds(profile)) if exact}
+    if not integral:
+        return (True, ())
     ids = graph.vertex_ids
-    n = len(ids)
-    witnesses: set[frozenset[str]] = set()
-    piece_ok: dict[frozenset[str], bool] = {}
-
-    def integral_piece(Z: frozenset[str]) -> bool:
-        cached = piece_ok.get(Z)
-        if cached is None:
-            value = profile.q_of(Z) - Fraction(subcurve_k(graph, Z), 2)
-            cached = value.denominator == 1
-            piece_ok[Z] = cached
-        return cached
-
-    for r in range(1, n):
-        for combo in itertools.combinations(ids, r):
-            Y = frozenset(combo)
-            Yc = frozenset(ids) - Y
-            pieces = graph._components(Y) + graph._components(Yc)
-            if all(integral_piece(Z) for Z in pieces):
-                witnesses.add(min((Y, Yc), key=subcurve_sort_key))
+    full = (1 << len(ids)) - 1
+    witnesses = []
+    # masks without the last vertex meet each complementary pair once
+    for mask in range(1, 1 << (len(ids) - 1)):
+        if all(c in integral for m in (mask, full ^ mask)
+               for c in mask_components(table.adjacency, m)):
+            pair = [frozenset(v for i, v in enumerate(ids) if m >> i & 1)
+                    for m in (mask, full ^ mask)]
+            witnesses.append(min(pair, key=subcurve_sort_key))
     ordered = tuple(sorted(witnesses, key=subcurve_sort_key))
     return (not ordered, ordered)
 
@@ -236,13 +227,8 @@ def perturb_general(graph: MarkedDualGraph, profile: QProfile,
     general, _ = is_general(graph, profile)
     if general:
         return profile
-    ids = graph.vertex_ids
-    n = len(ids)
-    if n == 1:
-        return profile  # no proper subcurves; unreachable via is_general
-    lcm = 2
-    for _, f in profile.q:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+    n = len(graph.vertex_ids)  # at least 2: one vertex is always general
+    lcm = math.lcm(2, *(f.denominator for _, f in profile.q))
     rng = random.Random(seed)
     for attempt in range(1, 10001):
         scale = 2 * lcm * (n + 1) * attempt

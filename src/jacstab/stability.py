@@ -7,9 +7,10 @@ A sheaf type of total degree d is semistable for a profile when
 stable when all inequalities are strict, and quasistable at a base vertex
 when it is semistable with strict inequality whenever the base lies in Y.
 Degrees, weights and cut counts are additive over connected components, so
-checking connected subcurves suffices; the all-subsets variant is kept as
-an oracle.  Enumeration scans a per-vertex degree box derived from the
-singleton subcurves and their complements, then filters by the full check.
+checking the connected subcurves of the shared subcurve table against
+integer thresholds suffices; the all-subsets check in rationals is kept as
+an oracle.  Enumeration walks the degree box of the singleton subcurves
+and their complements, testing each subcurve once its last vertex is set.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-import math
 
 from .errors import PreconditionError, ValidationError
-from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k
-from .polarization import QProfile, is_general
+from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k, subcurve_table
+from .polarization import QProfile, is_general, subcurve_thresholds
 from .sheaves import SheafType, deg_subcurve, require_simple
 
 MODES = ("semistable", "stable", "quasistable")
@@ -59,11 +59,15 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
     if base is not None and base not in graph.vertex_index:
         raise ValidationError(f"base vertex {base} is not a vertex")
 
+    if all_subsets:  # the independent oracle, in rationals
+        slacks = ((Y, deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)
+                   + Fraction(subcurve_k(graph, Y), 2))
+                  for Y in proper_subcurves(graph, connected_only=False))
+    else:
+        slacks = _slack_signs(graph, profile, sheaf)
     first_equality: frozenset[str] | None = None
     quasi: bool | None = True if base is not None else None
-    for Y in proper_subcurves(graph, connected_only=not all_subsets):
-        slack = deg_subcurve(graph, sheaf, Y) - profile.q_of(Y) \
-            + Fraction(subcurve_k(graph, Y), 2)
+    for Y, slack in slacks:
         if slack < 0:
             return StabilityVerdict(
                 status="unstable",
@@ -81,6 +85,17 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
                             witness=tuple(sorted(first_equality)))
 
 
+def _slack_signs(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType):
+    """(Y, sign of the slack) for every connected subcurve, in integers."""
+    table = subcurve_table(graph)
+    degrees = [d for _, d in sheaf.degrees]
+    nonfree = [table.edge_masks[e] for e in sheaf.nonfree_edges]
+    for sub, (need, exact) in zip(table.subcurves, subcurve_thresholds(profile)):
+        deg = sum(degrees[i] for i in sub.members) \
+            + sum(1 for m in nonfree if m & sub.mask == m)
+        yield sub.vertices, -1 if deg < need else int(deg > need or not exact)
+
+
 def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:
     """Edge subsets whose removal keeps the graph connected."""
     m = len(graph.edges)
@@ -93,47 +108,32 @@ def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:
     return out
 
 
-def _degree_box(graph: MarkedDualGraph, profile: QProfile,
-                S: frozenset[int]) -> list[tuple[int, int]] | None:
-    """Per-vertex semistable bounds from {v} and its complement."""
-    bounds = []
-    for v in graph.vertex_ids:
-        nonloop = sum(1 for i, (a, b) in enumerate(graph.edges)
-                      if (a == v) != (b == v))
-        loops_s = sum(1 for i in S
-                      if graph.edges[i][0] == graph.edges[i][1] == v)
-        cross_s = sum(1 for i in S
-                      if (graph.edges[i][0] == v) != (graph.edges[i][1] == v))
-        q_v = profile.q_map[v]
-        lo = math.ceil(q_v - Fraction(nonloop, 2)) - loops_s
-        hi = math.floor(q_v + Fraction(nonloop, 2)) - loops_s - cross_s
-        if lo > hi:
-            return None
-        bounds.append((lo, hi))
-    return bounds
+def _walk(bounds: list[tuple[int, int]], total: int,
+          tests: list[list[tuple[tuple[int, ...], int]]]) -> list[tuple[int, ...]]:
+    """Vectors in the box ``bounds`` summing to ``total`` that pass ``tests``.
 
-
-def _degree_vectors(bounds: list[tuple[int, int]], total: int):
-    """Integer vectors in the box with the prescribed sum."""
+    ``tests[i]`` lists (other members, least degree) of the subcurves whose
+    last vertex is i; each one bounds the value at i from below.
+    """
     n = len(bounds)
-    suffix_lo = [0] * (n + 1)
-    suffix_hi = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + bounds[i][0]
-        suffix_hi[i] = suffix_hi[i + 1] + bounds[i][1]
+    suffix_lo = [sum(lo for lo, _ in bounds[i:]) for i in range(n + 1)]
+    suffix_hi = [sum(hi for _, hi in bounds[i:]) for i in range(n + 1)]
+    vector = [0] * n
+    at = vector.__getitem__
+    out = []
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == n:
-            if remaining == 0:
-                yield prefix
-            return
-        lo, hi = bounds[i]
-        lo = max(lo, remaining - suffix_hi[i + 1])
-        hi = min(hi, remaining - suffix_lo[i + 1])
-        for value in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - value, prefix + (value,))
+    def rec(i: int, remaining: int) -> None:
+        lo = max(bounds[i][0], remaining - suffix_hi[i + 1],
+                 *[least - sum(map(at, head)) for head, least in tests[i]])
+        for value in range(lo, min(bounds[i][1], remaining - suffix_lo[i + 1]) + 1):
+            vector[i] = value
+            if i + 1 < n:
+                rec(i + 1, remaining - value)
+            else:
+                out.append(tuple(vector))
 
-    yield from rec(0, total, ())
+    rec(0, total)
+    return out
 
 
 def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
@@ -153,43 +153,30 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
     if base is not None and base not in graph.vertex_index:
         raise ValidationError(f"base vertex {base} is not a vertex")
 
-    subcurves = proper_subcurves(graph, connected_only=True)
-    precomputed = [(Y, profile.q_of(Y) - Fraction(subcurve_k(graph, Y), 2))
-                   for Y in subcurves]
-
+    table = subcurve_table(graph)
+    thresholds = subcurve_thresholds(profile)
+    base_mask = 1 << graph.vertex_index[base] if base is not None else 0
     results = []
-    candidates = _nonfree_candidates(graph) if include_nonfree else [frozenset()]
     ids = graph.vertex_ids
-    for S in candidates:
-        bounds = _degree_box(graph, profile, S)
-        if bounds is None:
-            continue
-        interior = {Y: sum(1 for e in S
-                           if graph.edges[e][0] in Y and graph.edges[e][1] in Y)
-                    for Y, _ in precomputed}
-        for vector in _degree_vectors(bounds, profile.d - len(S)):
-            ok = True
-            strict = True
-            quasi = True
-            for Y, bound in precomputed:
-                deg = sum(vector[i] for i, v in enumerate(ids) if v in Y) \
-                    + interior[Y]
-                slack = deg - bound
-                if slack < 0:
-                    ok = False
-                    break
-                if slack == 0:
-                    strict = False
-                    if base is not None and base in Y:
-                        quasi = False
-            if not ok:
-                continue
-            if mode == "stable" and not strict:
-                continue
-            if mode == "quasistable" and not quasi:
-                continue
-            results.append(SheafType(nonfree_edges=S,
-                                     degrees=tuple(zip(ids, vector))))
+    for S in _nonfree_candidates(graph) if include_nonfree else [frozenset()]:
+        nonfree = [table.edge_masks[e] for e in S]
+        total = profile.d - len(S)
+        bounds = [(total, total)] * len(ids)  # kept only by a lone vertex
+        tests: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in ids]
+        for sub, (need, exact) in zip(table.subcurves, thresholds):
+            interior = sum(1 for m in nonfree if m & sub.mask == m)
+            # an equality is rejected by raising the least degree by one
+            least = need - interior + (exact and (mode == "stable" or (
+                mode == "quasistable" and sub.mask & base_mask != 0)))
+            if len(sub.members) > 1:
+                tests[sub.members[-1]].append((sub.members[:-1], least))
+            else:  # {v} and its complement bound the degree at v
+                crossing = sum(1 for m in nonfree if m & sub.mask and m & ~sub.mask)
+                most = need - (not exact) + sub.k - interior - crossing
+                bounds[sub.members[0]] = (least, most)
+        if all(lo <= hi for lo, hi in bounds):
+            results.extend(SheafType(nonfree_edges=S, degrees=tuple(zip(ids, vector)))
+                           for vector in _walk(bounds, total, tests))
     results.sort(key=lambda s: (tuple(sorted(s.nonfree_edges)),
                                 tuple(d for _, d in s.degrees)))
     return results

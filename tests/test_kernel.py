@@ -1,0 +1,212 @@
+"""Differential tests of the shared subcurve table and the integer kernel.
+
+Each fast path is compared with a slow oracle written here in exact
+rationals over all vertex subsets: the connected-subcurve list, the
+enumeration in all three modes, the generality test and the witness of
+``check``.  Inputs are the small corpora plus a 10-vertex chorded ring.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
+                     enumerate_sheaves, is_general)
+from jacstab.graphs import proper_subcurves, subcurve_k, subcurve_sort_key
+
+from conftest import random_profile
+
+MODES = ("semistable", "stable", "quasistable")
+
+
+def chorded_ring(n: int = 10) -> MarkedDualGraph:
+    vertices = [(f"v{i}", 1) for i in range(n)]
+    edges = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)] \
+        + [("v0", f"v{n // 2}"), ("v2", f"v{n // 2 + 2}")]
+    return MarkedDualGraph.build(vertices, edges, markings={"1": "v0"})
+
+
+@pytest.fixture(scope="module")
+def graphs(small_corpora):
+    return [g for _, _, gs in small_corpora for g in gs] + [chorded_ring()]
+
+
+def connected_oracle(graph):
+    return [Y for Y in proper_subcurves(graph, connected_only=False)
+            if len(graph._components(Y)) == 1]
+
+
+def fraction_oracle(graph, profile, subcurves):
+    """check() from the rational slacks deg_Y - q_Y + k_Y/2 of ``subcurves``."""
+    walls = [(Y, profile.q_of(Y) - Fraction(subcurve_k(graph, Y), 2))
+             for Y in subcurves]
+
+    def verdict(sheaf, base):
+        degrees = sheaf.degree_map
+        equal = []
+        for Y, wall in walls:
+            deg = sum(degrees[v] for v in Y) + sum(
+                1 for e in sheaf.nonfree_edges
+                if graph.edges[e][0] in Y and graph.edges[e][1] in Y)
+            if deg < wall:
+                return StabilityVerdict("unstable", None if base is None
+                                        else False, tuple(sorted(Y)))
+            if deg == wall:
+                equal.append(Y)
+        return StabilityVerdict(
+            "strictly_semistable" if equal else "stable",
+            None if base is None else not any(base in Y for Y in equal),
+            tuple(sorted(equal[0])) if equal else None)
+
+    return verdict
+
+
+def general_oracle(graph, profile):
+    everything = frozenset(graph.vertex_ids)
+    witnesses = set()
+    for Y in proper_subcurves(graph, connected_only=False):
+        Yc = everything - Y
+        pieces = graph._components(Y) + graph._components(Yc)
+        if all((profile.q_of(Z) - Fraction(subcurve_k(graph, Z), 2))
+               .denominator == 1 for Z in pieces):
+            witnesses.add(min((Y, Yc), key=subcurve_sort_key))
+    ordered = tuple(sorted(witnesses, key=subcurve_sort_key))
+    return (not ordered, ordered)
+
+
+def simple_edge_sets(graph, limit=None):
+    m = len(graph.edges)
+    sets = [frozenset(c) for r in range(m + 1)
+            for c in itertools.combinations(range(m), r)
+            if graph.is_connected(skip_edges=frozenset(c))]
+    return sets if limit is None else sets[:limit]
+
+
+def vectors(window, total):
+    """Integer vectors with entries in the per-vertex windows and the sum."""
+    lo_tail = [sum(lo for lo, _ in window[i:]) for i in range(len(window) + 1)]
+    hi_tail = [sum(hi for _, hi in window[i:]) for i in range(len(window) + 1)]
+
+    def rec(i, remaining, prefix):
+        if i == len(window):
+            if remaining == 0:
+                yield prefix
+            return
+        lo = max(window[i][0], remaining - hi_tail[i + 1])
+        hi = min(window[i][1], remaining - lo_tail[i + 1])
+        for value in range(lo, hi + 1):
+            yield from rec(i + 1, remaining - value, prefix + (value,))
+
+    return rec(0, total, ())
+
+
+def scan(graph, verdict, base, window, nonfree_sets, total):
+    """Every type in the window accepted by ``verdict``, per mode."""
+    found = {mode: [] for mode in MODES}
+    for S in nonfree_sets:
+        for vec in vectors(window, total - len(S)):
+            sheaf = SheafType(nonfree_edges=S,
+                              degrees=tuple(zip(graph.vertex_ids, vec)))
+            result = verdict(sheaf, base)
+            if result.status == "unstable":
+                continue
+            found["semistable"].append(sheaf)
+            if result.status == "stable":
+                found["stable"].append(sheaf)
+            if result.quasistable_at_base:
+                found["quasistable"].append(sheaf)
+    return found
+
+
+def ordered(types):
+    return sorted(types, key=lambda s: (tuple(sorted(s.nonfree_edges)),
+                                        tuple(d for _, d in s.degrees)))
+
+
+def test_connected_subcurves_match_filtered_subsets(graphs):
+    for graph in graphs:
+        assert list(proper_subcurves(graph, connected_only=True)) \
+            == connected_oracle(graph)
+
+
+def test_enumeration_matches_wide_scan(small_corpora):
+    # the window is wider than any semistable degree: q_v moved by the
+    # valence plus one either way
+    rng = random.Random(101)
+    compared = 0
+    for _, _, graphs in small_corpora:
+        for graph in graphs:
+            if len(graph.edges) > 5:
+                continue
+            profile = random_profile(graph, rng, denominators=(1, 2, 3, 4))
+            valence = graph.valence_map
+            window = [(math.floor(profile.q_map[v]) - valence[v] - 1,
+                       math.ceil(profile.q_map[v]) + valence[v] + 1)
+                      for v in graph.vertex_ids]
+            base = rng.choice(graph.vertex_ids)
+            found = scan(graph, lambda sheaf, base: check(
+                graph, profile, sheaf, base_vertex=base, all_subsets=True),
+                base, window, simple_edge_sets(graph), profile.d)
+            for mode in MODES:
+                got = enumerate_sheaves(graph, profile, mode, base_vertex=base,
+                                        include_nonfree=True)
+                assert got == ordered(found[mode]), (graph, profile, mode)
+            compared += 1
+    assert compared >= 40
+
+
+def test_ring_enumeration_matches_scan():
+    # ten vertices are too many for a wide window and for the all-subsets
+    # check: scan the singleton bounds q_v -/+ valence/2, which every
+    # semistable line bundle meets, against the connected-subset oracle
+    graph = chorded_ring()
+    verdicts = 0
+    rng = random.Random(103)
+    for denominators in ((1, 2), (3, 7)):
+        profile = random_profile(graph, rng, d_range=(0, 12),
+                                 denominators=denominators)
+        window = [(math.ceil(profile.q_map[v] - Fraction(graph.valence_map[v], 2)),
+                   math.floor(profile.q_map[v] + Fraction(graph.valence_map[v], 2)))
+                  for v in graph.vertex_ids]
+        oracle = fraction_oracle(graph, profile, connected_oracle(graph))
+        found = scan(graph, oracle, "v3", window, [frozenset()], profile.d)
+        for mode in MODES:
+            got = enumerate_sheaves(graph, profile, mode, base_vertex="v3")
+            assert got == ordered(found[mode]), mode
+        verdicts += len(found["semistable"])
+    assert verdicts > 100
+
+
+def test_is_general_matches_all_subsets_definition(graphs):
+    rng = random.Random(107)
+    walls = 0
+    for graph in graphs:
+        for denominators in ((1, 2), (1, 2, 3, 4, 6), (5, 7, 9)):
+            profile = random_profile(graph, rng, denominators=denominators)
+            expected = general_oracle(graph, profile)
+            assert is_general(graph, profile) == expected
+            walls += not expected[0]
+    assert walls > 20
+
+
+def test_check_witness_is_first_connected_violation_or_equality(graphs):
+    rng = random.Random(109)
+    for graph in graphs:
+        subcurves = connected_oracle(graph)
+        nonfree_sets = simple_edge_sets(graph, limit=64)
+        for _ in range(6):
+            profile = random_profile(graph, rng, denominators=(1, 2, 3))
+            S = rng.choice(nonfree_sets)
+            vec = [math.floor(profile.q_map[v]) + rng.randrange(-1, 2)
+                   for v in graph.vertex_ids]
+            vec[-1] += profile.d - len(S) - sum(vec)
+            sheaf = SheafType(nonfree_edges=S,
+                              degrees=tuple(zip(graph.vertex_ids, vec)))
+            base = rng.choice((None,) + graph.vertex_ids)
+            assert check(graph, profile, sheaf, base_vertex=base) \
+                == fraction_oracle(graph, profile, subcurves)(sheaf, base)
