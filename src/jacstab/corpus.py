@@ -1,20 +1,22 @@
 """Exhaustive small corpora of stable marked dual graphs.
 
 Generates every stable graph of fixed genus and marking set with a bounded
-number of vertices, deduplicated up to decorated isomorphism.  The genus
-formula pins the edge count once the vertex genera are chosen, so the
-search is finite: split the edges into a connecting (loop-free) part, which
-must contain a spanning structure, and loops.  Isomorph rejection uses a
-canonical form: the lexicographically minimal encoding of (genus vector,
-marking placement, adjacency upper triangle) over all vertex permutations.
-"""
+number of vertices, deduplicated up to decorated isomorphism.  A stable
+graph has at most 2g-2+n vertices, and the genus formula pins the edge
+count once the vertex genera are chosen, so the search is finite.  One
+loop runs over ``itertools`` multisets: the vertex genera, the loop-free
+edges between vertex pairs (kept when their adjacency bitmasks connect
+every vertex, by ``graphs.mask_components``), the loops, and the vertices
+that carry the markings.  Isomorph rejection uses a canonical form: the
+lexicographically minimal encoding of (genus vector, marking placement,
+adjacency upper triangle) over all vertex permutations."""
 
 from __future__ import annotations
 
 import itertools
 
 from .errors import ValidationError
-from .graphs import MarkedDualGraph, label_sort_key
+from .graphs import MarkedDualGraph, label_sort_key, mask_components
 
 
 def canonical_key(graph: MarkedDualGraph) -> tuple:
@@ -40,10 +42,10 @@ def canonical_key(graph: MarkedDualGraph) -> tuple:
         key = (genus_t, mark_t, adj)
         if best is None or key < best:
             best = key
-    return (n,) + (best if best is not None else ((), (), ()))
+    return (n,) + best
 
 
-def graph_from_key(key: tuple, require_stable: bool = True) -> MarkedDualGraph:
+def graph_from_key(key: tuple) -> MarkedDualGraph:
     n, genus_t, mark_t, adj = key
     vertices = tuple((f"v{i}", genus_t[i]) for i in range(n))
     edges = []
@@ -54,53 +56,8 @@ def graph_from_key(key: tuple, require_stable: bool = True) -> MarkedDualGraph:
             pos += 1
     markings = tuple((l, f"v{i}") for l, i in mark_t)
     return MarkedDualGraph(vertices=vertices, edges=tuple(edges),
-                           markings=tuple(sorted(markings, key=lambda p: label_sort_key(p[0]))),
-                           require_stable=require_stable).validate()
-
-
-def _nondecreasing_tuples(length: int, total_max: int):
-    def rec(i, prev, left):
-        if i == length:
-            yield ()
-            return
-        for value in range(prev, left + 1):
-            for rest in rec(i + 1, value, left - value):
-                yield (value,) + rest
-    yield from rec(0, 0, total_max)
-
-
-def _connected(n: int, pair_mult: dict[tuple[int, int], int]) -> bool:
-    if n == 1:
-        return True
-    adj = {i: set() for i in range(n)}
-    for (i, j), m in pair_mult.items():
-        if m > 0:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        w = stack.pop()
-        for x in adj[w]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return len(seen) == n
-
-
-def _distributions(slots: int, total: int):
-    def rec(i, left):
-        if i == slots - 1:
-            yield (left,)
-            return
-        for value in range(left + 1):
-            for rest in rec(i + 1, left - value):
-                yield (value,) + rest
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
+                           markings=tuple(sorted(markings, key=lambda p: label_sort_key(p[0])))
+                           ).validate()
 
 
 def generate_corpus(genus: int, marking_labels, max_vertices: int
@@ -119,49 +76,38 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
     if max_vertices < 1:
         raise ValidationError("max_vertices must be at least 1")
 
-    seen: dict[tuple, None] = {}
-    for n in range(1, max_vertices + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for genus_vec in _nondecreasing_tuples(n, genus):
+    seen: set[tuple] = set()
+    # each stable vertex adds 2g_v-2+valence+markings >= 1 to the total
+    # 2g-2+len(labels), so no stable graph has more vertices than that
+    for n in range(1, min(max_vertices, 2 * genus - 2 + len(labels)) + 1):
+        ids = [f"v{i}" for i in range(n)]
+        everyone = (1 << n) - 1
+        links = list(itertools.combinations(range(n), 2))
+        for genus_vec in itertools.combinations_with_replacement(range(genus + 1), n):
             edges_total = genus - sum(genus_vec) + n - 1
-            if edges_total < 0:
-                continue
-            min_connect = n - 1
-            for connect_total in range(min_connect, edges_total + 1):
-                loop_total = edges_total - connect_total
-                for connect in _distributions(len(pairs), connect_total):
-                    pair_mult = {p: m for p, m in zip(pairs, connect)}
-                    if not _connected(n, pair_mult):
+            for c in range(n - 1, edges_total + 1):
+                for connect in itertools.combinations_with_replacement(links, c):
+                    adjacency = [1 << i for i in range(n)]
+                    for i, j in connect:
+                        adjacency[i] |= 1 << j
+                        adjacency[j] |= 1 << i
+                    if next(mask_components(adjacency, everyone)) != everyone:
                         continue
-                    base_val = [0] * n
-                    for (i, j), m in pair_mult.items():
-                        base_val[i] += m
-                        base_val[j] += m
-                    for loops in _distributions(n, loop_total):
-                        valence = [base_val[i] + 2 * loops[i] for i in range(n)]
+                    for loops in itertools.combinations_with_replacement(
+                            range(n), edges_total - c):
+                        edges = connect + tuple((i, i) for i in loops)
                         for placement in itertools.product(range(n), repeat=len(labels)):
-                            marks_per = [0] * n
-                            for t in placement:
-                                marks_per[t] += 1
-                            if any(2 * genus_vec[i] - 2 + valence[i] + marks_per[i] <= 0
-                                   for i in range(n)):
+                            margin = [2 * g - 2 for g in genus_vec]
+                            for i in itertools.chain(*edges, placement):
+                                margin[i] += 1
+                            if min(margin) <= 0:
                                 continue
-                            graph = _assemble(n, genus_vec, pair_mult, loops,
-                                              labels, placement)
-                            seen.setdefault(canonical_key(graph), None)
+                            graph = MarkedDualGraph(
+                                tuple(zip(ids, genus_vec)),
+                                tuple((ids[i], ids[j]) for i, j in edges),
+                                tuple((l, ids[i]) for l, i in zip(labels, placement)))
+                            seen.add(canonical_key(graph))
     return [graph_from_key(key) for key in sorted(seen)]
-
-
-def _assemble(n, genus_vec, pair_mult, loops, labels, placement) -> MarkedDualGraph:
-    vertices = tuple((f"v{i}", genus_vec[i]) for i in range(n))
-    edges = []
-    for (i, j), m in sorted(pair_mult.items()):
-        edges.extend([(f"v{i}", f"v{j}")] * m)
-    for i, m in enumerate(loops):
-        edges.extend([(f"v{i}", f"v{i}")] * m)
-    markings = tuple((l, f"v{placement[idx]}") for idx, l in enumerate(labels))
-    return MarkedDualGraph(vertices=vertices, edges=tuple(edges),
-                           markings=markings)
 
 
 def are_isomorphic(g1: MarkedDualGraph, g2: MarkedDualGraph) -> bool:

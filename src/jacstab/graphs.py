@@ -51,11 +51,10 @@ class MarkedDualGraph:
     edges: tuple[tuple[str, str], ...]
     markings: tuple[tuple[str, str], ...] = ()
     base_vertex: str | None = None
-    require_stable: bool = True
 
     @classmethod
-    def build(cls, vertices, edges, markings=None, base_vertex=None,
-              require_stable=True) -> "MarkedDualGraph":
+    def build(cls, vertices, edges, markings=None, base_vertex=None
+              ) -> "MarkedDualGraph":
         """Convenience constructor from plain dicts/lists; validates."""
         vs = tuple((str(v), int(g)) for v, g in vertices)
         order = {v: i for i, (v, _) in enumerate(vs)}
@@ -72,8 +71,7 @@ class MarkedDualGraph:
             mk = tuple(sorted(((str(l), str(v)) for l, v in items),
                               key=lambda p: label_sort_key(p[0])))
         graph = cls(vertices=vs, edges=tuple(es), markings=mk,
-                    base_vertex=None if base_vertex is None else str(base_vertex),
-                    require_stable=require_stable)
+                    base_vertex=None if base_vertex is None else str(base_vertex))
         return graph.validate()
 
     # -- basic lookups -------------------------------------------------
@@ -193,7 +191,7 @@ class MarkedDualGraph:
             problems.append("disconnected graph")
         if ids and self.genus < 0:
             problems.append(f"total genus {self.genus} is negative")
-        if self.require_stable and not problems:
+        if not problems:
             for v in self.vertex_ids:
                 m = self.vertex_stability_margin(v)
                 if m <= 0:
@@ -211,7 +209,6 @@ class MarkedDualGraph:
             "edges": self.edges,
             "markings": self.markings,
             "base_vertex": self.base_vertex,
-            "require_stable": self.require_stable,
         }
         data.update(changes)
         return MarkedDualGraph(**data)
@@ -532,14 +529,9 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
 
     if g0 == 0 and graph.valence_map[v0] == 2 and not other_marks:
         # case (a): fuse the two edge ends into one new edge
-        e1, e2 = incident if len(incident) == 2 else (incident[0], incident[0])
-        if e1 == e2:
-            raise PreconditionError(
-                f"vertex {v0} carries a loop; cannot stabilize")  # unreachable on connected stable input
-        end1 = next(w for w in graph.edges[e1] if w != v0) \
-            if graph.edges[e1][0] != graph.edges[e1][1] else v0
-        end2 = next(w for w in graph.edges[e2] if w != v0) \
-            if graph.edges[e2][0] != graph.edges[e2][1] else v0
+        e1, e2 = incident
+        end1 = next(w for w in graph.edges[e1] if w != v0)
+        end2 = next(w for w in graph.edges[e2] if w != v0)
         removed = (e1, e2)
         new_vertices = tuple(p for p in graph.vertices if p[0] != v0)
         survivors = [i for i in range(len(graph.edges)) if i not in removed]
@@ -553,8 +545,7 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
         new_graph = MarkedDualGraph(
             vertices=new_vertices, edges=tuple(new_edges),
             markings=tuple(rest),
-            base_vertex=graph.base_vertex if graph.base_vertex != v0 else None,
-            require_stable=graph.require_stable).validate()
+            base_vertex=graph.base_vertex if graph.base_vertex != v0 else None).validate()
         report = ContractionReport(
             case="a", removed_vertex=v0, removed_edges=removed,
             new_edge_index=new_edge_index, edge_map=edge_map,
@@ -577,8 +568,7 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
         vmap[v0] = attach
         new_graph = MarkedDualGraph(
             vertices=new_vertices, edges=new_edges, markings=new_markings,
-            base_vertex=graph.base_vertex if graph.base_vertex != v0 else attach,
-            require_stable=graph.require_stable).validate()
+            base_vertex=graph.base_vertex if graph.base_vertex != v0 else attach).validate()
         report = ContractionReport(
             case="b", removed_vertex=v0, removed_edges=(e1,),
             transferred_marking=transferred, edge_map=edge_map)

@@ -4,13 +4,12 @@ Used as independent oracles: the number of spanning trees (any cofactor of
 the Laplacian, computed fraction-free) predicts how many multidegree
 classes a fixed total degree splits into, and membership of a difference
 vector in the integer column span of the Laplacian decides multidegree
-equivalence.  Loops are excluded throughout; they contribute neither to
-spanning trees nor to multidegree moves.
+equivalence (Cramer's rule over the same determinant, read modulo the
+spanning-tree count).  Loops are excluded throughout; they contribute
+neither to spanning trees nor to multidegree moves.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import PreconditionError, ValidationError
 from .graphs import MarkedDualGraph
@@ -68,32 +67,17 @@ def complexity(graph: MarkedDualGraph) -> int:
     return value
 
 
-def _solve_rational(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Solve a square nonsingular integer system exactly over Q."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def multidegrees_equivalent(graph: MarkedDualGraph,
                             d1: dict[str, int], d2: dict[str, int]) -> bool:
     """Whether two multidegrees differ by an integer Laplacian move.
 
-    Decided by an exact integral solve: on a connected graph the rational
+    Decided by Cramer's rule in integers: on a connected graph the rational
     kernel of the Laplacian is spanned by the all-ones vector, so the
     difference lies in the integer column span iff the unique solution
-    with last coordinate 0 is integral.
+    with last coordinate 0 is integral.  With kappa the determinant of the
+    reduced Laplacian, that solution is x_j = det_j / kappa, where det_j
+    replaces column j by the difference; so it is integral iff kappa
+    divides every det_j.
     """
     graph.validate()
     ids = graph.vertex_ids
@@ -108,11 +92,16 @@ def multidegrees_equivalent(graph: MarkedDualGraph,
     diff = [int(d1[v]) - int(d2[v]) for v in ids]
     L = laplacian(graph)
     reduced = [row[:-1] for row in L[:-1]]
-    solution = _solve_rational(reduced, diff[:-1])
-    if solution is None:
+    kappa = _det_bareiss(reduced)
+    if kappa == 0:
         raise ValidationError("graph is disconnected")
-    if any(x.denominator != 1 for x in solution):
-        return False
+    solution = []
+    for j in range(n - 1):
+        det_j = _det_bareiss([row[:j] + [b] + row[j + 1:]
+                              for row, b in zip(reduced, diff[:-1])])
+        if det_j % kappa:
+            return False
+        solution.append(det_j // kappa)
     # Consistency of the dropped row is automatic (all row sums are zero),
     # but check it anyway.
     last = sum(L[n - 1][j] * solution[j] for j in range(n - 1))

@@ -103,3 +103,62 @@ def test_corpus_rejects_infeasible():
         generate_corpus(1, [], 3)
     with pytest.raises(ValidationError):
         generate_corpus(2, [], 0)
+
+
+def brute_force_corpus(genus: int, labels, max_vertices: int) -> list[MarkedDualGraph]:
+    """Independent oracle: every multiplicity matrix (loops on the diagonal)
+    on every labelled genus vector, kept when connected and stable, and
+    deduplicated with ``brute_force_isomorphic``."""
+    classes: list[MarkedDualGraph] = []
+    for n in range(1, max_vertices + 1):
+        ids = [f"u{i}" for i in range(n)]
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        for genera in itertools.product(range(genus + 1), repeat=n):
+            edge_count = genus - sum(genera) + n - 1
+            if edge_count < 0:
+                continue
+            for mult in itertools.product(range(edge_count + 1), repeat=len(slots)):
+                if sum(mult) != edge_count:
+                    continue
+                edges = [(ids[i], ids[j]) for (i, j), m in zip(slots, mult)
+                         for _ in range(m)]
+                reached, frontier = {ids[0]}, [ids[0]]
+                while frontier:
+                    w = frontier.pop()
+                    for a, b in edges:
+                        for x, y in ((a, b), (b, a)):
+                            if x == w and y not in reached:
+                                reached.add(y)
+                                frontier.append(y)
+                if len(reached) != n:
+                    continue
+                for placement in itertools.product(ids, repeat=len(labels)):
+                    if any(2 * g - 2 + sum(e.count(v) for e in edges)
+                           + placement.count(v) <= 0 for v, g in zip(ids, genera)):
+                        continue
+                    graph = MarkedDualGraph.build(list(zip(ids, genera)), edges,
+                                                  markings=dict(zip(labels, placement)))
+                    if not any(brute_force_isomorphic(graph, c) for c in classes):
+                        classes.append(graph)
+    return classes
+
+
+@pytest.mark.parametrize("genus,labels", [
+    (1, ("1",)), (1, ("1", "2")), (2, ()), (2, ("1",)), (2, ("1", "2"))])
+def test_corpus_matches_brute_force_classes(genus, labels):
+    corpus = generate_corpus(genus, labels, 3)
+    classes = brute_force_corpus(genus, labels, 3)
+    assert len(classes) == len(corpus)
+    for graph in classes:
+        assert sum(brute_force_isomorphic(graph, g) for g in corpus) == 1
+
+
+def test_corpus_literature_counts():
+    # boundary strata of M_{0,5}, M_{1,2} and M_3
+    assert len(generate_corpus(0, ["1", "2", "3", "4", "5"], 3)) == 26
+    assert len(generate_corpus(1, ["1", "2"], 2)) == 5
+    assert len(generate_corpus(3, [], 4)) == 42
+
+
+def test_corpus_vertex_bound_is_2g_minus_2_plus_n():
+    assert generate_corpus(3, [], 5) == generate_corpus(3, [], 4)
