@@ -17,10 +17,8 @@ from .maps import (PhiTable, abel_jacobi, check_star, clutch_irr,
                    forget_polarization, kp_translate, two_component_graph)
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            QProfile, compile_polarization, is_general,
-                           make_profile, perturb_general, q_subcurve,
-                           twist_profile)
-from .sheaves import (SheafType, d_of, deg_subcurve, is_simple, total_degree,
-                      twist)
+                           make_profile, perturb_general, twist_profile)
+from .sheaves import SheafType, d_of, deg_subcurve, is_simple, twist
 from .stability import (StabilityVerdict, check, count_components,
                         enumerate_sheaves)
 
@@ -69,10 +67,8 @@ __all__ = [
     "node_type",
     "perturb_general",
     "proper_subcurves",
-    "q_subcurve",
     "stabilize_forgetting",
     "subcurve_invariants",
-    "total_degree",
     "twist",
     "twist_profile",
     "two_component_graph",

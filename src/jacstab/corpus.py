@@ -9,26 +9,37 @@ edges between vertex pairs (kept when their adjacency bitmasks connect
 every vertex, by ``graphs.mask_components``), the loops, and the vertices
 that carry the markings.  Isomorph rejection uses a canonical form: the
 lexicographically minimal encoding of (genus vector, marking placement,
-adjacency upper triangle) over all vertex permutations."""
+adjacency upper triangle) over all vertex permutations.  The loop keys its
+integer data directly; only the graphs it returns are built (and so
+checked)."""
 
 from __future__ import annotations
 
 import itertools
 
 from .errors import ValidationError
-from .graphs import MarkedDualGraph, label_sort_key, mask_components
+from .graphs import (MarkedDualGraph, adjacency_masks, label_sort_key,
+                     mask_components)
 
 
 def canonical_key(graph: MarkedDualGraph) -> tuple:
     """Minimal encoding of the decorated graph over vertex permutations."""
-    n = len(graph.vertices)
-    genus = [g for _, g in graph.vertices]
     index = graph.vertex_index
+    return _canonical_form(
+        [g for _, g in graph.vertices],
+        [(index[u], index[v]) for u, v in graph.edges],
+        [(l, index[v]) for l, v in sorted(graph.markings,
+                                          key=lambda p: label_sort_key(p[0]))])
+
+
+def _canonical_form(genus, pairs, marks) -> tuple:
+    """``canonical_key`` of the graph with vertex genera ``genus``, edges
+    between the index ``pairs`` and (label, vertex index) ``marks`` sorted
+    by label."""
+    n = len(genus)
     mult = [[0] * n for _ in range(n)]
-    for u, v in graph.edges:
-        i, j = sorted((index[u], index[v]))
-        mult[i][j] += 1
-    marks = sorted(graph.markings, key=lambda p: label_sort_key(p[0]))
+    for i, j in pairs:
+        mult[min(i, j)][max(i, j)] += 1
 
     best = None
     for perm in itertools.permutations(range(n)):
@@ -36,7 +47,7 @@ def canonical_key(graph: MarkedDualGraph) -> tuple:
         genus_t = tuple(genus[old] for old in perm)
         if best is not None and (genus_t,) > best[:1]:
             continue
-        mark_t = tuple((l, position[index[v]]) for l, v in marks)
+        mark_t = tuple((l, position[i]) for l, i in marks)
         adj = tuple(mult[min(perm[i], perm[j])][max(perm[i], perm[j])]
                     for i in range(n) for j in range(i, n))
         key = (genus_t, mark_t, adj)
@@ -56,8 +67,7 @@ def graph_from_key(key: tuple) -> MarkedDualGraph:
             pos += 1
     markings = tuple((l, f"v{i}") for l, i in mark_t)
     return MarkedDualGraph(vertices=vertices, edges=tuple(edges),
-                           markings=tuple(sorted(markings, key=lambda p: label_sort_key(p[0])))
-                           ).validate()
+                           markings=tuple(sorted(markings, key=lambda p: label_sort_key(p[0]))))
 
 
 def generate_corpus(genus: int, marking_labels, max_vertices: int
@@ -80,17 +90,14 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
     # each stable vertex adds 2g_v-2+valence+markings >= 1 to the total
     # 2g-2+len(labels), so no stable graph has more vertices than that
     for n in range(1, min(max_vertices, 2 * genus - 2 + len(labels)) + 1):
-        ids = [f"v{i}" for i in range(n)]
         everyone = (1 << n) - 1
         links = list(itertools.combinations(range(n), 2))
         for genus_vec in itertools.combinations_with_replacement(range(genus + 1), n):
             edges_total = genus - sum(genus_vec) + n - 1
             for c in range(n - 1, edges_total + 1):
                 for connect in itertools.combinations_with_replacement(links, c):
-                    adjacency = [1 << i for i in range(n)]
-                    for i, j in connect:
-                        adjacency[i] |= 1 << j
-                        adjacency[j] |= 1 << i
+                    # the ends are already positions: index them by range(n)
+                    adjacency = adjacency_masks(n, range(n), connect)
                     if next(mask_components(adjacency, everyone)) != everyone:
                         continue
                     for loops in itertools.combinations_with_replacement(
@@ -102,11 +109,8 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
                                 margin[i] += 1
                             if min(margin) <= 0:
                                 continue
-                            graph = MarkedDualGraph(
-                                tuple(zip(ids, genus_vec)),
-                                tuple((ids[i], ids[j]) for i, j in edges),
-                                tuple((l, ids[i]) for l, i in zip(labels, placement)))
-                            seen.add(canonical_key(graph))
+                            seen.add(_canonical_form(
+                                genus_vec, edges, tuple(zip(labels, placement))))
     return [graph_from_key(key) for key in sorted(seen)]
 
 

@@ -14,6 +14,11 @@ set of invariants computed here:
 * the one-step contraction performed when a marked point is forgotten and
   the vertex carrying it stops being stable.
 
+A graph is checked once, when it is built: ``MarkedDualGraph.__post_init__``
+runs ``validate``, so every graph object is connected and stable and no
+function re-checks its input.  Connectivity is one bitmask search,
+``mask_components``, over the adjacency masks of ``adjacency_masks``.
+
 All values are immutable; every function is pure.
 """
 
@@ -45,6 +50,7 @@ class MarkedDualGraph:
     weight profiles, serialized output).  ``edges`` is a tuple of unordered
     id pairs; an edge's identity is its index in this tuple, which is what
     multigraphs need.  ``markings`` maps distinct labels to vertices.
+    Construction raises ``ValidationError`` unless ``validate`` passes.
     """
 
     vertices: tuple[tuple[str, int], ...]
@@ -55,7 +61,7 @@ class MarkedDualGraph:
     @classmethod
     def build(cls, vertices, edges, markings=None, base_vertex=None
               ) -> "MarkedDualGraph":
-        """Convenience constructor from plain dicts/lists; validates."""
+        """Convenience constructor from plain dicts/lists."""
         vs = tuple((str(v), int(g)) for v, g in vertices)
         order = {v: i for i, (v, _) in enumerate(vs)}
         es = []
@@ -70,9 +76,11 @@ class MarkedDualGraph:
             items = markings.items() if isinstance(markings, dict) else markings
             mk = tuple(sorted(((str(l), str(v)) for l, v in items),
                               key=lambda p: label_sort_key(p[0])))
-        graph = cls(vertices=vs, edges=tuple(es), markings=mk,
-                    base_vertex=None if base_vertex is None else str(base_vertex))
-        return graph.validate()
+        return cls(vertices=vs, edges=tuple(es), markings=mk,
+                   base_vertex=None if base_vertex is None else str(base_vertex))
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     # -- basic lookups -------------------------------------------------
 
@@ -131,36 +139,13 @@ class MarkedDualGraph:
 
     # -- connectivity ---------------------------------------------------
 
-    def _components(self, subset: frozenset[str],
-                    skip_edges: frozenset[int] = frozenset()) -> tuple[frozenset[str], ...]:
-        """Connected components of the subgraph induced on ``subset``."""
-        adj: dict[str, set[str]] = {v: set() for v in subset}
-        for i, (u, v) in enumerate(self.edges):
-            if i in skip_edges or u == v:
-                continue
-            if u in subset and v in subset:
-                adj[u].add(v)
-                adj[v].add(u)
-        seen: set[str] = set()
-        comps = []
-        for start in self.vertex_ids:
-            if start not in subset or start in seen:
-                continue
-            stack, comp = [start], set()
-            while stack:
-                w = stack.pop()
-                if w in comp:
-                    continue
-                comp.add(w)
-                stack.extend(adj[w] - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(comps)
-
     def is_connected(self, skip_edges: frozenset[int] = frozenset()) -> bool:
-        if not self.vertices:
+        index = self.vertex_index
+        if not index:
             return False
-        return len(self._components(frozenset(self.vertex_ids), skip_edges)) == 1
+        everyone = sum(1 << i for i in index.values())  # one bit per distinct id
+        adjacency = adjacency_masks(len(self.vertices), index, self.edges, skip_edges)
+        return next(mask_components(adjacency, everyone)) == everyone
 
     # -- validation -----------------------------------------------------
 
@@ -271,12 +256,15 @@ def subcurve_genus(graph: MarkedDualGraph, Y: frozenset[str]) -> int:
 def subcurve_invariants(graph: MarkedDualGraph, vertex_set) -> SubcurveInvariants:
     """k, w, genus and connected components of a proper subcurve."""
     Y = check_subcurve(graph, vertex_set)
-    comps = graph._components(Y)
+    index = graph.vertex_index
+    adjacency = adjacency_masks(len(graph.vertices), index, graph.edges)
+    comps = mask_components(adjacency, sum(1 << index[v] for v in Y))
     return SubcurveInvariants(
         k=subcurve_k(graph, Y),
         w=subcurve_w(graph, Y),
         genus=subcurve_genus(graph, Y),
-        components=tuple(sorted(comps, key=lambda c: sorted(c))),
+        components=tuple(sorted((mask_vertices(graph.vertex_ids, c) for c in comps),
+                                key=sorted)),
     )
 
 
@@ -328,6 +316,23 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def mask_vertices(ids, mask: int) -> frozenset[str]:
+    """The ids whose bits are set in ``mask``."""
+    return frozenset(ids[i] for i in _bits(mask))
+
+
+def adjacency_masks(n: int, index, edges, skip_edges=()) -> list[int]:
+    """Entry i masks vertex i and its neighbours along ``edges``, less the
+    edge indices in ``skip_edges``; ``index`` maps an end to its position."""
+    adjacency = [1 << i for i in range(n)]
+    for e, (u, v) in enumerate(edges):
+        if e not in skip_edges:
+            i, j = index[u], index[v]
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    return adjacency
+
+
 def mask_components(adjacency, mask: int):
     """Masks of the components of the subgraph on ``mask``, by first vertex."""
     while mask:
@@ -350,9 +355,9 @@ def subcurve_table(graph: MarkedDualGraph) -> SubcurveTable:
 def _subcurve_table(vertices, edges) -> SubcurveTable:
     ids = [v for v, _ in vertices]
     n = len(ids)
-    edge_masks = tuple(1 << ids.index(u) | 1 << ids.index(v) for u, v in edges)
-    adjacency = tuple(reduce(or_, (e for e in edge_masks if e >> i & 1), 1 << i)
-                      for i in range(n))
+    index = {v: i for i, v in enumerate(ids)}
+    edge_masks = tuple(1 << index[u] | 1 << index[v] for u, v in edges)
+    adjacency = tuple(adjacency_masks(n, index, edges))
     masks, level = set(), {1 << i for i in range(n)}
     while level:  # grow connected sets one neighbour at a time
         masks |= level
@@ -360,7 +365,7 @@ def _subcurve_table(vertices, edges) -> SubcurveTable:
             reduce(or_, (adjacency[i] for i in _bits(m))))} - masks
     masks.discard((1 << n) - 1)
     subcurves = sorted(
-        (Subcurve(frozenset(ids[i] for i in _bits(m)), _bits(m), m,
+        (Subcurve(mask_vertices(ids, m), _bits(m), m,
                   sum(1 for e in edge_masks if e & m and e & ~m)) for m in masks),
         key=lambda sub: subcurve_sort_key(sub.vertices))
     return SubcurveTable(adjacency, edge_masks, tuple(subcurves))
@@ -402,12 +407,12 @@ def _edge_type(graph: MarkedDualGraph, edge_index: int
     u, v = graph.edges[edge_index]
     if u == v:
         return None
-    comps = graph._components(frozenset(graph.vertex_ids),
-                              skip_edges=frozenset([edge_index]))
+    ids = graph.vertex_ids
+    adjacency = adjacency_masks(len(ids), graph.vertex_index, graph.edges, {edge_index})
+    comps = [mask_vertices(ids, c) for c in mask_components(adjacency, (1 << len(ids)) - 1)]
     if len(comps) == 1:
         return None
-    side_a = next(c for c in comps if u in c)
-    side_b = next(c for c in comps if v in c)
+    side_a, side_b = comps  # the label below does not depend on their order
     if graph.markings:
         vertex = graph.marking_map[min(graph.marking_labels, key=label_sort_key)]
         side = side_a if vertex in side_a else side_b
@@ -504,7 +509,6 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
     to None in case (a) -- its image is the new node -- and to its
     attachment vertex in case (b)), and a contraction report.
     """
-    graph.validate()
     marking = str(marking)
     if marking not in graph.marking_map:
         raise ValidationError(f"marking {marking} not present")
@@ -517,10 +521,8 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
 
     margin = (2 * graph.genus_map[v0] - 2 + graph.valence_map[v0]
               + sum(1 for l, v in rest if v == v0))
-    stripped = graph.replace(markings=tuple(rest),
-                             base_vertex=graph.base_vertex)
     if margin > 0:
-        return stripped.validate(), identity_map, ContractionReport(
+        return graph.replace(markings=tuple(rest)), identity_map, ContractionReport(
             case=None, edge_map=tuple((i, i) for i in range(len(graph.edges))))
 
     g0 = graph.genus_map[v0]
@@ -545,7 +547,7 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
         new_graph = MarkedDualGraph(
             vertices=new_vertices, edges=tuple(new_edges),
             markings=tuple(rest),
-            base_vertex=graph.base_vertex if graph.base_vertex != v0 else None).validate()
+            base_vertex=graph.base_vertex if graph.base_vertex != v0 else None)
         report = ContractionReport(
             case="a", removed_vertex=v0, removed_edges=removed,
             new_edge_index=new_edge_index, edge_map=edge_map,
@@ -568,7 +570,7 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
         vmap[v0] = attach
         new_graph = MarkedDualGraph(
             vertices=new_vertices, edges=new_edges, markings=new_markings,
-            base_vertex=graph.base_vertex if graph.base_vertex != v0 else attach).validate()
+            base_vertex=graph.base_vertex if graph.base_vertex != v0 else attach)
         report = ContractionReport(
             case="b", removed_vertex=v0, removed_edges=(e1,),
             transferred_marking=transferred, edge_map=edge_map)

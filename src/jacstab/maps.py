@@ -46,7 +46,6 @@ from .stability import StabilityVerdict, check
 def clutch_irr(graph: MarkedDualGraph, x: str, y: str, sheaf: SheafType
                ) -> tuple[MarkedDualGraph, SheafType]:
     """Glue markings x and y of one graph into a new non-free node."""
-    graph.validate()
     require_simple(graph, sheaf)
     x, y = str(x), str(y)
     for mark in (x, y):
@@ -58,7 +57,7 @@ def clutch_irr(graph: MarkedDualGraph, x: str, y: str, sheaf: SheafType
     lo, hi = sorted((vx, vy), key=graph.vertex_index.get)
     new_edges = graph.edges + ((lo, hi),)
     new_markings = tuple(p for p in graph.markings if p[0] not in (x, y))
-    new_graph = graph.replace(edges=new_edges, markings=new_markings).validate()
+    new_graph = graph.replace(edges=new_edges, markings=new_markings)
     new_sheaf = SheafType(
         nonfree_edges=sheaf.nonfree_edges | {len(graph.edges)},
         degrees=sheaf.degrees)
@@ -94,8 +93,6 @@ def clutch_sep(graph1: MarkedDualGraph, x: str, sheaf1: SheafType,
     first graph's order, then the second's, then the new free edge.  The
     first sheaf is twisted by +1 at the vertex carrying x.
     """
-    graph1.validate()
-    graph2.validate()
     require_simple(graph1, sheaf1)
     require_simple(graph2, sheaf2)
     x, y = str(x), str(y)
@@ -125,8 +122,7 @@ def clutch_sep(graph1: MarkedDualGraph, x: str, sheaf1: SheafType,
         [(l, re1(v)) for l, v in graph1.markings if l != x]
         + [(l, re2(v)) for l, v in graph2.markings if l != y],
         key=lambda p: label_sort_key(p[0])))
-    new_graph = MarkedDualGraph(vertices=vertices, edges=edges,
-                                markings=markings).validate()
+    new_graph = MarkedDualGraph(vertices=vertices, edges=edges, markings=markings)
 
     twisted = twist(sheaf1, {graph1.marking_map[x]: 1})
     degrees = {re1(v): d for v, d in twisted.degrees}
@@ -172,7 +168,6 @@ def check_star(pol, graph: MarkedDualGraph, x: str) -> bool:
     Vacuously true when forgetting x contracts nothing.  Otherwise requires
     a_x = 0 and compiled weight exactly 0 on the vertex to be contracted.
     """
-    graph.validate()
     x = str(x)
     if x not in graph.marking_map:
         raise ValidationError(f"marking {x} not present")
@@ -331,7 +326,6 @@ def abel_jacobi(graph: MarkedDualGraph, dtuple: dict[str, int]
     degree sum of the d_i at each vertex, and its verdict (always stable:
     every subcurve has deg_Y = q_Y with margin k_Y/2 > 0).
     """
-    graph.validate()
     if not graph.markings:
         raise PreconditionError("Abel-Jacobi sections need at least one marking")
     weights = {str(l): int(c) for l, c in dtuple.items()}

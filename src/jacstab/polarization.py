@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .errors import PreconditionError, ValidationError
 from .graphs import (MarkedDualGraph, NodeTypeLabel, admissible_labels,
-                     check_subcurve, label_sort_key, mask_components,
+                     label_sort_key, mask_components, mask_vertices,
                      separating_ends, subcurve_sort_key, subcurve_table)
 
 
@@ -109,6 +109,18 @@ class QProfile:
         Y = frozenset(str(v) for v in vertex_set)
         return sum((f for v, f in self.q if v in Y), Fraction(0))
 
+    @cached_property
+    def thresholds(self) -> tuple[tuple[int, bool], ...]:
+        """(ceil(b_Y), b_Y is an integer) per subcurve of the graph's table,
+        where b_Y = q_Y - k_Y/2, in integers after scaling by L = lcm(2,
+        denominators of q).  deg_Y < ceil(b_Y) violates Y; deg_Y == b_Y is
+        an equality."""
+        scale = math.lcm(2, *(f.denominator for _, f in self.q))
+        scaled = [f.numerator * (scale // f.denominator) for _, f in self.q]
+        walls = (sum(scaled[i] for i in sub.members) - scale // 2 * sub.k
+                 for sub in subcurve_table(self.graph).subcurves)
+        return tuple((-(-b // scale), b % scale == 0) for b in walls)
+
 
 def make_profile(graph: MarkedDualGraph, q: dict[str, Fraction], d: int) -> QProfile:
     if set(q) != set(graph.vertex_ids):
@@ -122,7 +134,6 @@ def make_profile(graph: MarkedDualGraph, q: dict[str, Fraction], d: int) -> QPro
 
 def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
     """Compile a recipe into the rational vertex weights of one graph."""
-    graph.validate()
     if isinstance(pol, QProfile):
         if pol.graph != graph:
             raise ValidationError("profile was compiled for a different graph")
@@ -163,23 +174,6 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
     return make_profile(graph, q, d)
 
 
-def q_subcurve(profile: QProfile, graph: MarkedDualGraph, vertex_set) -> Fraction:
-    Y = check_subcurve(graph, vertex_set)
-    return profile.q_of(Y)
-
-
-def subcurve_thresholds(profile: QProfile) -> tuple[tuple[int, bool], ...]:
-    """(ceil(b_Y), b_Y is an integer) per subcurve of the graph's table,
-    where b_Y = q_Y - k_Y/2, in integers after scaling by L = lcm(2,
-    denominators of q).  deg_Y < ceil(b_Y) violates Y; deg_Y == b_Y is an
-    equality."""
-    scale = math.lcm(2, *(f.denominator for _, f in profile.q))
-    scaled = [f.numerator * (scale // f.denominator) for _, f in profile.q]
-    walls = (sum(scaled[i] for i in sub.members) - scale // 2 * sub.k
-             for sub in subcurve_table(profile.graph).subcurves)
-    return tuple((-(-b // scale), b % scale == 0) for b in walls)
-
-
 def is_general(graph: MarkedDualGraph, profile: QProfile
                ) -> tuple[bool, tuple[frozenset[str], ...]]:
     """Generality test with witnesses.
@@ -191,7 +185,7 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
     """
     table = subcurve_table(graph)
     integral = {sub.mask for sub, (_, exact)
-                in zip(table.subcurves, subcurve_thresholds(profile)) if exact}
+                in zip(table.subcurves, profile.thresholds) if exact}
     if not integral:
         return (True, ())
     ids = graph.vertex_ids
@@ -201,8 +195,7 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
     for mask in range(1, 1 << (len(ids) - 1)):
         if all(c in integral for m in (mask, full ^ mask)
                for c in mask_components(table.adjacency, m)):
-            pair = [frozenset(v for i, v in enumerate(ids) if m >> i & 1)
-                    for m in (mask, full ^ mask)]
+            pair = [mask_vertices(ids, m) for m in (mask, full ^ mask)]
             witnesses.append(min(pair, key=subcurve_sort_key))
     ordered = tuple(sorted(witnesses, key=subcurve_sort_key))
     return (not ordered, ordered)

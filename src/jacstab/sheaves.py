@@ -48,10 +48,6 @@ def validate_sheaf(graph: MarkedDualGraph, sheaf: SheafType) -> SheafType:
     return sheaf
 
 
-def total_degree(sheaf: SheafType) -> int:
-    return sheaf.total_degree
-
-
 def is_simple(graph: MarkedDualGraph, sheaf: SheafType) -> bool:
     """A sheaf type is simple iff the graph minus its non-free nodes stays
     connected (equivalently no subcurve has every crossing node in S)."""

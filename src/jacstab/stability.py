@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, ValidationError
 from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k, subcurve_table
-from .polarization import QProfile, is_general, subcurve_thresholds
+from .polarization import QProfile, is_general
 from .sheaves import SheafType, deg_subcurve, require_simple
 
 MODES = ("semistable", "stable", "quasistable")
@@ -90,7 +90,7 @@ def _slack_signs(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType):
     table = subcurve_table(graph)
     degrees = [d for _, d in sheaf.degrees]
     nonfree = [table.edge_masks[e] for e in sheaf.nonfree_edges]
-    for sub, (need, exact) in zip(table.subcurves, subcurve_thresholds(profile)):
+    for sub, (need, exact) in zip(table.subcurves, profile.thresholds):
         deg = sum(degrees[i] for i in sub.members) \
             + sum(1 for m in nonfree if m & sub.mask == m)
         yield sub.vertices, -1 if deg < need else int(deg > need or not exact)
@@ -154,7 +154,6 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
         raise ValidationError(f"base vertex {base} is not a vertex")
 
     table = subcurve_table(graph)
-    thresholds = subcurve_thresholds(profile)
     base_mask = 1 << graph.vertex_index[base] if base is not None else 0
     results = []
     ids = graph.vertex_ids
@@ -163,7 +162,7 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
         total = profile.d - len(S)
         bounds = [(total, total)] * len(ids)  # kept only by a lone vertex
         tests: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in ids]
-        for sub, (need, exact) in zip(table.subcurves, thresholds):
+        for sub, (need, exact) in zip(table.subcurves, profile.thresholds):
             interior = sum(1 for m in nonfree if m & sub.mask == m)
             # an equality is rejected by raising the least degree by one
             least = need - interior + (exact and (mode == "stable" or (

@@ -53,6 +53,15 @@ def test_validate_empty_graph_exits_2(files, capsys):
     assert "disconnected" in err
 
 
+def test_validate_duplicate_vertex_ids_exits_2(files, capsys):
+    doc = {"vertices": [{"id": "a", "genus": 1}, {"id": "a", "genus": 1}],
+           "edges": [["a", "a"]]}
+    code, out, err = run_cli(capsys, "validate", "--graph", files("dup.json", doc))
+    assert code == 2
+    assert out == ""
+    assert "duplicate vertex ids" in err
+
+
 def test_malformed_json_exits_2_with_location(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [', encoding="utf-8")

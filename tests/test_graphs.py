@@ -45,10 +45,15 @@ def test_validate_rejects_duplicate_marking():
                         markings=(("1", "a"), ("1", "a"))).validate()
 
 
-def test_validate_reports_every_violation():
-    graph = MarkedDualGraph(vertices=(("a", -1), ("a", 2)), edges=(("a", "zz"),))
+def test_validate_rejects_duplicate_vertex_ids():
     with pytest.raises(ValidationError) as info:
-        graph.validate()
+        MarkedDualGraph(vertices=(("a", 1), ("a", 1)), edges=(("a", "a"),))
+    assert str(info.value) == "duplicate vertex ids"
+
+
+def test_validate_reports_every_violation():
+    with pytest.raises(ValidationError) as info:
+        MarkedDualGraph(vertices=(("a", -1), ("a", 2)), edges=(("a", "zz"),))
     message = str(info.value)
     assert "duplicate vertex ids" in message
     assert "negative genus" in message

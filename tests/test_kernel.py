@@ -3,7 +3,10 @@
 Each fast path is compared with a slow oracle written here in exact
 rationals over all vertex subsets: the connected-subcurve list, the
 enumeration in all three modes, the generality test and the witness of
-``check``.  Inputs are the small corpora plus a 10-vertex chorded ring.
+``check``.  Connectivity (``is_connected``, ``subcurve_invariants`` and the
+sides of separating edges) is compared with a set-based search written
+here, which shares no code with the bitmask search of ``jacstab.graphs``.
+Inputs are the small corpora plus a 10-vertex chorded ring.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from fractions import Fraction
 import pytest
 
 from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
-                     enumerate_sheaves, is_general)
-from jacstab.graphs import proper_subcurves, subcurve_k, subcurve_sort_key
+                     enumerate_sheaves, is_general, node_type,
+                     subcurve_invariants)
+from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
+                            subcurve_sort_key)
 
 from conftest import random_profile
 
@@ -36,9 +41,36 @@ def graphs(small_corpora):
     return [g for _, _, gs in small_corpora for g in gs] + [chorded_ring()]
 
 
+def components(graph, subset: frozenset[str],
+               skip_edges: frozenset[int] = frozenset()) -> tuple[frozenset[str], ...]:
+    """Connected components of the subgraph induced on ``subset``."""
+    adj: dict[str, set[str]] = {v: set() for v in subset}
+    for i, (u, v) in enumerate(graph.edges):
+        if i in skip_edges or u == v:
+            continue
+        if u in subset and v in subset:
+            adj[u].add(v)
+            adj[v].add(u)
+    seen: set[str] = set()
+    comps = []
+    for start in graph.vertex_ids:
+        if start not in subset or start in seen:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            w = stack.pop()
+            if w in comp:
+                continue
+            comp.add(w)
+            stack.extend(adj[w] - comp)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return tuple(comps)
+
+
 def connected_oracle(graph):
     return [Y for Y in proper_subcurves(graph, connected_only=False)
-            if len(graph._components(Y)) == 1]
+            if len(components(graph, Y)) == 1]
 
 
 def fraction_oracle(graph, profile, subcurves):
@@ -71,7 +103,7 @@ def general_oracle(graph, profile):
     witnesses = set()
     for Y in proper_subcurves(graph, connected_only=False):
         Yc = everything - Y
-        pieces = graph._components(Y) + graph._components(Yc)
+        pieces = components(graph, Y) + components(graph, Yc)
         if all((profile.q_of(Z) - Fraction(subcurve_k(graph, Z), 2))
                .denominator == 1 for Z in pieces):
             witnesses.add(min((Y, Yc), key=subcurve_sort_key))
@@ -126,6 +158,29 @@ def scan(graph, verdict, base, window, nonfree_sets, total):
 def ordered(types):
     return sorted(types, key=lambda s: (tuple(sorted(s.nonfree_edges)),
                                         tuple(d for _, d in s.degrees)))
+
+
+def test_connectivity_matches_set_search(graphs):
+    rng = random.Random(113)
+    for graph in graphs:
+        everything = frozenset(graph.vertex_ids)
+        m = len(graph.edges)
+        edge_sets = [frozenset(c) for r in range(m + 1)
+                     for c in itertools.combinations(range(m), r)]
+        if len(edge_sets) > 1024:  # the ring's 4,096 subsets
+            edge_sets = rng.sample(edge_sets, 1024)
+        for S in edge_sets:
+            assert graph.is_connected(skip_edges=S) \
+                == (len(components(graph, everything, S)) == 1), (graph, S)
+        for Y in proper_subcurves(graph, connected_only=False):
+            assert subcurve_invariants(graph, Y).components \
+                == tuple(sorted(components(graph, Y), key=sorted)), (graph, Y)
+        for e, (u, v) in enumerate(graph.edges):
+            sides = components(graph, everything, frozenset([e]))
+            separating = u != v and len(sides) == 2
+            assert (node_type(graph, e) is not None) == separating, (graph, e)
+            side = designated_side(graph, e)
+            assert side is None or separating and side in sides, (graph, e)
 
 
 def test_connected_subcurves_match_filtered_subsets(graphs):

@@ -8,7 +8,7 @@ import pytest
 from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      MarkedDualGraph, NodeTypeLabel, ValidationError,
                      compile_polarization, is_general, make_profile,
-                     perturb_general, q_subcurve, twist_profile)
+                     perturb_general, twist_profile)
 from jacstab.graphs import proper_subcurves
 
 from conftest import bridge_g3, random_profile, theta
@@ -63,7 +63,7 @@ def test_compile_canonical_with_marking_weights():
 
 def test_q_subcurve_additive():
     prof = compile_polarization(CanonicalPolarization.build(2), bridge_g3())
-    assert q_subcurve(prof, bridge_g3(), {"v1"}) == Fraction(1, 2)
+    assert prof.q_of({"v1"}) == Fraction(1, 2)
     total = sum(prof.q_map.values())
     assert total == prof.d
 

@@ -6,8 +6,7 @@ import random
 import pytest
 
 from jacstab import (MarkedDualGraph, PreconditionError, SheafType,
-                     ValidationError, d_of, deg_subcurve, is_simple,
-                     total_degree, twist)
+                     ValidationError, d_of, deg_subcurve, is_simple, twist)
 from jacstab.graphs import proper_subcurves
 from jacstab.sheaves import require_simple
 
@@ -16,7 +15,7 @@ from conftest import bridge_g3, theta
 
 def test_total_degree_line_bundle():
     g = bridge_g3()
-    assert total_degree(SheafType.build(g, {"v1": 1, "v2": 2})) == 3
+    assert SheafType.build(g, {"v1": 1, "v2": 2}).total_degree == 3
 
 
 def test_total_degree_counts_nonfree_nodes():
