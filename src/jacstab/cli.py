@@ -5,6 +5,11 @@ stdout (fixed key order, no floats, byte-identical across runs) and reports
 problems on stderr.  Exit codes: 0 success, 2 invalid input data, 3
 unsatisfied precondition.
 
+One table, ``COMMANDS``, gives each subcommand's help, arguments and handler.
+``_run`` loads the graphs, then ``--pol`` as a profile on ``--graph``, then
+the sheaves, and calls the handler, which loads the rest: transport recipes
+(explicit only) after its map has run, and integer maps.
+
 JACSTAB_THREADS is accepted and validated for forward compatibility; all
 operations are pure and currently run single-threaded, so it does not
 change any output.
@@ -21,29 +26,43 @@ from . import corpus as corpus_mod
 from . import io as docio
 from . import lattice, maps, polarization, stability
 from .errors import PreconditionError, ValidationError
-from .graphs import MarkedDualGraph, label_sort_key, subcurve_invariants
+from .graphs import label_sort_key, subcurve_invariants
+from .polarization import ExplicitPolarization
 from .sheaves import is_simple
 
 
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            return docio.loads_document(handle.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    try:
-        return docio.loads_document(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_graph(path: str) -> MarkedDualGraph:
-    return docio.parse_graph_document(_read_json(path))
+def _recipes(*flagged: tuple[str, str]) -> list[ExplicitPolarization]:
+    """Recipes to transport, from (flag, path) pairs: all read, then checked."""
+    pols = [docio.parse_polarization_document(_read_json(path)) for _, path in flagged]
+    for (flag, _), pol in zip(flagged, pols):
+        if not isinstance(pol, ExplicitPolarization):
+            raise ValidationError(
+                f'{flag} must be an explicit polarization recipe (kind "explicit")')
+    return pols
 
 
-def _load_profile(pol_path: str, graph: MarkedDualGraph):
-    pol = docio.parse_polarization_document(_read_json(pol_path), graph)
-    return pol, polarization.compile_polarization(pol, graph)
+def _int_map(path: str, what: str) -> dict[str, int]:
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} document must map keys to integers")
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{what} entry {key!r} must be an integer")
+    return {str(key): value for key, value in doc.items()}
+
+
+def _parse_markings(text: str | None) -> tuple[str, ...]:
+    return tuple(part.strip() for part in (text or "").split(",") if part.strip())
 
 
 def _emit(result: dict) -> None:
@@ -60,19 +79,157 @@ def _verdict_document(verdict) -> dict:
     return doc
 
 
-def _mode_from_flags(args) -> str:
-    picked = [m for m in ("stable", "semistable", "quasistable")
-              if getattr(args, m)]
-    if len(picked) != 1:
+def _invariants(args) -> dict:
+    inv = subcurve_invariants(args.graph, _parse_markings(args.subcurve))
+    return {"k": inv.k, "w": inv.w, "genus": inv.genus,
+            "components": [sorted(c) for c in inv.components]}
+
+
+def _enumerate(args) -> dict:
+    modes = [m for m in ("stable", "semistable", "quasistable") if getattr(args, m)]
+    if len(modes) != 1:
         raise ValidationError(
             "choose exactly one of --stable / --semistable / --quasistable")
-    return picked[0]
+    sheaves = stability.enumerate_sheaves(
+        args.graph, args.pol, modes[0], base_vertex=args.base,
+        include_nonfree=args.include_nonfree)
+    return {"mode": modes[0], "count": len(sheaves),
+            "sheaves": [docio.sheaf_document(s) for s in sheaves]}
 
 
-def _parse_markings(text: str | None) -> tuple[str, ...]:
-    if not text:
-        return ()
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _is_general(args) -> dict:
+    general, witnesses = polarization.is_general(args.graph, args.pol)
+    return {"general": general, "witnesses": [sorted(w) for w in witnesses]}
+
+
+def _clutch_irr(args) -> dict:
+    graph, sheaf = maps.clutch_irr(args.graph, args.x, args.y, args.sheaf)
+    result = {"graph": docio.graph_document(graph), "sheaf": docio.sheaf_document(sheaf),
+              "new_edge_index": len(graph.edges) - 1}
+    if args.recipe is not None:
+        pol, = _recipes(("--pol", args.recipe))
+        result["pol"] = docio.polarization_document(
+            maps.clutch_irr_polarization(pol, args.x, args.y))
+    return result
+
+
+def _clutch_sep(args) -> dict:
+    graph, sheaf = maps.clutch_sep(
+        args.graph1, args.x, args.sheaf1, args.graph2, args.y, args.sheaf2)
+    result = {"graph": docio.graph_document(graph), "sheaf": docio.sheaf_document(sheaf),
+              "new_edge_index": len(graph.edges) - 1}
+    if args.pol1 is not None or args.pol2 is not None:
+        if args.pol1 is None or args.pol2 is None:
+            raise ValidationError(f"{args.command} needs both --pol1 and --pol2")
+        pol1, pol2 = _recipes(("--pol1", args.pol1), ("--pol2", args.pol2))
+        result["pol"] = docio.polarization_document(
+            maps.clutch_sep_polarization(pol1, args.x, pol2, args.y))
+    return result
+
+
+def _forget(args) -> dict:
+    graph, sheaf, report = maps.forget_point(args.graph, args.marking, args.sheaf)
+    result = {"graph": docio.graph_document(graph), "sheaf": docio.sheaf_document(sheaf),
+              "case": report.case, "removed_vertex": report.removed_vertex,
+              "new_edge_index": report.new_edge_index, "simple": is_simple(graph, sheaf)}
+    if args.recipe is not None:
+        pol, = _recipes(("--pol", args.recipe))
+        if not maps.check_star(pol, args.graph, args.marking):
+            raise PreconditionError(
+                "polarization does not satisfy the contraction condition "
+                "(weight 0 on the contracted vertex and a_x = 0)")
+        result["pol"] = docio.polarization_document(maps.forget_polarization(
+            pol, args.marking, genus=args.graph.genus,
+            marking_labels=args.graph.marking_labels))
+    return result
+
+
+def _abel_jacobi(args) -> dict:
+    pol, sheaf, verdict = maps.abel_jacobi(args.graph, _int_map(args.dtuple, "dtuple"))
+    return {"pol": docio.polarization_document(pol),
+            "sheaf": docio.sheaf_document(sheaf),
+            "verdict": _verdict_document(verdict)}
+
+
+def _kp_translate(args) -> dict:
+    phi, genus, labels = docio.parse_phi_document(_read_json(args.phi))
+    return {"pol": docio.polarization_document(maps.kp_translate(phi, genus, labels)),
+            "anchor": min(labels, key=label_sort_key)}
+
+
+def _corpus(args) -> dict:
+    graphs = corpus_mod.generate_corpus(
+        args.genus, _parse_markings(args.markings), args.max_vertices)
+    return {"count": len(graphs), "graphs": [docio.graph_document(g) for g in graphs]}
+
+
+BASE = ("--base", {})
+SWITCH = {"action": "store_true"}
+
+# name -> (help text, arguments, handler).  A bare flag is a required
+# argument.  A transported --pol has the dest "recipe", so _run leaves it alone.
+COMMANDS = {
+    "validate": ("validate a graph document", ["--graph"], lambda args: {
+        "valid": True, "genus": args.graph.genus,
+        "vertices": len(args.graph.vertices), "edges": len(args.graph.edges)}),
+    "invariants": ("k, w, genus and components of a subcurve", [
+        "--graph",
+        ("--subcurve", {"required": True, "help": "comma-separated vertex ids"}),
+    ], _invariants),
+    "qprofile": ("compile a polarization to vertex weights", ["--graph", "--pol"],
+                 lambda args: docio.profile_document(args.pol)),
+    "check": ("stability verdict of one sheaf type", [
+        "--graph", "--pol", "--sheaf", BASE,
+    ], lambda args: _verdict_document(stability.check(
+        args.graph, args.pol, args.sheaf, base_vertex=args.base))),
+    "enumerate": ("enumerate (semi/quasi)stable sheaf types", [
+        "--graph", "--pol", ("--stable", SWITCH), ("--semistable", SWITCH),
+        ("--quasistable", SWITCH), BASE, ("--include-nonfree", SWITCH),
+    ], _enumerate),
+    "count": ("number of quasistable line-bundle types (general profile)", [
+        "--graph", "--pol", BASE,
+    ], lambda args: {"count": stability.count_components(
+        args.graph, args.pol, base_vertex=args.base)}),
+    "is-general": ("generality of a profile, with witnesses", ["--graph", "--pol"],
+                   _is_general),
+    "perturb": ("nudge a profile off the integrality walls", [
+        "--graph", "--pol", ("--seed", {"type": int, "default": 0}),
+    ], lambda args: docio.profile_document(
+        polarization.perturb_general(args.graph, args.pol, seed=args.seed))),
+    "clutch-irr": ("glue two markings of one graph into a node", [
+        "--graph", "--sheaf", "--x", "--y",
+        ("--pol", {"dest": "recipe", "metavar": "POL",
+                   "help": "explicit polarization to transport (a_x = a_y = s)"}),
+    ], _clutch_irr),
+    "clutch-sep": ("join two graphs by a free edge at two markings", [
+        "--graph1", "--sheaf1", "--x", "--graph2", "--sheaf2", "--y",
+        ("--pol1", {}), ("--pol2", {}),
+    ], _clutch_sep),
+    "forget": ("forget a marking and push the sheaf forward", [
+        "--graph", "--sheaf", "--marking",
+        ("--pol", {"dest": "recipe", "metavar": "POL",
+                   "help": "explicit polarization to transport (a_x = 0)"}),
+    ], _forget),
+    "abel-jacobi": ("section recipe from integer marking weights", [
+        "--graph",
+        ("--dtuple", {"required": True,
+                      "help": "JSON file mapping marking labels to integers"}),
+    ], _abel_jacobi),
+    "kp-translate": ("boundary coefficients from a phi table", ["--phi"], _kp_translate),
+    "corpus": ("all stable graphs with bounded vertex count, up to iso", [
+        ("--genus", {"type": int, "required": True}),
+        ("--markings", {"help": "comma-separated marking labels"}),
+        ("--max-vertices", {"type": int, "required": True}),
+    ], _corpus),
+    "complexity": ("number of spanning trees", ["--graph"],
+                   lambda args: {"complexity": lattice.complexity(args.graph)}),
+    "equiv": ("multidegree equivalence modulo Laplacian moves", [
+        "--graph", ("--d1", {"required": True, "help": "JSON file: vertex id -> int"}),
+        ("--d2", {"required": True, "help": "JSON file: vertex id -> int"}),
+    ], lambda args: {"equivalent": lattice.multidegrees_equivalent(
+        args.graph, _int_map(args.d1, "multidegree"),
+        _int_map(args.d2, "multidegree"))}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,98 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact stability computations for sheaf types on "
                     "marked nodal-curve dual graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        return sub.add_parser(name, help=help_text)
-
-    p = add("validate", "validate a graph document")
-    p.add_argument("--graph", required=True)
-
-    p = add("invariants", "k, w, genus and components of a subcurve")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--subcurve", required=True,
-                   help="comma-separated vertex ids")
-
-    p = add("qprofile", "compile a polarization to vertex weights")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", required=True)
-
-    p = add("check", "stability verdict of one sheaf type")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--base", default=None)
-
-    p = add("enumerate", "enumerate (semi/quasi)stable sheaf types")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", required=True)
-    p.add_argument("--stable", action="store_true")
-    p.add_argument("--semistable", action="store_true")
-    p.add_argument("--quasistable", action="store_true")
-    p.add_argument("--base", default=None)
-    p.add_argument("--include-nonfree", action="store_true")
-
-    p = add("count", "number of quasistable line-bundle types (general profile)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", required=True)
-    p.add_argument("--base", default=None)
-
-    p = add("is-general", "generality of a profile, with witnesses")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", required=True)
-
-    p = add("perturb", "nudge a profile off the integrality walls")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("clutch-irr", "glue two markings of one graph into a node")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--pol", default=None,
-                   help="explicit polarization to transport (a_x = a_y = s)")
-
-    p = add("clutch-sep", "join two graphs by a free edge at two markings")
-    p.add_argument("--graph1", required=True)
-    p.add_argument("--sheaf1", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--graph2", required=True)
-    p.add_argument("--sheaf2", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--pol1", default=None)
-    p.add_argument("--pol2", default=None)
-
-    p = add("forget", "forget a marking and push the sheaf forward")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--marking", required=True)
-    p.add_argument("--pol", default=None,
-                   help="explicit polarization to transport (a_x = 0)")
-
-    p = add("abel-jacobi", "section recipe from integer marking weights")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--dtuple", required=True,
-                   help="JSON file mapping marking labels to integers")
-
-    p = add("kp-translate", "boundary coefficients from a phi table")
-    p.add_argument("--phi", required=True)
-
-    p = add("corpus", "all stable graphs with bounded vertex count, up to iso")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--markings", default=None,
-                   help="comma-separated marking labels")
-    p.add_argument("--max-vertices", type=int, required=True)
-
-    p = add("complexity", "number of spanning trees")
-    p.add_argument("--graph", required=True)
-
-    p = add("equiv", "multidegree equivalence modulo Laplacian moves")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--d1", required=True, help="JSON file: vertex id -> int")
-    p.add_argument("--d2", required=True, help="JSON file: vertex id -> int")
-
+    for name, (help_text, arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            flag, options = ((argument, {"required": True})
+                             if isinstance(argument, str) else argument)
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -189,163 +261,19 @@ def _check_threads_env() -> None:
 
 
 def _run(args) -> dict:
-    if args.command == "validate":
-        graph = _load_graph(args.graph)
-        return {"valid": True, "genus": graph.genus,
-                "vertices": len(graph.vertices), "edges": len(graph.edges)}
-
-    if args.command == "invariants":
-        graph = _load_graph(args.graph)
-        inv = subcurve_invariants(graph, _parse_markings(args.subcurve))
-        return {"k": inv.k, "w": inv.w, "genus": inv.genus,
-                "components": [sorted(c) for c in inv.components]}
-
-    if args.command == "qprofile":
-        graph = _load_graph(args.graph)
-        _, profile = _load_profile(args.pol, graph)
-        return docio.profile_document(profile)
-
-    if args.command == "check":
-        graph = _load_graph(args.graph)
-        _, profile = _load_profile(args.pol, graph)
-        sheaf = docio.parse_sheaf_document(_read_json(args.sheaf), graph)
-        verdict = stability.check(graph, profile, sheaf, base_vertex=args.base)
-        return _verdict_document(verdict)
-
-    if args.command == "enumerate":
-        graph = _load_graph(args.graph)
-        _, profile = _load_profile(args.pol, graph)
-        mode = _mode_from_flags(args)
-        sheaves = stability.enumerate_sheaves(
-            graph, profile, mode, base_vertex=args.base,
-            include_nonfree=args.include_nonfree)
-        return {"mode": mode, "count": len(sheaves),
-                "sheaves": [docio.sheaf_document(s) for s in sheaves]}
-
-    if args.command == "count":
-        graph = _load_graph(args.graph)
-        _, profile = _load_profile(args.pol, graph)
-        return {"count": stability.count_components(
-            graph, profile, base_vertex=args.base)}
-
-    if args.command == "is-general":
-        graph = _load_graph(args.graph)
-        _, profile = _load_profile(args.pol, graph)
-        general, witnesses = polarization.is_general(graph, profile)
-        return {"general": general,
-                "witnesses": [sorted(w) for w in witnesses]}
-
-    if args.command == "perturb":
-        graph = _load_graph(args.graph)
-        _, profile = _load_profile(args.pol, graph)
-        out = polarization.perturb_general(graph, profile, seed=args.seed)
-        return docio.profile_document(out)
-
-    if args.command == "clutch-irr":
-        graph = _load_graph(args.graph)
-        sheaf = docio.parse_sheaf_document(_read_json(args.sheaf), graph)
-        new_graph, new_sheaf = maps.clutch_irr(graph, args.x, args.y, sheaf)
-        result = {"graph": docio.graph_document(new_graph),
-                  "sheaf": docio.sheaf_document(new_sheaf),
-                  "new_edge_index": len(new_graph.edges) - 1}
-        if args.pol is not None:
-            pol = docio.parse_polarization_document(_read_json(args.pol))
-            result["pol"] = docio.polarization_document(
-                maps.clutch_irr_polarization(pol, args.x, args.y))
-        return result
-
-    if args.command == "clutch-sep":
-        graph1 = _load_graph(args.graph1)
-        graph2 = _load_graph(args.graph2)
-        sheaf1 = docio.parse_sheaf_document(_read_json(args.sheaf1), graph1)
-        sheaf2 = docio.parse_sheaf_document(_read_json(args.sheaf2), graph2)
-        new_graph, new_sheaf = maps.clutch_sep(
-            graph1, args.x, sheaf1, graph2, args.y, sheaf2)
-        result = {"graph": docio.graph_document(new_graph),
-                  "sheaf": docio.sheaf_document(new_sheaf),
-                  "new_edge_index": len(new_graph.edges) - 1}
-        if args.pol1 is not None or args.pol2 is not None:
-            if args.pol1 is None or args.pol2 is None:
-                raise ValidationError("clutch-sep needs both --pol1 and --pol2")
-            pol1 = docio.parse_polarization_document(_read_json(args.pol1))
-            pol2 = docio.parse_polarization_document(_read_json(args.pol2))
-            result["pol"] = docio.polarization_document(
-                maps.clutch_sep_polarization(pol1, args.x, pol2, args.y))
-        return result
-
-    if args.command == "forget":
-        graph = _load_graph(args.graph)
-        sheaf = docio.parse_sheaf_document(_read_json(args.sheaf), graph)
-        new_graph, new_sheaf, report = maps.forget_point(
-            graph, args.marking, sheaf)
-        result = {"graph": docio.graph_document(new_graph),
-                  "sheaf": docio.sheaf_document(new_sheaf),
-                  "case": report.case,
-                  "removed_vertex": report.removed_vertex,
-                  "new_edge_index": report.new_edge_index,
-                  "simple": is_simple(new_graph, new_sheaf)}
-        if args.pol is not None:
-            pol = docio.parse_polarization_document(_read_json(args.pol))
-            if not maps.check_star(pol, graph, args.marking):
-                raise PreconditionError(
-                    "polarization does not satisfy the contraction condition "
-                    "(weight 0 on the contracted vertex and a_x = 0)")
-            result["pol"] = docio.polarization_document(
-                maps.forget_polarization(
-                    pol, args.marking, genus=graph.genus,
-                    marking_labels=graph.marking_labels))
-        return result
-
-    if args.command == "abel-jacobi":
-        graph = _load_graph(args.graph)
-        dtuple_doc = _read_json(args.dtuple)
-        if not isinstance(dtuple_doc, dict):
-            raise ValidationError("dtuple document must map labels to integers")
-        dtuple = {}
-        for label, value in dtuple_doc.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"dtuple entry {label!r} must be an integer")
-            dtuple[str(label)] = value
-        pol, sheaf, verdict = maps.abel_jacobi(graph, dtuple)
-        return {"pol": docio.polarization_document(pol),
-                "sheaf": docio.sheaf_document(sheaf),
-                "verdict": _verdict_document(verdict)}
-
-    if args.command == "kp-translate":
-        phi, genus, labels = docio.parse_phi_document(_read_json(args.phi))
-        pol = maps.kp_translate(phi, genus, labels)
-        return {"pol": docio.polarization_document(pol),
-                "anchor": min(labels, key=label_sort_key)}
-
-    if args.command == "corpus":
-        graphs = corpus_mod.generate_corpus(
-            args.genus, _parse_markings(args.markings), args.max_vertices)
-        return {"count": len(graphs),
-                "graphs": [docio.graph_document(g) for g in graphs]}
-
-    if args.command == "complexity":
-        graph = _load_graph(args.graph)
-        return {"complexity": lattice.complexity(graph)}
-
-    if args.command == "equiv":
-        graph = _load_graph(args.graph)
-
-        def load_vector(path):
-            doc = _read_json(path)
-            if not isinstance(doc, dict):
-                raise ValidationError("multidegree document must be an object")
-            out = {}
-            for v, value in doc.items():
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValidationError(f"degree of {v!r} must be an integer")
-                out[str(v)] = value
-            return out
-
-        equivalent = lattice.multidegrees_equivalent(
-            graph, load_vector(args.d1), load_vector(args.d2))
-        return {"equivalent": equivalent}
-
-    raise ValidationError(f"unknown subcommand {args.command!r}")
+    loaded = vars(args)  # the namespace itself: a loaded document replaces its path
+    graphs = [key for key in ("graph", "graph1", "graph2") if key in loaded]
+    for key in graphs:
+        loaded[key] = docio.parse_graph_document(_read_json(loaded[key]))
+    if "pol" in loaded:
+        pol = docio.parse_polarization_document(_read_json(args.pol), args.graph)
+        args.pol = polarization.compile_polarization(pol, args.graph)
+    for key in graphs:
+        sheaf = key.replace("graph", "sheaf")
+        if sheaf in loaded:
+            loaded[sheaf] = docio.parse_sheaf_document(
+                _read_json(loaded[sheaf]), loaded[key])
+    return args.handler(args)
 
 
 def main(argv=None) -> int:

@@ -76,6 +76,8 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
 
     Deterministic: results are sorted by canonical key.
     """
+    if genus < 0:
+        raise ValidationError(f"genus must be nonnegative, got {genus}")
     raw = [str(l) for l in marking_labels]
     labels = tuple(sorted(set(raw), key=label_sort_key))
     if len(labels) != len(raw):

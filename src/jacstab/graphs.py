@@ -528,54 +528,32 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
     g0 = graph.genus_map[v0]
     incident = graph.edges_at(v0)
     other_marks = [l for l, v in rest if v == v0]
-
     if g0 == 0 and graph.valence_map[v0] == 2 and not other_marks:
         # case (a): fuse the two edge ends into one new edge
-        e1, e2 = incident
-        end1 = next(w for w in graph.edges[e1] if w != v0)
-        end2 = next(w for w in graph.edges[e2] if w != v0)
-        removed = (e1, e2)
-        new_vertices = tuple(p for p in graph.vertices if p[0] != v0)
-        survivors = [i for i in range(len(graph.edges)) if i not in removed]
-        new_edges = [graph.edges[i] for i in survivors]
-        new_edge_index = len(new_edges)
-        lo, hi = sorted((end1, end2))
-        new_edges.append((lo, hi))
-        edge_map = tuple((old, new) for new, old in enumerate(survivors))
-        vmap = dict(identity_map)
-        vmap[v0] = None
-        new_graph = MarkedDualGraph(
-            vertices=new_vertices, edges=tuple(new_edges),
-            markings=tuple(rest),
-            base_vertex=graph.base_vertex if graph.base_vertex != v0 else None)
-        report = ContractionReport(
-            case="a", removed_vertex=v0, removed_edges=removed,
-            new_edge_index=new_edge_index, edge_map=edge_map,
-            fused_ends=((e1, end1), (e2, end2)))
-        return new_graph, vmap, report
-
-    if g0 == 0 and graph.valence_map[v0] == 1 and len(other_marks) == 1:
+        ends = [next(w for w in graph.edges[e] if w != v0) for e in incident]
+        target, fused, markings = None, (tuple(sorted(ends)),), tuple(rest)
+        report = dict(case="a", new_edge_index=len(graph.edges) - 2,
+                      fused_ends=tuple(zip(incident, ends)))
+    elif g0 == 0 and graph.valence_map[v0] == 1 and len(other_marks) == 1:
         # case (b): delete the tail, transfer its marking to the attachment
-        e1 = incident[0]
-        attach = next(w for w in graph.edges[e1] if w != v0)
-        transferred = other_marks[0]
-        new_vertices = tuple(p for p in graph.vertices if p[0] != v0)
-        survivors = [i for i in range(len(graph.edges)) if i != e1]
-        new_edges = tuple(graph.edges[i] for i in survivors)
-        edge_map = tuple((old, new) for new, old in enumerate(survivors))
-        new_markings = tuple(sorted(
-            [(l, v) for l, v in rest if l != transferred] + [(transferred, attach)],
+        target = next(w for w in graph.edges[incident[0]] if w != v0)
+        fused, transferred = (), other_marks[0]
+        markings = tuple(sorted(
+            [(l, v) for l, v in rest if l != transferred] + [(transferred, target)],
             key=lambda p: label_sort_key(p[0])))
-        vmap = dict(identity_map)
-        vmap[v0] = attach
-        new_graph = MarkedDualGraph(
-            vertices=new_vertices, edges=new_edges, markings=new_markings,
-            base_vertex=graph.base_vertex if graph.base_vertex != v0 else attach)
-        report = ContractionReport(
-            case="b", removed_vertex=v0, removed_edges=(e1,),
-            transferred_marking=transferred, edge_map=edge_map)
-        return new_graph, vmap, report
+        report = dict(case="b", transferred_marking=transferred)
+    else:
+        raise PreconditionError(
+            f"vertex {v0} became unstable in an unexpected way (genus {g0}, "
+            f"valence {graph.valence_map[v0]}, markings {other_marks})")
 
-    raise PreconditionError(
-        f"vertex {v0} became unstable in an unexpected way (genus {g0}, "
-        f"valence {graph.valence_map[v0]}, markings {other_marks})")
+    # both cases delete v0 and its edges; v0 maps to the new node or the attachment
+    survivors = [i for i in range(len(graph.edges)) if i not in incident]
+    vmap = {**identity_map, v0: target}
+    new_graph = MarkedDualGraph(
+        vertices=tuple(p for p in graph.vertices if p[0] != v0),
+        edges=tuple(graph.edges[i] for i in survivors) + fused, markings=markings,
+        base_vertex=graph.base_vertex if graph.base_vertex != v0 else target)
+    return new_graph, vmap, ContractionReport(
+        removed_vertex=v0, removed_edges=incident,
+        edge_map=tuple((old, new) for new, old in enumerate(survivors)), **report)

@@ -62,6 +62,14 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _rational_map(doc: dict, key: str) -> dict[str, Fraction]:
+    """The JSON object doc[key] (empty when absent), its values parsed as rationals."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f'"{key}" must be a JSON object of rationals, got {value!r}')
+    return {str(label): parse_rational(c) for label, c in value.items()}
+
+
 # -- graphs ------------------------------------------------------------------
 
 
@@ -138,9 +146,12 @@ def parse_polarization_document(doc: dict, graph: MarkedDualGraph | None = None)
         raise ValidationError("polarization document must be a JSON object")
     kind = doc.get("kind")
     if kind == "explicit":
-        a = {str(l): parse_rational(c) for l, c in doc.get("a", {}).items()}
+        a = _rational_map(doc, "a")
+        entries = doc.get("alpha", [])
+        if not isinstance(entries, list):
+            raise ValidationError('"alpha" must be an array of node-type entries')
         alpha = {}
-        for entry in doc.get("alpha", []):
+        for entry in entries:
             label = parse_label(entry)
             if label in alpha:
                 raise ValidationError(f"duplicate alpha label {label}")
@@ -152,12 +163,12 @@ def parse_polarization_document(doc: dict, graph: MarkedDualGraph | None = None)
     if kind == "canonical":
         return CanonicalPolarization.build(
             d=_require_int(doc.get("d"), "d"),
-            a={str(l): parse_rational(c) for l, c in doc.get("a", {}).items()})
+            a=_rational_map(doc, "a"))
     if kind == "profile":
         if graph is None:
             raise ValidationError("profile documents need a graph")
-        q = {str(v): parse_rational(c) for v, c in doc.get("q", {}).items()}
-        return make_profile(graph, q, _require_int(doc.get("d"), "d"))
+        return make_profile(graph, _rational_map(doc, "q"),
+                            _require_int(doc.get("d"), "d"))
     raise ValidationError(f'unknown polarization kind {kind!r}')
 
 
@@ -229,6 +240,8 @@ def parse_phi_document(doc: dict) -> tuple[PhiTable, int, tuple[str, ...]]:
     if not isinstance(doc, dict):
         raise ValidationError("phi document must be a JSON object")
     genus = _require_int(doc.get("genus"), "genus")
+    if genus < 0:
+        raise ValidationError(f"genus must be nonnegative, got {genus}")
     markings = doc.get("markings")
     if not isinstance(markings, list) or not markings:
         raise ValidationError('phi document needs a nonempty "markings" array')

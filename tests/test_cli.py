@@ -311,3 +311,128 @@ def test_threads_env_validated(files, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "validate",
                          "--graph", files("g.json", BRIDGE))
     assert code == 0
+
+
+SUBCOMMANDS = ["validate", "invariants", "qprofile", "check", "enumerate",
+               "count", "is-general", "perturb", "clutch-irr", "clutch-sep",
+               "forget", "abel-jacobi", "kp-translate", "corpus", "complexity",
+               "equiv"]
+
+
+def test_help_lists_subcommands_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+    code, out, _ = run_cli(capsys, "check", "--help")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "usage: jacstab check [-h] --graph GRAPH --pol POL --sheaf SHEAF "
+        "[--base BASE]")
+
+
+GLUE = {"vertices": [{"id": "v", "genus": 0}], "edges": [],
+        "markings": {"1": "v", "x": "v", "y": "v"}}
+CHAIN = {"vertices": [{"id": "v1", "genus": 1}, {"id": "v0", "genus": 0},
+                      {"id": "v2", "genus": 1}],
+         "edges": [["v1", "v0"], ["v0", "v2"]],
+         "markings": {"1": "v1", "x": "v0", "2": "v2"}}
+LEFT = {"vertices": [{"id": "a", "genus": 1}], "edges": [],
+        "markings": {"1": "a", "x": "a"}}
+RIGHT = {"vertices": [{"id": "b", "genus": 1}], "edges": [],
+         "markings": {"2": "b", "y": "b"}}
+EXPLICIT_LEFT = {"kind": "explicit", "s": "1", "r": "1",
+                 "a": {"1": "1", "x": "1"}, "alpha": []}
+EXPLICIT_RIGHT = {"kind": "explicit", "s": "1", "r": "1",
+                  "a": {"2": "1", "y": "1"}, "alpha": []}
+
+
+@pytest.mark.parametrize("flag", ["clutch-irr --pol", "clutch-sep --pol1",
+                                  "clutch-sep --pol2", "forget --pol"])
+def test_transport_recipe_must_be_explicit(files, capsys, flag):
+    command, pol_flag = flag.split()
+    canonical = files("canonical.json", {"kind": "canonical", "d": 0, "a": {}})
+    if command == "clutch-irr":
+        argv = ["--graph", files("g.json", GLUE),
+                "--sheaf", files("s.json", {"nonfree": [], "degrees": {"v": 0}}),
+                "--x", "x", "--y", "y", "--pol", canonical]
+    elif command == "forget":
+        argv = ["--graph", files("g.json", CHAIN),
+                "--sheaf", files("s.json", {"nonfree": [],
+                                            "degrees": {"v1": 1, "v0": 0, "v2": 1}}),
+                "--marking", "x", "--pol", canonical]
+    else:
+        recipes = {"--pol1": files("p1.json", EXPLICIT_LEFT),
+                   "--pol2": files("p2.json", EXPLICIT_RIGHT), pol_flag: canonical}
+        argv = ["--graph1", files("g1.json", LEFT),
+                "--sheaf1", files("s1.json", {"nonfree": [], "degrees": {"a": 0}}),
+                "--x", "x", "--graph2", files("g2.json", RIGHT),
+                "--sheaf2", files("s2.json", {"nonfree": [], "degrees": {"b": 0}}),
+                "--y", "y", "--pol1", recipes["--pol1"], "--pol2", recipes["--pol2"]]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{pol_flag} must be an explicit polarization recipe" in err
+
+
+@pytest.mark.parametrize("pol, message", [
+    ({"kind": "explicit", "s": "1", "r": "1", "a": ["1"], "alpha": []}, '"a"'),
+    ({"kind": "explicit", "s": "1", "r": "1", "a": {}, "alpha": 3}, '"alpha"'),
+    ({"kind": "canonical", "d": 2, "a": "1/2"}, '"a"'),
+    ({"kind": "profile", "q": ["1/2", "3/2"], "d": 2}, '"q"'),
+], ids=["explicit-a-list", "explicit-alpha-int", "canonical-a-string",
+        "profile-q-list"])
+def test_qprofile_malformed_polarization_fields_exit_2(files, capsys, pol, message):
+    code, out, err = run_cli(capsys, "qprofile",
+                             "--graph", files("g.json", BRIDGE),
+                             "--pol", files("p.json", pol))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_corpus_negative_genus_exits_2(capsys):
+    code, out, err = run_cli(capsys, "corpus", "--genus", "-1",
+                             "--markings", "1,2,3,4,5", "--max-vertices", "3")
+    assert code == 2
+    assert out == ""
+    assert "genus must be nonnegative" in err
+
+
+def test_kp_translate_negative_genus_exits_2(files, capsys):
+    phi = {"genus": -3, "markings": ["1", "2"],
+           "phi": [{"b": 0, "B": ["1", "2"], "value": "-1/2"}]}
+    code, out, err = run_cli(capsys, "kp-translate", "--phi", files("phi.json", phi))
+    assert code == 2
+    assert out == ""
+    assert "genus must be nonnegative" in err
+
+
+@pytest.mark.parametrize("command, flag", [("abel-jacobi", "--dtuple"),
+                                           ("equiv", "--d1")])
+@pytest.mark.parametrize("payload", [[0, 2], {"v1": "0", "v2": 2},
+                                     {"v1": True, "v2": 2}],
+                         ids=["array", "string-value", "bool-value"])
+def test_integer_maps_reject_non_integers(files, capsys, command, flag, payload):
+    argv = ["--graph", files("g.json", THETA), flag, files("d.json", payload)]
+    if command == "equiv":
+        argv += ["--d2", files("d2.json", {"v1": 3, "v2": -1})]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"vertices": [{"id": "\xe9", "genus": 1}]}', "cannot read"),
+    (b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
+    (b'{"vertices": [{"id": "a", "genus": 1' + b"0" * 5000 + b"}]}",
+     "malformed JSON"),
+], ids=["not-utf8", "deep-nesting", "huge-integer"])
+def test_unparsable_file_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "validate", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
