@@ -43,7 +43,10 @@ def _read_json(path: str) -> dict:
 
 def _recipes(*flagged: tuple[str, str]) -> list[ExplicitPolarization]:
     """Recipes to transport, from (flag, path) pairs: all read, then checked."""
-    pols = [docio.parse_polarization_document(_read_json(path)) for _, path in flagged]
+    # a profile cannot be parsed without a graph: the check below refuses it
+    pols = [None if isinstance(doc, dict) and doc.get("kind") == "profile"
+            else docio.parse_polarization_document(doc)
+            for doc in (_read_json(path) for _, path in flagged)]
     for (flag, _), pol in zip(flagged, pols):
         if not isinstance(pol, ExplicitPolarization):
             raise ValidationError(

@@ -375,6 +375,36 @@ def test_transport_recipe_must_be_explicit(files, capsys, flag):
     assert f"{pol_flag} must be an explicit polarization recipe" in err
 
 
+@pytest.mark.parametrize("flag", ["clutch-irr --pol", "clutch-sep --pol1",
+                                  "clutch-sep --pol2", "forget --pol"])
+def test_transported_profile_names_the_flag(files, capsys, flag):
+    # a profile is keyed by the vertices of one graph, so it cannot transport;
+    # it used to stop at "profile documents need a graph", naming no flag
+    command, pol_flag = flag.split()
+    recipes = {"--pol1": EXPLICIT_LEFT, "--pol2": EXPLICIT_RIGHT,
+               pol_flag: {"kind": "profile", "q": {"v": "1"}, "d": 1}}
+    if command == "clutch-irr":
+        argv = ["--graph", files("g.json", GLUE),
+                "--sheaf", files("s.json", {"nonfree": [], "degrees": {"v": 0}}),
+                "--x", "x", "--y", "y", "--pol", files("p.json", recipes["--pol"])]
+    elif command == "forget":
+        argv = ["--graph", files("g.json", CHAIN),
+                "--sheaf", files("s.json", {"nonfree": [],
+                                            "degrees": {"v1": 1, "v0": 0, "v2": 1}}),
+                "--marking", "x", "--pol", files("p.json", recipes["--pol"])]
+    else:
+        argv = ["--graph1", files("g1.json", LEFT),
+                "--sheaf1", files("s1.json", {"nonfree": [], "degrees": {"a": 0}}),
+                "--x", "x", "--graph2", files("g2.json", RIGHT),
+                "--sheaf2", files("s2.json", {"nonfree": [], "degrees": {"b": 0}}),
+                "--y", "y", "--pol1", files("p1.json", recipes["--pol1"]),
+                "--pol2", files("p2.json", recipes["--pol2"])]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{pol_flag} must be an explicit polarization recipe" in err
+
+
 @pytest.mark.parametrize("pol, message", [
     ({"kind": "explicit", "s": "1", "r": "1", "a": ["1"], "alpha": []}, '"a"'),
     ({"kind": "explicit", "s": "1", "r": "1", "a": {}, "alpha": 3}, '"alpha"'),

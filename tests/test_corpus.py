@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from jacstab import (MarkedDualGraph, ValidationError, are_isomorphic,
                      canonical_key, generate_corpus)
+from jacstab import corpus
+from jacstab.corpus import graph_from_key
+from jacstab.graphs import adjacency_masks, label_sort_key, mask_components
 
 from conftest import dumbbell, theta
 
@@ -162,3 +166,142 @@ def test_corpus_literature_counts():
 
 def test_corpus_vertex_bound_is_2g_minus_2_plus_n():
     assert generate_corpus(3, [], 5) == generate_corpus(3, [], 4)
+
+
+def parent_canonical_form(genus, pairs, marks) -> tuple:
+    """Reference: the all-permutations canonical form that generated corpora
+    before colour refinement, copied verbatim."""
+    n = len(genus)
+    mult = [[0] * n for _ in range(n)]
+    for i, j in pairs:
+        mult[min(i, j)][max(i, j)] += 1
+
+    best = None
+    for perm in itertools.permutations(range(n)):
+        position = {old: new for new, old in enumerate(perm)}
+        genus_t = tuple(genus[old] for old in perm)
+        if best is not None and (genus_t,) > best[:1]:
+            continue
+        mark_t = tuple((l, position[i]) for l, i in marks)
+        adj = tuple(mult[min(perm[i], perm[j])][max(perm[i], perm[j])]
+                    for i in range(n) for j in range(i, n))
+        key = (genus_t, mark_t, adj)
+        if best is None or key < best:
+            best = key
+    return (n,) + best
+
+
+def parent_generate_corpus(genus, marking_labels, max_vertices):
+    """Reference: the candidate loop that kept every stable candidate's
+    all-permutations form, copied verbatim after the input checks."""
+    labels = tuple(sorted(map(str, marking_labels), key=label_sort_key))
+    seen: set[tuple] = set()
+    for n in range(1, min(max_vertices, 2 * genus - 2 + len(labels)) + 1):
+        everyone = (1 << n) - 1
+        links = list(itertools.combinations(range(n), 2))
+        for genus_vec in itertools.combinations_with_replacement(range(genus + 1), n):
+            edges_total = genus - sum(genus_vec) + n - 1
+            for c in range(n - 1, edges_total + 1):
+                for connect in itertools.combinations_with_replacement(links, c):
+                    # the ends are already positions: index them by range(n)
+                    adjacency = adjacency_masks(n, range(n), connect)
+                    if next(mask_components(adjacency, everyone)) != everyone:
+                        continue
+                    for loops in itertools.combinations_with_replacement(
+                            range(n), edges_total - c):
+                        edges = connect + tuple((i, i) for i in loops)
+                        for placement in itertools.product(range(n), repeat=len(labels)):
+                            margin = [2 * g - 2 for g in genus_vec]
+                            for i in itertools.chain(*edges, placement):
+                                margin[i] += 1
+                            if min(margin) <= 0:
+                                continue
+                            seen.add(parent_canonical_form(
+                                genus_vec, edges, tuple(zip(labels, placement))))
+    return [graph_from_key(key) for key in sorted(seen)]
+
+
+def index_encoding(graph: MarkedDualGraph):
+    """Vertex genera, edge index pairs and (label, vertex index) marks sorted
+    by label: the input of ``parent_canonical_form``."""
+    index = graph.vertex_index
+    return ([g for _, g in graph.vertices],
+            [(index[u], index[v]) for u, v in graph.edges],
+            [(l, index[v]) for l, v in sorted(graph.markings,
+                                              key=lambda p: label_sort_key(p[0]))])
+
+
+def certificate(graph: MarkedDualGraph) -> tuple:
+    return corpus._certificate(*corpus._encode(graph))
+
+
+def relabeled(graph: MarkedDualGraph, rng: random.Random) -> MarkedDualGraph:
+    """The same decorated graph with shuffled vertex names, vertex order,
+    edge order and edge orientations."""
+    order = list(graph.vertex_ids)
+    rng.shuffle(order)
+    names = {v: f"w{k}" for k, v in enumerate(order)}
+    edges = [(names[u], names[v]) if rng.random() < 0.5 else (names[v], names[u])
+             for u, v in graph.edges]
+    rng.shuffle(edges)
+    return MarkedDualGraph.build([(names[v], graph.genus_map[v]) for v in order], edges,
+                                 markings={l: names[v] for l, v in graph.markings})
+
+
+SIX = tuple(str(i) for i in range(1, 7))
+
+
+# 4 >= 2g-2+n vertices: all of M_{2,2}, M_3, M_{1,3} and M_{0,6}
+@pytest.mark.parametrize("genus,labels,count", [
+    (2, ("1", "2"), 75), (3, (), 42), (1, ("1", "2", "3"), 23), (0, SIX, 236)])
+def test_corpus_equals_all_permutations_oracle(genus, labels, count):
+    graphs = generate_corpus(genus, labels, 4)
+    assert len(graphs) == count
+    assert graphs == parent_generate_corpus(genus, labels, 4)
+
+
+def test_complete_corpus_m23():
+    graphs = generate_corpus(2, ("1", "2", "3"), 5)
+    assert len(graphs) == 555
+    # the oracle loop takes about 16 s on M_{2,3}, so check that each printed key
+    # is the all-permutations form of its graph, and so that no two agree
+    for graph in graphs:
+        assert canonical_key(graph) == parent_canonical_form(*index_encoding(graph))
+
+
+def test_certificate_and_key_survive_relabeling(small_corpora):
+    rng = random.Random(0)
+    for _, _, graphs in small_corpora:
+        for graph in graphs:
+            cert, key = certificate(graph), canonical_key(graph)
+            for _ in range(3):
+                other = relabeled(graph, rng)
+                assert certificate(other) == cert
+                assert canonical_key(other) == key
+                assert are_isomorphic(graph, other)
+
+
+def test_certificate_equality_is_key_equality():
+    rng = random.Random(1)
+    graphs = generate_corpus(2, ("1", "2"), 4)
+    graphs += [relabeled(g, rng) for g in graphs]
+    certs = [certificate(g) for g in graphs]
+    keys = [canonical_key(g) for g in graphs]
+    for a, b in itertools.combinations(range(len(graphs)), 2):
+        assert (certs[a] == certs[b]) == (keys[a] == keys[b])
+
+
+def test_refined_colours_are_equitable_and_keep_decorations(small_corpora):
+    # vertices of one colour agree in genus, loops, valence and markings, and
+    # see the same multiset of neighbour colours (an equitable partition)
+    marked = generate_corpus(1, ("1", "2", "3"), 4) + generate_corpus(2, ("1", "2"), 4)
+    for graph in marked + [g for _, _, graphs in small_corpora for g in graphs]:
+        genus, pairs, marks = index_encoding(graph)
+        colour = corpus._refined_colours(*corpus._encode(graph))
+        seen = {}
+        for i, c in enumerate(colour):
+            profile = (genus[i], pairs.count((i, i)), sum(p.count(i) for p in pairs),
+                       tuple(l for l, v in marks if v == i),
+                       sorted(colour[j if k == i else k] for k, j in pairs
+                              if i in (k, j) and k != j))
+            assert seen.setdefault(c, profile) == profile
