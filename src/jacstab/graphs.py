@@ -305,11 +305,21 @@ class Subcurve(NamedTuple):
 class SubcurveTable(NamedTuple):
     """``adjacency[i]`` masks vertex i and its neighbours, ``edge_masks[e]``
     the ends of edge e; ``subcurves`` are the connected proper subcurves in
-    canonical order (``subcurve_sort_key``)."""
+    canonical order (``subcurve_sort_key``).
+
+    The degree-box walk tests a subcurve of two or more vertices, or its
+    complement when it holds the last vertex, at that side's top vertex v:
+    ``walk_tests[v]`` = (slots, indices of the subcurves, slots, indices of
+    the complemented ones).  A slot holds the running sum over a side less v
+    or over a mask got from one by dropping top bits; slot 0 is the empty
+    mask and ``prefix_parents[v]`` has, for each mask with top vertex v, the
+    slot of that mask less v.  The masks are in increasing order."""
 
     adjacency: tuple[int, ...]
     edge_masks: tuple[int, ...]
     subcurves: tuple[Subcurve, ...]
+    walk_tests: tuple[tuple[tuple[int, ...], ...], ...]
+    prefix_parents: tuple[tuple[int, ...], ...]
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -368,7 +378,21 @@ def _subcurve_table(vertices, edges) -> SubcurveTable:
         (Subcurve(mask_vertices(ids, m), _bits(m), m,
                   sum(1 for e in edge_masks if e & m and e & ~m)) for m in masks),
         key=lambda sub: subcurve_sort_key(sub.vertices))
-    return SubcurveTable(adjacency, edge_masks, tuple(subcurves))
+    full, tests, placed = (1 << n) - 1, [([], [], [], []) for _ in range(n)], {}
+    for j, sub in enumerate(subcurves):
+        if len(sub.members) > 1:  # a single vertex bounds the walk's box instead
+            side = sub.mask ^ full if sub.mask >> n - 1 else sub.mask
+            top = side.bit_length() - 1
+            placed[j] = (top, 2 * (side != sub.mask), side ^ 1 << top)
+    prefixes = sorted({0} | {h & (2 << i) - 1 for _, _, h in placed.values() for i in _bits(h)})
+    slot = {p: i for i, p in enumerate(prefixes)}
+    for j, (top, upper, head) in placed.items():
+        tests[top][upper].append(slot[head])
+        tests[top][upper + 1].append(j)
+    parents = tuple(tuple(slot[p ^ 1 << v] for p in prefixes if p.bit_length() == v + 1)
+                    for v in range(n))
+    return SubcurveTable(adjacency, edge_masks, tuple(subcurves),
+                         tuple(tuple(map(tuple, at)) for at in tests), parents)
 
 
 # -- separating nodes and their types ------------------------------------

@@ -10,14 +10,16 @@ Degrees, weights and cut counts are additive over connected components, so
 checking the connected subcurves of the shared subcurve table against
 integer thresholds suffices; the all-subsets check in rationals is kept as
 an oracle.  Enumeration walks the degree box of the singleton subcurves
-and their complements, testing each subcurve once its last vertex is set.
+and their complements in lexicographic order, testing each subcurve against
+degree sums carried down the walk; non-free sets come in order too.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, sub as minus
 
 from .errors import PreconditionError, ValidationError
 from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k, subcurve_table
@@ -97,40 +99,55 @@ def _slack_signs(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType):
 
 
 def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:
-    """Edge subsets whose removal keeps the graph connected."""
-    m = len(graph.edges)
-    out = []
-    for r in range(m + 1):
-        for combo in itertools.combinations(range(m), r):
-            S = frozenset(combo)
-            if graph.is_connected(skip_edges=S):
-                out.append(S)
+    """Edge subsets whose removal keeps the graph connected, depth first in
+    the lexicographic order of their sorted indices.  Removing a superset
+    of a disconnecting set disconnects too, so such a set ends its branch."""
+    m, out, stack = len(graph.edges), [], [(frozenset(), 0)]
+    while stack:
+        S, start = stack.pop()
+        out.append(S)
+        stack.extend((S | {e}, e + 1) for e in reversed(range(start, m))
+                     if graph.is_connected(skip_edges=S | {e}))
     return out
 
 
 def _walk(bounds: list[tuple[int, int]], total: int,
-          tests: list[list[tuple[tuple[int, ...], int]]]) -> list[tuple[int, ...]]:
-    """Vectors in the box ``bounds`` summing to ``total`` that pass ``tests``.
+          tests: list[tuple[tuple[int, ...], list[int], tuple[int, ...], list[int]]],
+          prefix_parents: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Vectors in the box ``bounds`` summing to ``total`` that pass ``tests``,
+    in lexicographic order.
 
-    ``tests[i]`` lists (other members, least degree) of the subcurves whose
-    last vertex is i; each one bounds the value at i from below.
+    ``tests[i]`` is (slots, least degrees, slots, greatest degrees): each
+    bounds the value at vertex i by a degree less the running sum in a slot
+    (see ``SubcurveTable``); setting vertex v sets the masks with top vertex
+    v.  The last value is forced by the total, so the walk ends one early.
     """
     n = len(bounds)
+    if n == 1:
+        return [(total,)] if bounds[0][0] <= total <= bounds[0][1] else []
     suffix_lo = [sum(lo for lo, _ in bounds[i:]) for i in range(n + 1)]
     suffix_hi = [sum(hi for _, hi in bounds[i:]) for i in range(n + 1)]
+    starts = list(accumulate(map(len, prefix_parents), initial=1))
+    sums = [0] * starts[-1]
+    get = sums.__getitem__
     vector = [0] * n
-    at = vector.__getitem__
     out = []
 
     def rec(i: int, remaining: int) -> None:
+        low_slots, lows, high_slots, highs = tests[i]
         lo = max(bounds[i][0], remaining - suffix_hi[i + 1],
-                 *[least - sum(map(at, head)) for head, least in tests[i]])
-        for value in range(lo, min(bounds[i][1], remaining - suffix_lo[i + 1]) + 1):
+                 *map(minus, lows, map(get, low_slots)))
+        hi = min(bounds[i][1], remaining - suffix_lo[i + 1],
+                 *map(minus, highs, map(get, high_slots)))
+        if i == n - 2:
+            prefix = tuple(vector[:i])
+            out.extend(prefix + (value, remaining - value) for value in range(lo, hi + 1))
+            return
+        parents = list(map(get, prefix_parents[i]))
+        for value in range(lo, hi + 1):
             vector[i] = value
-            if i + 1 < n:
-                rec(i + 1, remaining - value)
-            else:
-                out.append(tuple(vector))
+            sums[starts[i]:starts[i + 1]] = map(add, parents, repeat(value))
+            rec(i + 1, remaining - value)
 
     rec(0, total)
     return out
@@ -142,7 +159,7 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
     """All sheaf types passing ``check`` in the requested mode.
 
     Deterministic order: lexicographic in (sorted non-free edge indices,
-    degree vector in vertex order).
+    degree vector in vertex order), the order they are found in.
     """
     _require_profile(graph, profile)
     if mode not in MODES:
@@ -155,29 +172,26 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
 
     table = subcurve_table(graph)
     base_mask = 1 << graph.vertex_index[base] if base is not None else 0
-    results = []
     ids = graph.vertex_ids
+    results = []
     for S in _nonfree_candidates(graph) if include_nonfree else [frozenset()]:
         nonfree = [table.edge_masks[e] for e in S]
         total = profile.d - len(S)
+        # an equality is rejected by raising the least degree by one
+        least = [need - sum(1 for m in nonfree if m & sub.mask == m) + (exact and (
+            mode == "stable" or (mode == "quasistable" and sub.mask & base_mask != 0)))
+            for sub, (need, exact) in zip(table.subcurves, profile.thresholds)]
         bounds = [(total, total)] * len(ids)  # kept only by a lone vertex
-        tests: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in ids]
-        for sub, (need, exact) in zip(table.subcurves, profile.thresholds):
-            interior = sum(1 for m in nonfree if m & sub.mask == m)
-            # an equality is rejected by raising the least degree by one
-            least = need - interior + (exact and (mode == "stable" or (
-                mode == "quasistable" and sub.mask & base_mask != 0)))
-            if len(sub.members) > 1:
-                tests[sub.members[-1]].append((sub.members[:-1], least))
-            else:  # {v} and its complement bound the degree at v
-                crossing = sum(1 for m in nonfree if m & sub.mask and m & ~sub.mask)
-                most = need - (not exact) + sub.k - interior - crossing
-                bounds[sub.members[0]] = (least, most)
+        for sub, lo, (need, exact) in zip(table.subcurves, least, profile.thresholds):
+            if len(sub.members) == 1:  # {v} and its complement bound the degree at v
+                bounds[sub.members[0]] = (lo, need - (not exact) + sub.k
+                                          - sum(1 for m in nonfree if m & sub.mask))
+        # a complement's degree total - deg(Y) is at most total - least
+        tests = [(low_slots, [least[j] for j in lows], high_slots, [total - least[j] for j in highs])
+                 for low_slots, lows, high_slots, highs in table.walk_tests]
         if all(lo <= hi for lo, hi in bounds):
-            results.extend(SheafType(nonfree_edges=S, degrees=tuple(zip(ids, vector)))
-                           for vector in _walk(bounds, total, tests))
-    results.sort(key=lambda s: (tuple(sorted(s.nonfree_edges)),
-                                tuple(d for _, d in s.degrees)))
+            results.extend(SheafType(S, tuple(zip(ids, vector)))
+                           for vector in _walk(bounds, total, tests, table.prefix_parents))
     return results
 
 

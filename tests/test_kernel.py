@@ -6,7 +6,9 @@ enumeration in all three modes, the generality test and the witness of
 ``check``.  Connectivity (``is_connected``, ``subcurve_invariants`` and the
 sides of separating edges) is compared with a set-based search written
 here, which shares no code with the bitmask search of ``jacstab.graphs``.
-Inputs are the small corpora plus a 10-vertex chorded ring.
+The depth-first non-free search is compared with the filter over all edge
+subsets.  Inputs are the small corpora, chorded rings, K5 and generated
+multigraphs with loops and parallel edges.
 """
 
 from __future__ import annotations
@@ -17,23 +19,35 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
                      enumerate_sheaves, is_general, node_type,
                      subcurve_invariants)
 from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
                             subcurve_sort_key)
+from jacstab.stability import _nonfree_candidates
 
 from conftest import random_profile
 
 MODES = ("semistable", "stable", "quasistable")
 
 
-def chorded_ring(n: int = 10) -> MarkedDualGraph:
+def chorded_ring(n: int = 10, chord: int | None = None) -> MarkedDualGraph:
+    """An n-cycle of genus-1 vertices with chords v0-v<chord> and
+    v2-v<chord + 2>, ``chord`` defaulting to n // 2."""
+    chord = n // 2 if chord is None else chord
     vertices = [(f"v{i}", 1) for i in range(n)]
     edges = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)] \
-        + [("v0", f"v{n // 2}"), ("v2", f"v{n // 2 + 2}")]
+        + [("v0", f"v{chord}"), ("v2", f"v{chord + 2}")]
     return MarkedDualGraph.build(vertices, edges, markings={"1": "v0"})
+
+
+def complete_graph(n: int) -> MarkedDualGraph:
+    """K_n on rational vertices: every vertex subset is connected."""
+    vertices = [(f"v{i}", 0) for i in range(n)]
+    edges = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)]
+    return MarkedDualGraph.build(vertices, edges)
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +125,21 @@ def general_oracle(graph, profile):
     return (not ordered, ordered)
 
 
-def simple_edge_sets(graph, limit=None):
+def nonfree_filter(graph: MarkedDualGraph) -> list[frozenset[int]]:
+    """Edge subsets whose removal keeps the graph connected (all 2^m tried)."""
     m = len(graph.edges)
-    sets = [frozenset(c) for r in range(m + 1)
-            for c in itertools.combinations(range(m), r)
-            if graph.is_connected(skip_edges=frozenset(c))]
-    return sets if limit is None else sets[:limit]
+    out = []
+    for r in range(m + 1):
+        for combo in itertools.combinations(range(m), r):
+            S = frozenset(combo)
+            if graph.is_connected(skip_edges=S):
+                out.append(S)
+    return out
+
+
+def emitted_order(nonfree_sets):
+    """The filter lists by size; types are emitted by sorted edge indices."""
+    return sorted(nonfree_sets, key=lambda S: tuple(sorted(S)))
 
 
 def vectors(window, total):
@@ -206,7 +229,7 @@ def test_enumeration_matches_wide_scan(small_corpora):
             base = rng.choice(graph.vertex_ids)
             found = scan(graph, lambda sheaf, base: check(
                 graph, profile, sheaf, base_vertex=base, all_subsets=True),
-                base, window, simple_edge_sets(graph), profile.d)
+                base, window, nonfree_filter(graph), profile.d)
             for mode in MODES:
                 got = enumerate_sheaves(graph, profile, mode, base_vertex=base,
                                         include_nonfree=True)
@@ -253,7 +276,7 @@ def test_check_witness_is_first_connected_violation_or_equality(graphs):
     rng = random.Random(109)
     for graph in graphs:
         subcurves = connected_oracle(graph)
-        nonfree_sets = simple_edge_sets(graph, limit=64)
+        nonfree_sets = nonfree_filter(graph)[:64]
         for _ in range(6):
             profile = random_profile(graph, rng, denominators=(1, 2, 3))
             S = rng.choice(nonfree_sets)
@@ -265,3 +288,84 @@ def test_check_witness_is_first_connected_violation_or_equality(graphs):
             base = rng.choice((None,) + graph.vertex_ids)
             assert check(graph, profile, sheaf, base_vertex=base) \
                 == fraction_oracle(graph, profile, subcurves)(sheaf, base)
+
+
+def test_nonfree_search_matches_subset_filter(graphs):
+    for graph in graphs:
+        assert _nonfree_candidates(graph) == emitted_order(nonfree_filter(graph)), graph
+    ring = chorded_ring(14, chord=5)
+    got = _nonfree_candidates(ring)
+    assert len(got) == 339
+    assert got == emitted_order(nonfree_filter(ring))
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected multigraphs with loops and parallel edges, made stable by
+    marking every vertex whose 2g - 2 + valence is below 1."""
+    n = draw(st.integers(1, 5))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # a spanning tree
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=10 - len(edges)))
+    genera = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    valence = [0] * n
+    for u, v in edges:
+        valence[u] += 1
+        valence[v] += 1
+    markings, label = {}, 0
+    for v in range(n):
+        for _ in range(1 - (2 * genera[v] - 2 + valence[v])):
+            label += 1
+            markings[str(label)] = f"v{v}"
+    return MarkedDualGraph.build([(f"v{v}", g) for v, g in enumerate(genera)],
+                                 [(f"v{u}", f"v{v}") for u, v in edges], markings=markings)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(multigraphs())
+def test_nonfree_search_matches_subset_filter_on_multigraphs(graph):
+    assert _nonfree_candidates(graph) == emitted_order(nonfree_filter(graph))
+
+
+def test_enumeration_is_emitted_sorted_and_checked(small_corpora):
+    # the wide scan skips graphs with more than 5 edges; this covers all of
+    # them, in the order the types are emitted without a final sort
+    rng = random.Random(127)
+    for _, _, graphs in small_corpora:
+        for graph in graphs:
+            profile = random_profile(graph, rng, denominators=(1, 2, 3, 4))
+            base = rng.choice(graph.vertex_ids)
+            for mode, include_nonfree in itertools.product(MODES, (False, True)):
+                got = enumerate_sheaves(graph, profile, mode, base_vertex=base,
+                                        include_nonfree=include_nonfree)
+                assert len(set(got)) == len(got), (graph, mode)
+                assert got == ordered(got), (graph, mode)
+                for sheaf in got:
+                    verdict = check(graph, profile, sheaf, base_vertex=base)
+                    assert include_nonfree or not sheaf.nonfree_edges
+                    assert {"semistable": verdict.status != "unstable",
+                            "stable": verdict.status == "stable",
+                            "quasistable": verdict.quasistable_at_base}[mode], \
+                        (graph, sheaf, mode)
+
+
+def test_complete_graph_enumeration_matches_scan():
+    # on K5 every vertex subset is a subcurve, so every subset of the first
+    # four vertices is a head or a prefix of one in the walk's running sums
+    graph = complete_graph(5)
+    oracle_subcurves = connected_oracle(graph)
+    verdicts = 0
+    rng = random.Random(131)
+    for denominators in ((1, 2), (3, 7)):
+        profile = random_profile(graph, rng, d_range=(0, 8),
+                                 denominators=denominators)
+        window = [(math.ceil(profile.q_map[v] - Fraction(graph.valence_map[v], 2)),
+                   math.floor(profile.q_map[v] + Fraction(graph.valence_map[v], 2)))
+                  for v in graph.vertex_ids]
+        oracle = fraction_oracle(graph, profile, oracle_subcurves)
+        found = scan(graph, oracle, "v3", window, [frozenset()], profile.d)
+        for mode in MODES:
+            got = enumerate_sheaves(graph, profile, mode, base_vertex="v3")
+            assert got == ordered(found[mode]), mode
+        verdicts += len(found["semistable"])
+    assert verdicts > 100
