@@ -112,6 +112,11 @@ class MarkedDualGraph:
         return {v: tuple(ls) for v, ls in out.items()}
 
     @cached_property
+    def _forgettings(self) -> dict[str, tuple]:
+        """``stabilize_forgetting`` results of this graph, by marking."""
+        return {}
+
+    @cached_property
     def valence_map(self) -> dict[str, int]:
         """Valence with loops counted twice."""
         val = {v: 0 for v in self.vertex_ids}
@@ -531,9 +536,17 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
 
     Returns the stabilized graph, a vertex map (the contracted vertex maps
     to None in case (a) -- its image is the new node -- and to its
-    attachment vertex in case (b)), and a contraction report.
+    attachment vertex in case (b)), and a contraction report.  The result
+    is memoized per graph object; each call gets its own vertex map.
     """
     marking = str(marking)
+    if marking not in graph._forgettings:  # a refused call raises every time
+        graph._forgettings[marking] = _stabilize_forgetting(graph, marking)
+    new_graph, vmap, report = graph._forgettings[marking]
+    return new_graph, dict(vmap), report
+
+
+def _stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
     if marking not in graph.marking_map:
         raise ValidationError(f"marking {marking} not present")
     rest = [(l, v) for l, v in graph.markings if l != marking]

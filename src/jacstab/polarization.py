@@ -150,7 +150,7 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
             f"target degree {d_frac} is not an integer for genus {g}")
     d = int(d_frac)
 
-    labels = set(admissible_labels(g, graph.marking_labels))
+    labels = set(admissible_labels(g, graph.marking_labels)) if pol.alpha else ()
     for label, _ in pol.alpha:
         if label not in labels:
             raise ValidationError(

@@ -51,7 +51,8 @@ def validate_sheaf(graph: MarkedDualGraph, sheaf: SheafType) -> SheafType:
 def is_simple(graph: MarkedDualGraph, sheaf: SheafType) -> bool:
     """A sheaf type is simple iff the graph minus its non-free nodes stays
     connected (equivalently no subcurve has every crossing node in S)."""
-    return graph.is_connected(skip_edges=frozenset(sheaf.nonfree_edges))
+    # a line bundle needs no search: every MarkedDualGraph is connected when built
+    return not sheaf.nonfree_edges or graph.is_connected(frozenset(sheaf.nonfree_edges))
 
 
 def require_simple(graph: MarkedDualGraph, sheaf: SheafType) -> SheafType:

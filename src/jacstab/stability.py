@@ -93,8 +93,9 @@ def _slack_signs(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType):
     degrees = [d for _, d in sheaf.degrees]
     nonfree = [table.edge_masks[e] for e in sheaf.nonfree_edges]
     for sub, (need, exact) in zip(table.subcurves, profile.thresholds):
-        deg = sum(degrees[i] for i in sub.members) \
-            + sum(1 for m in nonfree if m & sub.mask == m)
+        deg = sum(map(degrees.__getitem__, sub.members))
+        if nonfree:
+            deg += sum(1 for m in nonfree if m & sub.mask == m)
         yield sub.vertices, -1 if deg < need else int(deg > need or not exact)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from jacstab import (MarkedDualGraph, NodeTypeLabel, PreconditionError,
@@ -256,3 +258,26 @@ def test_stabilize_preserves_genus_and_stability(small_corpora):
                 out, _, _ = stabilize_forgetting(graph, mark)
                 assert out.genus == graph.genus
                 out.validate()
+
+
+def test_stabilize_forgetting_is_memoized_per_graph(small_corpora):
+    graphs = [g for _, _, gs in small_corpora for g in gs] \
+        + [marked_chain().replace(base_vertex=v) for v in ("v0", "v1")]
+    refused = 0
+    for graph in graphs:
+        for mark in graph.marking_labels + ("absent",):
+            fresh = MarkedDualGraph(graph.vertices, graph.edges,
+                                    graph.markings, graph.base_vertex)
+            try:
+                expected = stabilize_forgetting(fresh, mark)
+            except (ValidationError, PreconditionError) as error:
+                refused += 1
+                for _ in range(2):  # a refusal is not remembered
+                    with pytest.raises(type(error), match=re.escape(str(error))):
+                        stabilize_forgetting(graph, mark)
+                continue
+            first = stabilize_forgetting(graph, mark)
+            assert first == expected, (graph, mark)
+            first[1].update(dict.fromkeys(first[1], "changed by a caller"))
+            assert stabilize_forgetting(graph, mark) == expected, (graph, mark)
+    assert refused > len(graphs)  # every "absent", and some 2g-2+n <= 0

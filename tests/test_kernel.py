@@ -3,12 +3,12 @@
 Each fast path is compared with a slow oracle written here in exact
 rationals over all vertex subsets: the connected-subcurve list, the
 enumeration in all three modes, the generality test and the witness of
-``check``.  Connectivity (``is_connected``, ``subcurve_invariants`` and the
-sides of separating edges) is compared with a set-based search written
-here, which shares no code with the bitmask search of ``jacstab.graphs``.
-The depth-first non-free search is compared with the filter over all edge
-subsets.  Inputs are the small corpora, chorded rings, K5 and generated
-multigraphs with loops and parallel edges.
+``check``.  Connectivity (``is_connected``, ``is_simple``,
+``subcurve_invariants`` and the sides of separating edges) is compared with
+a set-based search written here, which shares no code with the bitmask
+search of ``jacstab.graphs``.  The depth-first non-free search is compared
+with the filter over all edge subsets.  Inputs are the small corpora,
+chorded rings, K5 and generated multigraphs with loops and parallel edges.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
-                     enumerate_sheaves, is_general, node_type,
+                     enumerate_sheaves, is_general, is_simple, node_type,
                      subcurve_invariants)
 from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
                             subcurve_sort_key)
@@ -192,8 +192,11 @@ def test_connectivity_matches_set_search(graphs):
                      for c in itertools.combinations(range(m), r)]
         if len(edge_sets) > 1024:  # the ring's 4,096 subsets
             edge_sets = rng.sample(edge_sets, 1024)
-        for S in edge_sets:
+        zero = tuple((v, 0) for v in graph.vertex_ids)
+        for S in edge_sets:  # S = {} too, except where the ring is sampled
             assert graph.is_connected(skip_edges=S) \
+                == (len(components(graph, everything, S)) == 1), (graph, S)
+            assert is_simple(graph, SheafType(S, zero)) \
                 == (len(components(graph, everything, S)) == 1), (graph, S)
         for Y in proper_subcurves(graph, connected_only=False):
             assert subcurve_invariants(graph, Y).components \
