@@ -556,15 +556,14 @@ def _stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
     v0 = graph.marking_map[marking]
     identity_map: dict[str, str | None] = {v: v for v in graph.vertex_ids}
 
-    margin = (2 * graph.genus_map[v0] - 2 + graph.valence_map[v0]
-              + sum(1 for l, v in rest if v == v0))
+    margin = graph.vertex_stability_margin(v0) - 1  # without the forgotten marking
     if margin > 0:
         return graph.replace(markings=tuple(rest)), identity_map, ContractionReport(
             case=None, edge_map=tuple((i, i) for i in range(len(graph.edges))))
 
     g0 = graph.genus_map[v0]
     incident = graph.edges_at(v0)
-    other_marks = [l for l, v in rest if v == v0]
+    other_marks = [l for l in graph.markings_by_vertex[v0] if l != marking]
     if g0 == 0 and graph.valence_map[v0] == 2 and not other_marks:
         # case (a): fuse the two edge ends into one new edge
         ends = [next(w for w in graph.edges[e] if w != v0) for e in incident]

@@ -255,4 +255,6 @@ def parse_phi_document(doc: dict) -> tuple[PhiTable, int, tuple[str, ...]]:
             raise ValidationError(f"duplicate phi label {label}")
         values[label] = parse_rational(entry.get("value"))
     labels = tuple(sorted((str(l) for l in markings), key=label_sort_key))
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate marking labels")
     return PhiTable.build(values), genus, labels

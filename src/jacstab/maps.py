@@ -10,19 +10,14 @@ are present; node types mutate under gluing).
 
 Forgetting a marking contracts at most one two-edge or one-edge rational
 vertex v0.  The sheaf transport follows the sections of the local model
-around v0: with t = deg(v0) + #(non-free incident edges),
+around v0, and one rule covers every admissible case: the fused node is
+free exactly when deg(v0) = 0 and both incident edges are free, and when
+deg(v0) = -1 the far end of each free incident edge loses one degree (a
+fused loop loses two).  Other degrees and non-free nodes are unchanged.
 
-    t = +1  ->  new edge non-free, other degrees unchanged;
-    t =  0, both edges free          ->  new edge free, unchanged;
-    t =  0, one incident edge non-free (deg(v0) = -1)
-            ->  new edge non-free, the endpoint reached through the FREE
-                edge loses one degree;
-    t = -1  (deg(v0) = -1, both free)
-            ->  new edge non-free, both endpoints lose one degree
-                (a fused loop loses two).
-
-Degrees deg(v0) < -1 are rejected: the pushforward would not preserve the
-total degree.
+A two-edge vertex is admissible when deg(v0) >= -1 and deg(v0) + #(non-free
+incident edges) <= 1, and a one-edge tail when deg(v0) = 0; otherwise the
+pushforward would not preserve the total degree.
 """
 
 from __future__ import annotations
@@ -64,24 +59,32 @@ def clutch_irr(graph: MarkedDualGraph, x: str, y: str, sheaf: SheafType
     return new_graph, require_simple(new_graph, new_sheaf)
 
 
-def clutch_irr_polarization(pol: ExplicitPolarization, x: str, y: str
-                            ) -> ExplicitPolarization:
-    """Transport a recipe through one-graph clutching: drop a_x and a_y.
+def _unglued(*glued: tuple[ExplicitPolarization, tuple[str, ...]]
+             ) -> list[dict[str, Fraction]]:
+    """Each recipe's marking coefficients without its glued markings.
 
-    Requires a_x = a_y = s and no boundary coefficients.
+    Transport needs alpha = 0 (node types mutate under gluing), one s and r
+    for all recipes, and a = s at every glued marking.
     """
-    x, y = str(x), str(y)
-    if pol.alpha:
+    if any(pol.alpha for pol, _ in glued):
         raise PreconditionError(
             "clutching transport requires alpha = 0 (node types mutate)")
-    for mark in (x, y):
-        if pol.a_map.get(mark) != pol.s:
-            raise PreconditionError(
-                f"clutching transport needs a_{mark} = s = {pol.s}, "
-                f"got {pol.a_map.get(mark)}")
-    return ExplicitPolarization.build(
-        s=pol.s, r=pol.r,
-        a={l: c for l, c in pol.a if l not in (x, y)})
+    if len({(pol.s, pol.r) for pol, _ in glued}) > 1:
+        raise PreconditionError("both recipes must share s and r")
+    for pol, marks in glued:
+        for mark in marks:
+            if pol.a_map.get(mark) != pol.s:
+                raise PreconditionError(
+                    f"clutching transport needs a_{mark} = s = {pol.s}, "
+                    f"got {pol.a_map.get(mark)}")
+    return [{l: c for l, c in pol.a if l not in marks} for pol, marks in glued]
+
+
+def clutch_irr_polarization(pol: ExplicitPolarization, x: str, y: str
+                            ) -> ExplicitPolarization:
+    """Transport a recipe through one-graph clutching: drop a_x and a_y."""
+    (rest,) = _unglued((pol, (str(x), str(y))))
+    return ExplicitPolarization.build(s=pol.s, r=pol.r, a=rest)
 
 
 def clutch_sep(graph1: MarkedDualGraph, x: str, sheaf1: SheafType,
@@ -106,32 +109,20 @@ def clutch_sep(graph1: MarkedDualGraph, x: str, sheaf1: SheafType,
         raise ValidationError(
             f"marking labels collide: {sorted(set(keep1) & set(keep2))}")
 
-    def re1(v: str) -> str:
-        return f"1:{v}"
-
-    def re2(v: str) -> str:
-        return f"2:{v}"
-
-    vertices = tuple((re1(v), g) for v, g in graph1.vertices) \
-        + tuple((re2(v), g) for v, g in graph2.vertices)
-    vx, vy = re1(graph1.marking_map[x]), re2(graph2.marking_map[y])
-    edges = tuple((re1(u), re1(v)) for u, v in graph1.edges) \
-        + tuple((re2(u), re2(v)) for u, v in graph2.edges) \
-        + ((vx, vy),)
-    markings = tuple(sorted(
-        [(l, re1(v)) for l, v in graph1.markings if l != x]
-        + [(l, re2(v)) for l, v in graph2.markings if l != y],
-        key=lambda p: label_sort_key(p[0])))
-    new_graph = MarkedDualGraph(vertices=vertices, edges=edges, markings=markings)
-
     twisted = twist(sheaf1, {graph1.marking_map[x]: 1})
-    degrees = {re1(v): d for v, d in twisted.degrees}
-    degrees.update({re2(v): d for v, d in sheaf2.degrees})
-    shift = len(graph1.edges)
-    nonfree = frozenset(sheaf1.nonfree_edges) \
-        | frozenset(e + shift for e in sheaf2.nonfree_edges)
-    new_sheaf = SheafType(nonfree_edges=nonfree,
-                          degrees=tuple((v, degrees[v]) for v, _ in vertices))
+    vertices, edges, markings, degrees, nonfree = [], [], [], [], set()
+    for tag, graph, sheaf, mark in (("1:", graph1, twisted, x),
+                                    ("2:", graph2, sheaf2, y)):
+        nonfree |= {e + len(edges) for e in sheaf.nonfree_edges}
+        vertices += [(tag + v, g) for v, g in graph.vertices]
+        edges += [(tag + u, tag + v) for u, v in graph.edges]
+        markings += [(l, tag + v) for l, v in graph.markings if l != mark]
+        degrees += [(tag + v, d) for v, d in sheaf.degrees]
+    edges.append((f"1:{graph1.marking_map[x]}", f"2:{graph2.marking_map[y]}"))
+    new_graph = MarkedDualGraph(
+        vertices=tuple(vertices), edges=tuple(edges),
+        markings=tuple(sorted(markings, key=lambda p: label_sort_key(p[0]))))
+    new_sheaf = SheafType(nonfree_edges=frozenset(nonfree), degrees=tuple(degrees))
     return new_graph, require_simple(new_graph, new_sheaf)
 
 
@@ -139,24 +130,11 @@ def clutch_sep_polarization(pol1: ExplicitPolarization, x: str,
                             pol2: ExplicitPolarization, y: str
                             ) -> ExplicitPolarization:
     """Merge two recipes through two-graph clutching: drop a_x and a_y."""
-    x, y = str(x), str(y)
-    if pol1.alpha or pol2.alpha:
-        raise PreconditionError(
-            "clutching transport requires alpha = 0 (node types mutate)")
-    if pol1.s != pol2.s or pol1.r != pol2.r:
-        raise PreconditionError("both recipes must share s and r")
-    if pol1.a_map.get(x) != pol1.s:
-        raise PreconditionError(f"clutching transport needs a_{x} = s")
-    if pol2.a_map.get(y) != pol2.s:
-        raise PreconditionError(f"clutching transport needs a_{y} = s")
-    merged = {l: c for l, c in pol1.a if l != x}
-    for l, c in pol2.a:
-        if l == y:
-            continue
-        if l in merged:
+    rest1, rest2 = _unglued((pol1, (str(x),)), (pol2, (str(y),)))
+    for l in rest2:
+        if l in rest1:
             raise PreconditionError(f"marking coefficient {l} defined twice")
-        merged[l] = c
-    return ExplicitPolarization.build(s=pol1.s, r=pol1.r, a=merged)
+    return ExplicitPolarization.build(s=pol1.s, r=pol1.r, a={**rest1, **rest2})
 
 
 # -- forgetful morphisms -----------------------------------------------------
@@ -169,8 +147,6 @@ def check_star(pol, graph: MarkedDualGraph, x: str) -> bool:
     a_x = 0 and compiled weight exactly 0 on the vertex to be contracted.
     """
     x = str(x)
-    if x not in graph.marking_map:
-        raise ValidationError(f"marking {x} not present")
     _, _, report = stabilize_forgetting(graph, x)
     if report.case is None:
         return True
@@ -192,68 +168,33 @@ def forget_point(graph: MarkedDualGraph, x: str, sheaf: SheafType
     """
     require_simple(graph, sheaf)
     new_graph, _, report = stabilize_forgetting(graph, str(x))
-    degree_map = sheaf.degree_map
-
     if report.case is None:
-        new_sheaf = SheafType(nonfree_edges=sheaf.nonfree_edges,
-                              degrees=sheaf.degrees)
-        return new_graph, new_sheaf, report
+        return new_graph, SheafType(nonfree_edges=sheaf.nonfree_edges,
+                                    degrees=sheaf.degrees), report
 
+    # no raise for a non-free tail or two non-free edges: require_simple refused them
     edge_map = dict(report.edge_map)
     v0 = report.removed_vertex
-
+    delta = sheaf.degree_map[v0]
+    nonfree = frozenset(edge_map[e] for e in sheaf.nonfree_edges if e in edge_map)
+    lost: list[str] = []  # far ends that lose one degree, with multiplicity
     if report.case == "b":
-        (e1,) = report.removed_edges
-        if e1 in sheaf.nonfree_edges:
+        if delta != 0:
+            raise PreconditionError(f"tail vertex must carry degree 0, got {delta}")
+    else:
+        free = [e for e in report.removed_edges if e not in sheaf.nonfree_edges]
+        t = delta + 2 - len(free)  # d({v0})
+        if delta < -1 or t > 1:
             raise PreconditionError(
-                "tail edge is non-free; sheaf would not be simple")
-        if degree_map[v0] != 0:
-            raise PreconditionError(
-                f"tail vertex must carry degree 0, got {degree_map[v0]}")
-        nonfree = frozenset(edge_map[e] for e in sheaf.nonfree_edges)
-        degrees = tuple((v, d) for v, d in sheaf.degrees if v != v0)
-        new_sheaf = SheafType(nonfree_edges=nonfree, degrees=degrees)
-        return new_graph, new_sheaf, report
-
-    # case (a)
-    e1, e2 = report.removed_edges
-    delta = degree_map[v0]
-    in_s = [e for e in (e1, e2) if e in sheaf.nonfree_edges]
-    if len(in_s) == 2:
-        raise PreconditionError(
-            "both incident edges non-free; sheaf would not be simple")
-    t = delta + len(in_s)
-    if delta < -1 or not -1 <= t <= 1:
-        raise PreconditionError(
-            f"contracted vertex not admissible for pushforward: "
-            f"deg = {delta}, d({{v0}}) = {t}")
-
-    adjust: dict[str, int] = {}
-    ends = dict(report.fused_ends)
-    if t == 1:
-        new_nonfree = True
-    elif t == 0 and not in_s:
-        new_nonfree = False
-    elif t == 0:
-        # one non-free incident edge, deg(v0) = -1: the free-edge endpoint
-        # loses the degree that cannot extend across the contracted chain
-        new_nonfree = True
-        free_edge = e2 if in_s[0] == e1 else e1
-        far = ends[free_edge]
-        adjust[far] = adjust.get(far, 0) - 1
-    else:  # t == -1, both edges free
-        new_nonfree = True
-        for e in (e1, e2):
-            far = ends[e]
-            adjust[far] = adjust.get(far, 0) - 1
-
-    nonfree = frozenset(edge_map[e] for e in sheaf.nonfree_edges
-                        if e not in (e1, e2))
-    if new_nonfree:
-        nonfree |= {report.new_edge_index}
-    degrees = tuple((v, d + adjust.get(v, 0))
-                    for v, d in sheaf.degrees if v != v0)
-    new_sheaf = SheafType(nonfree_edges=nonfree, degrees=degrees)
+                f"contracted vertex not admissible for pushforward: "
+                f"deg = {delta}, d({{v0}}) = {t}")
+        if delta or len(free) < 2:
+            nonfree |= {report.new_edge_index}
+        if delta == -1:
+            ends = dict(report.fused_ends)
+            lost = [ends[e] for e in free]
+    new_sheaf = SheafType(nonfree_edges=nonfree, degrees=tuple(
+        (v, d - lost.count(v)) for v, d in sheaf.degrees if v != v0))
     assert new_sheaf.total_degree == sheaf.total_degree
     return new_graph, new_sheaf, report
 

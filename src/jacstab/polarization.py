@@ -186,10 +186,11 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
     table = subcurve_table(graph)
     integral = {sub.mask for sub, (_, exact)
                 in zip(table.subcurves, profile.thresholds) if exact}
-    if not integral:
-        return (True, ())
     ids = graph.vertex_ids
     full = (1 << len(ids)) - 1
+    # some Y is integral iff some exact connected piece has a connected complement
+    if not any(full ^ mask in integral for mask in integral):
+        return (True, ())
     witnesses = []
     # masks without the last vertex meet each complementary pair once
     for mask in range(1, 1 << (len(ids) - 1)):

@@ -438,6 +438,14 @@ def test_kp_translate_negative_genus_exits_2(files, capsys):
     assert "genus must be nonnegative" in err
 
 
+def test_kp_translate_duplicate_markings_exits_2(files, capsys):
+    phi = {"genus": 1, "markings": ["1", "1"], "phi": []}
+    code, out, err = run_cli(capsys, "kp-translate", "--phi", files("phi.json", phi))
+    assert code == 2
+    assert out == ""
+    assert "duplicate marking labels" in err
+
+
 @pytest.mark.parametrize("command, flag", [("abel-jacobi", "--dtuple"),
                                            ("equiv", "--d1")])
 @pytest.mark.parametrize("payload", [[0, 2], {"v1": "0", "v2": 2},

@@ -266,13 +266,17 @@ def test_ring_enumeration_matches_scan():
 def test_is_general_matches_all_subsets_definition(graphs):
     rng = random.Random(107)
     walls = 0
+    exact_but_general = 0  # general, though some table subcurve is exact
     for graph in graphs:
         for denominators in ((1, 2), (1, 2, 3, 4, 6), (5, 7, 9)):
             profile = random_profile(graph, rng, denominators=denominators)
             expected = general_oracle(graph, profile)
             assert is_general(graph, profile) == expected
             walls += not expected[0]
+            exact_but_general += expected[0] and any(
+                exact for _, exact in profile.thresholds)
     assert walls > 20
+    assert exact_but_general >= 10, exact_but_general
 
 
 def test_check_witness_is_first_connected_violation_or_equality(graphs):

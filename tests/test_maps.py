@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from jacstab import (ExplicitPolarization, MarkedDualGraph, NodeTypeLabel,
-                     PhiTable, PreconditionError, SheafType, ValidationError,
-                     abel_jacobi, admissible_labels, check, check_star,
-                     clutch_irr, clutch_irr_polarization, clutch_sep,
-                     clutch_sep_polarization, compile_polarization,
-                     forget_point, forget_polarization, is_simple,
-                     kp_translate, two_component_graph)
+from jacstab import (ContractionReport, ExplicitPolarization, MarkedDualGraph,
+                     NodeTypeLabel, PhiTable, PreconditionError, SheafType,
+                     ValidationError, abel_jacobi, admissible_labels, check,
+                     check_star, clutch_irr, clutch_irr_polarization,
+                     clutch_sep, clutch_sep_polarization, compile_polarization,
+                     forget_point, forget_polarization, generate_corpus,
+                     is_simple, kp_translate, stabilize_forgetting,
+                     two_component_graph)
+from jacstab.sheaves import require_simple
 
 from conftest import check_forget_degree_law, marked_chain
 
@@ -299,6 +303,104 @@ def test_forget_rejects_inadmissible():
         forget_point(g, "x", SheafType.build(g, {"v1": 1, "v0": -2, "v2": 1}))
     with pytest.raises(PreconditionError, match="not admissible"):
         forget_point(g, "x", SheafType.build(g, {"v1": 1, "v0": -2, "v2": 1}, [0]))
+
+
+def forget_point_oracle(graph: MarkedDualGraph, x: str, sheaf: SheafType
+                        ) -> tuple[MarkedDualGraph, SheafType, ContractionReport]:
+    """``forget_point`` as a ladder on t = deg(v0) + #(non-free incident
+    edges), one branch per local model, kept as the differential oracle."""
+    require_simple(graph, sheaf)
+    new_graph, _, report = stabilize_forgetting(graph, str(x))
+    degree_map = sheaf.degree_map
+
+    if report.case is None:
+        new_sheaf = SheafType(nonfree_edges=sheaf.nonfree_edges,
+                              degrees=sheaf.degrees)
+        return new_graph, new_sheaf, report
+
+    edge_map = dict(report.edge_map)
+    v0 = report.removed_vertex
+
+    if report.case == "b":
+        (e1,) = report.removed_edges
+        if e1 in sheaf.nonfree_edges:
+            raise PreconditionError(
+                "tail edge is non-free; sheaf would not be simple")
+        if degree_map[v0] != 0:
+            raise PreconditionError(
+                f"tail vertex must carry degree 0, got {degree_map[v0]}")
+        nonfree = frozenset(edge_map[e] for e in sheaf.nonfree_edges)
+        degrees = tuple((v, d) for v, d in sheaf.degrees if v != v0)
+        new_sheaf = SheafType(nonfree_edges=nonfree, degrees=degrees)
+        return new_graph, new_sheaf, report
+
+    # case (a)
+    e1, e2 = report.removed_edges
+    delta = degree_map[v0]
+    in_s = [e for e in (e1, e2) if e in sheaf.nonfree_edges]
+    if len(in_s) == 2:
+        raise PreconditionError(
+            "both incident edges non-free; sheaf would not be simple")
+    t = delta + len(in_s)
+    if delta < -1 or not -1 <= t <= 1:
+        raise PreconditionError(
+            f"contracted vertex not admissible for pushforward: "
+            f"deg = {delta}, d({{v0}}) = {t}")
+
+    adjust: dict[str, int] = {}
+    ends = dict(report.fused_ends)
+    if t == 1:
+        new_nonfree = True
+    elif t == 0 and not in_s:
+        new_nonfree = False
+    elif t == 0:
+        # one non-free incident edge, deg(v0) = -1: the free-edge endpoint
+        # loses the degree that cannot extend across the contracted chain
+        new_nonfree = True
+        free_edge = e2 if in_s[0] == e1 else e1
+        far = ends[free_edge]
+        adjust[far] = adjust.get(far, 0) - 1
+    else:  # t == -1, both edges free
+        new_nonfree = True
+        for e in (e1, e2):
+            far = ends[e]
+            adjust[far] = adjust.get(far, 0) - 1
+
+    nonfree = frozenset(edge_map[e] for e in sheaf.nonfree_edges
+                        if e not in (e1, e2))
+    if new_nonfree:
+        nonfree |= {report.new_edge_index}
+    degrees = tuple((v, d + adjust.get(v, 0))
+                    for v, d in sheaf.degrees if v != v0)
+    new_sheaf = SheafType(nonfree_edges=nonfree, degrees=degrees)
+    assert new_sheaf.total_degree == sheaf.total_degree
+    return new_graph, new_sheaf, report
+
+
+def test_forget_point_matches_case_ladder():
+    """Every graph of four marked corpora, every edge subset as S and every
+    degree vector in [-2, 1]^n: the result, or the refusal, is the ladder's."""
+    def outcome(transport, graph, sheaf):
+        try:
+            return transport(graph, "x", sheaf)
+        except (PreconditionError, ValidationError) as exc:
+            return type(exc), str(exc)
+
+    cases = Counter()
+    for spec in ((1, ("1", "x"), 3), (0, ("1", "2", "3", "x"), 3),
+                 (2, ("x",), 3), (1, ("x", "1", "2"), 3)):
+        for graph in generate_corpus(*spec):
+            ids, m = graph.vertex_ids, len(graph.edges)
+            for S, degrees in itertools.product(
+                    range(1 << m), itertools.product(range(-2, 2), repeat=len(ids))):
+                sheaf = SheafType(
+                    nonfree_edges=frozenset(e for e in range(m) if S >> e & 1),
+                    degrees=tuple(zip(ids, degrees)))
+                got = outcome(forget_point, graph, sheaf)
+                assert got == outcome(forget_point_oracle, graph, sheaf), (graph, sheaf)
+                cases[got[2].case if len(got) == 3 else got[0]] += 1
+    assert sum(cases.values()) == 10_200
+    assert (cases[None], cases["a"], cases["b"]) == (504, 1612, 240)
 
 
 def test_forget_polarization():
