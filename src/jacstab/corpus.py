@@ -36,8 +36,7 @@ def _encode(graph: MarkedDualGraph) -> tuple:
     index = graph.vertex_index
     return ([g for _, g in graph.vertices],
             _multiplicities(len(index), [(index[u], index[v]) for u, v in graph.edges]),
-            [(l, index[v]) for l, v in sorted(graph.markings,
-                                              key=lambda p: label_sort_key(p[0]))])
+            [(l, index[v]) for l, v in graph.markings])
 
 
 def _multiplicities(n: int, pairs) -> list[list[int]]:
@@ -100,9 +99,8 @@ def graph_from_key(key: tuple) -> MarkedDualGraph:
         for j in range(i, n):
             edges.extend([(f"v{i}", f"v{j}")] * adj[pos])
             pos += 1
-    markings = tuple((l, f"v{i}") for l, i in mark_t)
     return MarkedDualGraph(vertices=vertices, edges=tuple(edges),
-                           markings=tuple(sorted(markings, key=lambda p: label_sort_key(p[0]))))
+                           markings=tuple((l, f"v{i}") for l, i in mark_t))
 
 
 def _deficit(margin) -> int:

@@ -14,16 +14,20 @@ set of invariants computed here:
 * the one-step contraction performed when a marked point is forgotten and
   the vertex carrying it stops being stable.
 
-A graph is checked once, when it is built: ``MarkedDualGraph.__post_init__``
-runs ``validate``, so every graph object is connected and stable and no
-function re-checks its input.  Connectivity is one bitmask search,
-``mask_components``, over the adjacency masks of ``adjacency_masks``.
+A graph is put in normal form and checked once, when it is built:
+``MarkedDualGraph.__post_init__`` puts each edge's ends in vertex order and
+the markings in label order, then runs ``validate``.  So one structure is
+one value however it was reached, every graph object is connected and
+stable, and no function orders or re-checks its input.  Connectivity is
+one bitmask search, ``mask_components``, over the adjacency masks of
+``adjacency_masks``.
 
 All values are immutable; every function is pure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -47,10 +51,12 @@ class MarkedDualGraph:
 
     ``vertices`` is an ordered tuple of ``(vertex id, genus)`` pairs; the
     tuple order fixes the vertex order used everywhere (degree vectors,
-    weight profiles, serialized output).  ``edges`` is a tuple of unordered
-    id pairs; an edge's identity is its index in this tuple, which is what
-    multigraphs need.  ``markings`` maps distinct labels to vertices.
-    Construction raises ``ValidationError`` unless ``validate`` passes.
+    weight profiles, serialized output).  ``edges`` is a tuple of id pairs;
+    an edge's identity is its index in this tuple, which is what multigraphs
+    need.  ``markings`` maps distinct labels to vertices.  Construction puts
+    each edge's ends in vertex order and sorts the markings by
+    ``label_sort_key``, then raises ``ValidationError`` unless ``validate``
+    passes.
     """
 
     vertices: tuple[tuple[str, int], ...]
@@ -61,25 +67,20 @@ class MarkedDualGraph:
     @classmethod
     def build(cls, vertices, edges, markings=None, base_vertex=None
               ) -> "MarkedDualGraph":
-        """Convenience constructor from plain dicts/lists."""
-        vs = tuple((str(v), int(g)) for v, g in vertices)
-        order = {v: i for i, (v, _) in enumerate(vs)}
-        es = []
-        for u, v in edges:
-            u, v = str(u), str(v)
-            if u in order and v in order and order[v] < order[u]:
-                u, v = v, u
-            es.append((u, v))
-        if markings is None:
-            mk = ()
-        else:
-            items = markings.items() if isinstance(markings, dict) else markings
-            mk = tuple(sorted(((str(l), str(v)) for l, v in items),
-                              key=lambda p: label_sort_key(p[0])))
-        return cls(vertices=vs, edges=tuple(es), markings=mk,
+        """Convenience constructor from plain dicts/lists of pairs."""
+        items = markings.items() if isinstance(markings, dict) else markings or ()
+        return cls(vertices=tuple((str(v), int(g)) for v, g in vertices),
+                   edges=tuple((str(u), str(v)) for u, v in edges),
+                   markings=tuple((str(l), str(v)) for l, v in items),
                    base_vertex=None if base_vertex is None else str(base_vertex))
 
     def __post_init__(self) -> None:
+        order = self.vertex_index  # an end that is not a vertex is left for validate
+        object.__setattr__(self, "edges", tuple(
+            (v, u) if u in order and v in order and order[v] < order[u] else (u, v)
+            for u, v in self.edges))
+        object.__setattr__(self, "markings", tuple(
+            sorted(self.markings, key=lambda p: label_sort_key(p[0]))))
         self.validate()
 
     # -- basic lookups -------------------------------------------------
@@ -194,14 +195,7 @@ class MarkedDualGraph:
     # -- derived graphs --------------------------------------------------
 
     def replace(self, **changes) -> "MarkedDualGraph":
-        data = {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "markings": self.markings,
-            "base_vertex": self.base_vertex,
-        }
-        data.update(changes)
-        return MarkedDualGraph(**data)
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -417,8 +411,6 @@ def node_type(graph: MarkedDualGraph, edge_index: int) -> NodeTypeLabel | None:
     value (g/2, ()) is still well defined and returned, but it carries no
     orientation and is rejected as a coefficient index elsewhere.
     """
-    if not 0 <= edge_index < len(graph.edges):
-        raise ValidationError(f"unknown edge index {edge_index}")
     entry = _edge_type(graph, edge_index)
     return None if entry is None else entry[0]
 
@@ -433,6 +425,8 @@ def designated_side(graph: MarkedDualGraph, edge_index: int) -> frozenset[str] |
 def _edge_type(graph: MarkedDualGraph, edge_index: int
                ) -> tuple[NodeTypeLabel, frozenset[str] | None] | None:
     """(canonical label, designated side) of a separating edge, or None."""
+    if not 0 <= edge_index < len(graph.edges):
+        raise ValidationError(f"unknown edge index {edge_index}")
     u, v = graph.edges[edge_index]
     if u == v:
         return None
@@ -443,7 +437,7 @@ def _edge_type(graph: MarkedDualGraph, edge_index: int
         return None
     side_a, side_b = comps  # the label below does not depend on their order
     if graph.markings:
-        vertex = graph.marking_map[min(graph.marking_labels, key=label_sort_key)]
+        vertex = graph.markings[0][1]  # carries the smallest label
         side = side_a if vertex in side_a else side_b
     else:
         ga, gb = subcurve_genus(graph, side_a), subcurve_genus(graph, side_b)
@@ -567,16 +561,14 @@ def _stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
     if g0 == 0 and graph.valence_map[v0] == 2 and not other_marks:
         # case (a): fuse the two edge ends into one new edge
         ends = [next(w for w in graph.edges[e] if w != v0) for e in incident]
-        target, fused, markings = None, (tuple(sorted(ends)),), tuple(rest)
+        target, fused, markings = None, (tuple(ends),), tuple(rest)
         report = dict(case="a", new_edge_index=len(graph.edges) - 2,
                       fused_ends=tuple(zip(incident, ends)))
     elif g0 == 0 and graph.valence_map[v0] == 1 and len(other_marks) == 1:
         # case (b): delete the tail, transfer its marking to the attachment
         target = next(w for w in graph.edges[incident[0]] if w != v0)
         fused, transferred = (), other_marks[0]
-        markings = tuple(sorted(
-            [(l, v) for l, v in rest if l != transferred] + [(transferred, target)],
-            key=lambda p: label_sort_key(p[0])))
+        markings = tuple((l, target if l == transferred else v) for l, v in rest)
         report = dict(case="b", transferred_marking=transferred)
     else:
         raise PreconditionError(

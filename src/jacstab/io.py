@@ -16,7 +16,7 @@ from .graphs import MarkedDualGraph, NodeTypeLabel, label_sort_key
 from .maps import PhiTable
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            QProfile, make_profile)
-from .sheaves import SheafType, validate_sheaf
+from .sheaves import SheafType
 
 
 def parse_rational(value) -> Fraction:
@@ -220,10 +220,7 @@ def parse_sheaf_document(doc: dict, graph: MarkedDualGraph) -> SheafType:
     nonfree = doc.get("nonfree", [])
     if not isinstance(nonfree, list):
         raise ValidationError('"nonfree" must be an array of edge indices')
-    sheaf = SheafType(
-        nonfree_edges=frozenset(_require_int(e, "edge index") for e in nonfree),
-        degrees=tuple((v, degrees[v]) for v in graph.vertex_ids))
-    return validate_sheaf(graph, sheaf)
+    return SheafType.build(graph, degrees, [_require_int(e, "edge index") for e in nonfree])
 
 
 def sheaf_document(sheaf: SheafType) -> dict:

@@ -48,15 +48,12 @@ def clutch_irr(graph: MarkedDualGraph, x: str, y: str, sheaf: SheafType
             raise ValidationError(f"marking {mark} not present")
     if x == y:
         raise ValidationError("clutching needs two distinct markings")
-    vx, vy = graph.marking_map[x], graph.marking_map[y]
-    lo, hi = sorted((vx, vy), key=graph.vertex_index.get)
-    new_edges = graph.edges + ((lo, hi),)
-    new_markings = tuple(p for p in graph.markings if p[0] not in (x, y))
-    new_graph = graph.replace(edges=new_edges, markings=new_markings)
-    new_sheaf = SheafType(
-        nonfree_edges=sheaf.nonfree_edges | {len(graph.edges)},
-        degrees=sheaf.degrees)
-    return new_graph, require_simple(new_graph, new_sheaf)
+    new_graph = graph.replace(
+        edges=graph.edges + ((graph.marking_map[x], graph.marking_map[y]),),
+        markings=tuple(p for p in graph.markings if p[0] not in (x, y)))
+    # G minus the non-free edges is unchanged, so the glued type stays simple
+    return new_graph, SheafType(nonfree_edges=sheaf.nonfree_edges | {len(graph.edges)},
+                                degrees=sheaf.degrees)
 
 
 def _unglued(*glued: tuple[ExplicitPolarization, tuple[str, ...]]
@@ -119,11 +116,10 @@ def clutch_sep(graph1: MarkedDualGraph, x: str, sheaf1: SheafType,
         markings += [(l, tag + v) for l, v in graph.markings if l != mark]
         degrees += [(tag + v, d) for v, d in sheaf.degrees]
     edges.append((f"1:{graph1.marking_map[x]}", f"2:{graph2.marking_map[y]}"))
-    new_graph = MarkedDualGraph(
-        vertices=tuple(vertices), edges=tuple(edges),
-        markings=tuple(sorted(markings, key=lambda p: label_sort_key(p[0]))))
-    new_sheaf = SheafType(nonfree_edges=frozenset(nonfree), degrees=tuple(degrees))
-    return new_graph, require_simple(new_graph, new_sheaf)
+    new_graph = MarkedDualGraph(vertices=tuple(vertices), edges=tuple(edges),
+                                markings=tuple(markings))
+    # two simple types joined by a free edge: the glued type is simple
+    return new_graph, SheafType(nonfree_edges=frozenset(nonfree), degrees=tuple(degrees))
 
 
 def clutch_sep_polarization(pol1: ExplicitPolarization, x: str,

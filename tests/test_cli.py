@@ -20,6 +20,14 @@ THETA = {
 }
 CANONICAL_D2 = {"kind": "canonical", "d": 2, "a": {}}
 THETA_PROFILE = {"kind": "profile", "q": {"v1": "11/10", "v2": "9/10"}, "d": 2}
+# v1(1, mk 1) - v0(0, mk x) - v2(1, mk 2): forgetting x fuses v0's two edges
+CHAIN = {
+    "vertices": [{"id": "v1", "genus": 1}, {"id": "v0", "genus": 0},
+                 {"id": "v2", "genus": 1}],
+    "edges": [["v1", "v0"], ["v0", "v2"]],
+    "markings": {"1": "v1", "x": "v0", "2": "v2"},
+}
+CHAIN_SHEAF = {"nonfree": [], "degrees": {"v1": 1, "v0": 0, "v2": 1}}
 
 
 @pytest.fixture
@@ -79,6 +87,18 @@ def test_check_bridge_example(files, capsys):
     assert code == 0
     assert json.loads(out) == {"status": "strictly_semistable",
                                "witness": ["v1"]}
+
+
+@pytest.mark.parametrize("base,quasistable", [("v1", False), ("v2", True)])
+def test_check_at_base_vertex(files, capsys, base, quasistable):
+    code, out, _ = run_cli(
+        capsys, "check",
+        "--graph", files("g.json", BRIDGE),
+        "--pol", files("p.json", CANONICAL_D2),
+        "--sheaf", files("s.json", {"nonfree": [], "degrees": {"v1": 0, "v2": 2}}),
+        "--base", base)
+    assert code == 0
+    assert json.loads(out)["quasistable_at_base"] is quasistable
 
 
 def test_count_theta_example(files, capsys):
@@ -187,6 +207,34 @@ def test_clutch_and_forget_pipeline(files, capsys, tmp_path):
     assert payload["sheaf"] == {"nonfree": [0], "degrees": {"v": 0}}
 
 
+def test_forget_prints_the_fused_edge_in_vertex_order(files, capsys):
+    chain = dict(CHAIN, vertices=[CHAIN["vertices"][i] for i in (2, 1, 0)])  # v2, v0, v1
+    code, out, _ = run_cli(
+        capsys, "forget", "--graph", files("g.json", chain),
+        "--sheaf", files("s.json", CHAIN_SHEAF), "--marking", "x")
+    assert code == 0
+    assert json.loads(out)["graph"]["edges"] == [["v2", "v1"]]
+
+
+def test_forget_keeps_the_base_vertex(files, capsys):
+    code, out, _ = run_cli(
+        capsys, "forget", "--graph", files("g.json", dict(CHAIN, base_vertex="v1")),
+        "--sheaf", files("s.json", CHAIN_SHEAF), "--marking", "x")
+    assert code == 0
+    assert json.loads(out)["graph"]["base_vertex"] == "v1"
+
+
+def test_forget_pol_without_contraction_condition_exits_3(files, capsys):
+    code, out, err = run_cli(
+        capsys, "forget", "--graph", files("g.json", CHAIN),
+        "--sheaf", files("s.json", CHAIN_SHEAF), "--marking", "x",
+        "--pol", files("p.json", {"kind": "explicit", "s": "1", "r": "1",
+                                  "a": {"1": "1", "2": "1", "x": "1"}, "alpha": []}))
+    assert code == 3
+    assert out == ""
+    assert "contraction condition" in err
+
+
 def test_clutch_sep(files, capsys):
     left = {"vertices": [{"id": "a", "genus": 1}], "edges": [],
             "markings": {"1": "a", "x": "a"}}
@@ -211,6 +259,26 @@ def test_clutch_sep(files, capsys):
     assert payload["graph"]["edges"] == [["1:a", "2:b"]]
     assert payload["sheaf"] == {"nonfree": [], "degrees": {"1:a": 1, "2:b": 0}}
     assert payload["pol"]["a"] == {"1": "1", "2": "1"}
+
+
+def test_clutch_sep_needs_both_recipes(files, capsys):
+    left = {"vertices": [{"id": "a", "genus": 1}], "edges": [],
+            "markings": {"1": "a", "x": "a"}}
+    right = {"vertices": [{"id": "b", "genus": 1}], "edges": [],
+             "markings": {"2": "b", "y": "b"}}
+    code, out, err = run_cli(
+        capsys, "clutch-sep",
+        "--graph1", files("g1.json", left),
+        "--sheaf1", files("s1.json", {"nonfree": [], "degrees": {"a": 0}}),
+        "--x", "x",
+        "--graph2", files("g2.json", right),
+        "--sheaf2", files("s2.json", {"nonfree": [], "degrees": {"b": 0}}),
+        "--y", "y",
+        "--pol1", files("p1.json", {"kind": "explicit", "s": "1", "r": "1",
+                                    "a": {"1": "1", "x": "1"}, "alpha": []}))
+    assert code == 2
+    assert out == ""
+    assert "needs both --pol1 and --pol2" in err
 
 
 def test_clutch_irr_pol_precondition_exit_3(files, capsys):
@@ -311,6 +379,15 @@ def test_threads_env_validated(files, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "validate",
                          "--graph", files("g.json", BRIDGE))
     assert code == 0
+
+
+def test_threads_env_zero_exits_2(files, capsys, monkeypatch):
+    monkeypatch.setenv("JACSTAB_THREADS", "0")
+    code, out, err = run_cli(capsys, "validate",
+                             "--graph", files("g.json", BRIDGE))
+    assert code == 2
+    assert out == ""
+    assert "JACSTAB_THREADS must be a positive integer" in err
 
 
 SUBCOMMANDS = ["validate", "invariants", "qprofile", "check", "enumerate",

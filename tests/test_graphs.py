@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import itertools
+import random
 import re
 
 import pytest
 
-from jacstab import (MarkedDualGraph, NodeTypeLabel, PreconditionError,
+from jacstab import (MarkedDualGraph, NodeTypeLabel, PreconditionError, SheafType,
                      ValidationError, admissible_labels, boundary_degree,
-                     node_type, stabilize_forgetting, subcurve_invariants)
-from jacstab.graphs import designated_side, proper_subcurves
+                     canonical_key, clutch_irr, clutch_sep, generate_corpus,
+                     is_simple, node_type, stabilize_forgetting, subcurve_invariants)
+from jacstab.corpus import graph_from_key
+from jacstab.graphs import designated_side, label_sort_key, proper_subcurves
+from jacstab.io import graph_document, parse_graph_document
 
 from conftest import bridge_g3, chain_111, marked_chain, theta
 
@@ -131,6 +136,14 @@ def test_node_type_smaller_genus_side():
 def test_node_type_unknown_edge():
     with pytest.raises(ValidationError, match="unknown edge"):
         node_type(theta(), 5)
+
+
+@pytest.mark.parametrize("function", [node_type, designated_side])
+def test_edge_index_out_of_range_is_refused(function):
+    g = bridge_g3()  # one bridge: index -1 would wrap to edge 0
+    for index in (-1, len(g.edges)):
+        with pytest.raises(ValidationError, match=f"^unknown edge index {index}$"):
+            function(g, index)
 
 
 def test_node_type_self_symmetric_has_no_side():
@@ -281,3 +294,91 @@ def test_stabilize_forgetting_is_memoized_per_graph(small_corpora):
             first[1].update(dict.fromkeys(first[1], "changed by a caller"))
             assert stabilize_forgetting(graph, mark) == expected, (graph, mark)
     assert refused > len(graphs)  # every "absent", and some 2g-2+n <= 0
+
+
+# -- the normal form -------------------------------------------------------------
+
+def scrambled(graph: MarkedDualGraph, rng: random.Random, prefix: str = "w"
+              ) -> tuple[list, list, list]:
+    """Vertices, edges and markings of the graph in its vertex order, renamed
+    to seeded ids whose string order differs from that order (when there are
+    two vertices or more), with edge ends reversed at random and the
+    markings shuffled."""
+    names = [f"{prefix}{k}" for k in range(len(graph.vertices))]
+    while len(names) > 1 and names == sorted(names):
+        rng.shuffle(names)
+    rename = dict(zip(graph.vertex_ids, names))
+    edges = [(rename[u], rename[v])[::rng.choice((1, -1))] for u, v in graph.edges]
+    markings = [(l, rename[v]) for l, v in graph.markings]
+    rng.shuffle(markings)
+    return [(rename[v], g) for v, g in graph.vertices], edges, markings
+
+
+def assert_round_trip(graph: MarkedDualGraph) -> None:
+    assert parse_graph_document(graph_document(graph)) == graph
+
+
+def simple_types(graph: MarkedDualGraph) -> list[SheafType]:
+    """The degree-0 line bundle and the simple types with one non-free edge."""
+    line = SheafType.build(graph, dict.fromkeys(graph.vertex_ids, 0))
+    return [sheaf for sheaf in [line] + [SheafType.build(graph, line.degrees, [e])
+                                         for e in range(len(graph.edges))]
+            if is_simple(graph, sheaf)]
+
+
+@pytest.fixture(scope="module")
+def scrambled_corpora(small_corpora):
+    rng = random.Random(0)
+    graphs = [g for _, _, gs in small_corpora for g in gs] \
+        + generate_corpus(1, ("2", "10", "x"), 3)  # numeric and string labels
+    return [MarkedDualGraph.build(*scrambled(g, rng)) for g in graphs]
+
+
+def test_construction_puts_the_graph_in_normal_form(scrambled_corpora):
+    rng = random.Random(1)
+    for graph in scrambled_corpora:
+        vertices, edges, markings = scrambled(graph, rng, prefix="u")
+        built = MarkedDualGraph.build(vertices, edges, markings)
+        direct = MarkedDualGraph(tuple(vertices), tuple(edges), tuple(markings))
+        assert direct == built and hash(direct) == hash(built)
+        order = built.vertex_index
+        assert all(order[u] <= order[v] for u, v in built.edges)
+        keys = [label_sort_key(l) for l in built.marking_labels]
+        assert keys == sorted(keys)
+
+
+def test_forgetting_output_is_in_normal_form(scrambled_corpora):
+    forgotten = 0
+    for graph in scrambled_corpora:
+        for mark in graph.marking_labels:
+            try:
+                out, _, _ = stabilize_forgetting(graph, mark)
+            except PreconditionError:
+                continue
+            assert_round_trip(out)
+            forgotten += 1
+    assert forgotten > 50
+
+
+def test_clutching_output_is_in_normal_form_and_simple(scrambled_corpora):
+    marked = [g for g in scrambled_corpora if g.markings]
+    for graph in marked:
+        for sheaf in simple_types(graph):
+            for x, y in itertools.permutations(graph.marking_labels, 2):
+                out, pushed = clutch_irr(graph, x, y, sheaf)
+                assert_round_trip(out)
+                assert is_simple(out, pushed)
+    rng = random.Random(2)
+    for first, second in itertools.product(marked, marked[::5]):
+        vertices, edges, markings = scrambled(second, rng, prefix="t")
+        second = MarkedDualGraph.build(vertices, edges, [("y" + l, v) for l, v in markings])
+        sheaf1, sheaf2 = simple_types(first)[-1], simple_types(second)[-1]
+        for x, y in itertools.product(first.marking_labels, second.marking_labels):
+            out, pushed = clutch_sep(first, x, sheaf1, second, y, sheaf2)
+            assert_round_trip(out)
+            assert is_simple(out, pushed)
+
+
+def test_graph_from_key_is_in_normal_form(scrambled_corpora):
+    for graph in scrambled_corpora:
+        assert_round_trip(graph_from_key(canonical_key(graph)))
