@@ -1,111 +1,123 @@
 """Exhaustive small corpora of stable marked dual graphs.
 
 Generates every stable graph of fixed genus and marking set with a bounded
-number of vertices, deduplicated up to decorated isomorphism.  A stable
-graph has at most 2g-2+n vertices, and the genus formula pins the edge
-count once the vertex genera are chosen, so the search is finite.  One
-loop runs over ``itertools`` multisets: the vertex genera, the loop-free
-edges between vertex pairs (kept when their adjacency bitmasks connect
-every vertex, by ``graphs.mask_components``), the loops, and the vertices
-that carry the markings.  A branch is cut once the margins 2g_v-2+valence
-lack more than the loops and markings still to come can add to reach 1.
-A candidate is kept when its certificate is new: the least (genus vector,
-marking placement, adjacency upper triangle) over the vertex orders that
-keep the classes of the equitable colour refinement (McKay-Piperno,
-"Practical graph isomorphism, II") in their isomorphism-invariant order.
-The printed ``canonical_key`` keeps the genus classes in increasing genus
-instead, as every order minimal over all permutations does."""
+number of vertices, up to decorated isomorphism, by one-node degenerations
+(Maggiolo-Pagani, "Generating stable modular graphs"): starting from the
+one-vertex graph of genus g with every marking, either add a loop at a
+vertex of positive genus or split a vertex into two stable halves joined by
+a new edge.  Contracting any edge of a stable graph leaves it stable and
+never adds a vertex, so every graph is reached, one edge per level, through
+graphs with no more vertices than it has.  Each level is deduplicated by
+the one canonical form, ``canonical_key``: the least (genus vector, marking
+placement, adjacency upper triangle) over the vertex orders that list the
+genera in increasing order, found by an ordered individualise-and-refine
+search that branches only on ties."""
 
 from __future__ import annotations
 
 import itertools
 
 from .errors import ValidationError
-from .graphs import (MarkedDualGraph, adjacency_masks, label_sort_key,
-                     mask_components)
+from .graphs import MarkedDualGraph, label_sort_key
 
 
 def canonical_key(graph: MarkedDualGraph) -> tuple:
     """Minimal encoding of the decorated graph over vertex permutations."""
-    genus, mult, marks = _encode(graph)
-    return _canonical_form(genus, mult, marks, genus)
-
-
-def _encode(graph: MarkedDualGraph) -> tuple:
-    """Vertex genera, edge multiplicities and label-sorted (label, index) marks."""
     index = graph.vertex_index
-    return ([g for _, g in graph.vertices],
-            _multiplicities(len(index), [(index[u], index[v]) for u, v in graph.edges]),
-            [(l, index[v]) for l, v in graph.markings])
+    mult = [[0] * len(index) for _ in index]
+    for u, v in graph.edges:
+        mult[index[u]][index[v]] += 1
+        if u != v:
+            mult[index[v]][index[u]] += 1
+    return _canonical_form([g for _, g in graph.vertices], mult,
+                           [(l, index[v]) for l, v in graph.markings])
 
 
-def _multiplicities(n: int, pairs) -> list[list[int]]:
-    mult = [[0] * n for _ in range(n)]
-    for i, j in pairs:
-        mult[i][j] += 1
-        if i != j:
-            mult[j][i] += 1
-    return mult
-
-
-def _refined_colours(genus, mult, marks) -> list[int]:
-    """Colours of the equitable refinement, numbered by sorted signature."""
-    signature = [(genus[i], row[i], tuple(l for l, v in marks if v == i), sum(row) + row[i])
-                 for i, row in enumerate(mult)]
-    count = 0
-    while True:
-        rank = {s: r for r, s in enumerate(sorted(set(signature)))}
-        colour = [rank[s] for s in signature]
-        if len(rank) in (count, len(colour)):
-            return colour
-        count = len(rank)
-        signature = [(colour[i], tuple(sorted((colour[j], m) for j, m in enumerate(row)
-                                              if m and j != i)))
-                     for i, row in enumerate(mult)]
-
-
-def _certificate(genus, mult, marks) -> tuple:
-    """Equal for two encodings exactly when their graphs are isomorphic."""
-    return _canonical_form(genus, mult, marks, _refined_colours(genus, mult, marks))
-
-
-def _canonical_form(genus, mult, marks, colour) -> tuple:
-    """Minimal encoding of the graph with vertex genera ``genus``, edge
+def _canonical_form(genus, mult, marks) -> tuple:
+    """Least encoding of the graph with vertex genera ``genus``, edge
     multiplicities ``mult`` and (label, vertex index) ``marks`` sorted by
-    label, over the vertex orders that list the ``colour`` classes in
-    increasing colour."""
-    n = len(genus)
-    cells = [[i for i in range(n) if colour[i] == c] for c in sorted(set(colour))]
-    best = None
-    for parts in itertools.product(*map(itertools.permutations, cells)):
-        perm = tuple(itertools.chain.from_iterable(parts))
-        position = {old: new for new, old in enumerate(perm)}
-        head = (tuple(genus[old] for old in perm), tuple((l, position[i]) for l, i in marks))
-        if best is not None and head > best[:2]:
-            continue
-        rows = [mult[old] for old in perm]
-        key = head + (tuple(rows[i][perm[j]] for i in range(n) for j in range(i, n)),)
-        if best is None or key < best:
-            best = key
-    return (n,) + best
+    label, over the vertex orders that list the genera in increasing order.
+
+    Such an order puts the marked vertices of a genus class first, by their
+    least label, and the unmarked ones after them in one cell.  The search
+    fills the positions in turn.  Each vertex v of the first open cell
+    fixes its upper-triangle row once every later cell is split by
+    multiplicity to v, in increasing order; only the states whose row is
+    least go on, so only ties branch."""
+    marked = list(dict.fromkeys(v for _, v in marks))
+    cells = []
+    for g in sorted(set(genus)):
+        cells += [[v] for v in marked if genus[v] == g]
+        rest = [v for v, h in enumerate(genus) if h == g and v not in marked]
+        cells += [rest] if rest else []
+    order = [v for cell in cells for v in cell]
+    adj, states = [], [cells]
+    for _ in order:
+        least, kept = None, []
+        for head, *tail in states:
+            for v in head:
+                by_mult = mult[v].__getitem__
+                split = [list(part) for cell in [[w for w in head if w != v], *tail]
+                         for _, part in itertools.groupby(sorted(cell, key=by_mult), by_mult)]
+                row = [mult[v][v]] + [mult[v][w] for cell in split for w in cell]
+                if least is None or row < least:
+                    least, kept = row, []
+                if row == least:
+                    kept.append(split)
+        adj += least
+        states = kept
+    return (len(order), tuple(sorted(genus)), tuple((l, order.index(v)) for l, v in marks),
+            tuple(adj))
 
 
 def graph_from_key(key: tuple) -> MarkedDualGraph:
     n, genus_t, mark_t, adj = key
-    vertices = tuple((f"v{i}", genus_t[i]) for i in range(n))
-    edges = []
-    pos = 0
-    for i in range(n):
-        for j in range(i, n):
-            edges.extend([(f"v{i}", f"v{j}")] * adj[pos])
-            pos += 1
-    return MarkedDualGraph(vertices=vertices, edges=tuple(edges),
-                           markings=tuple((l, f"v{i}") for l, i in mark_t))
+    return MarkedDualGraph(
+        vertices=tuple((f"v{i}", genus_t[i]) for i in range(n)),
+        edges=tuple((f"v{i}", f"v{j}") for (i, j), m in
+                    zip(itertools.combinations_with_replacement(range(n), 2), adj)
+                    for _ in range(m)),
+        markings=tuple((l, f"v{i}") for l, i in mark_t))
 
 
-def _deficit(margin) -> int:
-    """What the margins 2g_v-2+valence, each at least -2, lack to reach 1."""
-    return margin.count(0) + 2 * margin.count(-1) + 3 * margin.count(-2)
+def _degenerations(key: tuple, bound: int):
+    """Encodings (genera, multiplicities, marks) of the graphs one node more
+    degenerate than ``graph_from_key(key)``, with at most ``bound`` vertices."""
+    n, genus, marks, adj = key
+    mult = [[0] * n for _ in range(n)]
+    for (i, j), m in zip(itertools.combinations_with_replacement(range(n), 2), adj):
+        mult[i][j] = mult[j][i] = m
+    for v in range(n):
+        if genus[v]:
+            looped = [row.copy() for row in mult]
+            looped[v][v] += 1
+            yield genus[:v] + (genus[v] - 1,) + genus[v + 1:], looped, marks
+    if n == bound:
+        return
+    labels = [l for l, _ in marks]
+    for v in range(n):
+        # the new vertex n takes a share of v's genus, markings, edges to each
+        # neighbour and loops; a loop kept by neither half joins the two
+        links = [u for u in range(n) if u != v and mult[v][u]]
+        loops, degree = mult[v][v], sum(mult[v][u] for u in links)
+        for gw, places, shares, (stay, move) in itertools.product(
+                range(genus[v] + 1),
+                itertools.product(*((v, n) if u == v else (u,) for _, u in marks)),
+                itertools.product(*(range(mult[v][u] + 1) for u in links)),
+                [(a, b) for a in range(loops + 1) for b in range(loops + 1 - a)]):
+            join = 1 + loops - stay - move
+            # each half is stable: 2 * genus + valence + markings > 2
+            if min(2 * (genus[v] - gw + stay) + degree - sum(shares) + places.count(v),
+                   2 * (gw + move) + sum(shares) + places.count(n)) + join <= 2:
+                continue
+            split = [row + [0] for row in mult] + [[0] * (n + 1)]
+            for u, s in zip(links, shares):
+                split[v][u] = split[u][v] = mult[v][u] - s
+                split[n][u] = split[u][n] = s
+            split[v][v], split[n][n] = stay, move
+            split[v][n] = split[n][v] = join
+            yield (genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,), split,
+                   tuple(zip(labels, places)))
 
 
 def generate_corpus(genus: int, marking_labels, max_vertices: int
@@ -126,43 +138,15 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
     if max_vertices < 1:
         raise ValidationError("max_vertices must be at least 1")
 
-    first: dict[tuple, tuple] = {}  # certificate -> first candidate
-    # each stable vertex adds 2g_v-2+valence+markings >= 1 to the total
-    # 2g-2+len(labels), so no stable graph has more vertices than that
-    for n in range(1, min(max_vertices, 2 * genus - 2 + len(labels)) + 1):
-        everyone = (1 << n) - 1
-        links = list(itertools.combinations(range(n), 2))
-        for genus_vec in itertools.combinations_with_replacement(range(genus + 1), n):
-            edges_total = genus - sum(genus_vec) + n - 1
-            for c in range(n - 1, edges_total + 1):
-                for connect in itertools.combinations_with_replacement(links, c):
-                    margin = [2 * g - 2 for g in genus_vec]
-                    for i in itertools.chain(*connect):
-                        margin[i] += 1
-                    if _deficit(margin) > 2 * (edges_total - c) + len(labels):
-                        continue
-                    # the ends are already positions: index them by range(n)
-                    adjacency = adjacency_masks(n, range(n), connect)
-                    if next(mask_components(adjacency, everyone)) != everyone:
-                        continue
-                    for loops in itertools.combinations_with_replacement(
-                            range(n), edges_total - c):
-                        looped = [m + 2 * loops.count(i) for i, m in enumerate(margin)]
-                        if _deficit(looped) > len(labels):
-                            continue
-                        mult = _multiplicities(n, connect + tuple((i, i) for i in loops))
-                        for placement in itertools.product(range(n), repeat=len(labels)):
-                            marked = looped.copy()
-                            for i in placement:
-                                marked[i] += 1
-                            if min(marked) > 0:
-                                marks = tuple(zip(labels, placement))
-                                first.setdefault(_certificate(genus_vec, mult, marks),
-                                                 (genus_vec, mult, marks))
-    keys = sorted(_canonical_form(g, mult, marks, g) for g, mult, marks in first.values())
-    return [graph_from_key(key) for key in keys]
+    # each level has one edge more than the last, so no key repeats across levels
+    keys, level = [], {_canonical_form([genus], [[0]], [(l, 0) for l in labels])}
+    while level:
+        keys += level
+        level = {_canonical_form(*encoding) for key in level
+                 for encoding in _degenerations(key, max_vertices)}
+    return [graph_from_key(key) for key in sorted(keys)]
 
 
 def are_isomorphic(g1: MarkedDualGraph, g2: MarkedDualGraph) -> bool:
-    """Decorated isomorphism via isomorphism certificates."""
-    return _certificate(*_encode(g1)) == _certificate(*_encode(g2))
+    """Decorated isomorphism: equal canonical keys."""
+    return canonical_key(g1) == canonical_key(g2)

@@ -174,6 +174,21 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
     return make_profile(graph, q, d)
 
 
+def _exact_masks(graph: MarkedDualGraph, profile: QProfile) -> set[int]:
+    """Masks of the connected table subcurves Z with q_Z - k_Z/2 an integer."""
+    return {sub.mask for sub, (_, exact)
+            in zip(subcurve_table(graph).subcurves, profile.thresholds) if exact}
+
+
+def _on_a_wall(graph: MarkedDualGraph, profile: QProfile) -> bool:
+    """Some proper subcurve is integral: some exact connected subcurve has
+    an exact connected complement (a piece of an integral subcurve or of
+    its complement whose removal leaves the rest connected is one)."""
+    integral = _exact_masks(graph, profile)
+    full = (1 << len(graph.vertex_ids)) - 1
+    return any(full ^ mask in integral for mask in integral)
+
+
 def is_general(graph: MarkedDualGraph, profile: QProfile
                ) -> tuple[bool, tuple[frozenset[str], ...]]:
     """Generality test with witnesses.
@@ -183,14 +198,12 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
     general when no Y is integral.  Witnesses are the integral subcurves,
     one canonical representative per complementary pair.
     """
+    if not _on_a_wall(graph, profile):
+        return (True, ())
     table = subcurve_table(graph)
-    integral = {sub.mask for sub, (_, exact)
-                in zip(table.subcurves, profile.thresholds) if exact}
+    integral = _exact_masks(graph, profile)
     ids = graph.vertex_ids
     full = (1 << len(ids)) - 1
-    # some Y is integral iff some exact connected piece has a connected complement
-    if not any(full ^ mask in integral for mask in integral):
-        return (True, ())
     witnesses = []
     # masks without the last vertex meet each complementary pair once
     for mask in range(1, 1 << (len(ids) - 1)):
@@ -218,8 +231,7 @@ def perturb_general(graph: MarkedDualGraph, profile: QProfile,
     least common multiple of the weight denominators (and 2).  The walls
     are finitely many rational hyperplanes, so the seeded retry terminates.
     """
-    general, _ = is_general(graph, profile)
-    if general:
+    if not _on_a_wall(graph, profile):
         return profile
     n = len(graph.vertex_ids)  # at least 2: one vertex is always general
     lcm = math.lcm(2, *(f.denominator for _, f in profile.q))
@@ -231,7 +243,6 @@ def perturb_general(graph: MarkedDualGraph, profile: QProfile,
         q = {v: f + Fraction(t, scale)
              for (v, f), t in zip(profile.q, offsets)}
         candidate = make_profile(graph, q, profile.d)
-        general, _ = is_general(graph, candidate)
-        if general:
+        if not _on_a_wall(graph, candidate):
             return candidate
     raise PreconditionError("perturbation failed to leave the walls")  # pragma: no cover

@@ -10,6 +10,7 @@ from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      compile_polarization, is_general, make_profile,
                      perturb_general, twist_profile)
 from jacstab.graphs import proper_subcurves
+from jacstab.polarization import _on_a_wall
 
 from conftest import bridge_g3, random_profile, theta
 
@@ -152,6 +153,23 @@ def test_perturb_theta_on_wall():
     out = perturb_general(g, prof, seed=9)
     assert is_general(g, out)[0]
     assert out.d == 4
+
+
+def test_wall_predicate_is_not_general(small_corpora):
+    rng = random.Random(29)
+    walled = general = 0
+    for genus, labels, graphs in small_corpora:
+        for graph in graphs:
+            profiles = [random_profile(graph, rng, denominators=denominators)
+                        for denominators in ((1, 2), (1, 2, 3, 4, 6))]
+            profiles += [compile_polarization(CanonicalPolarization.build(
+                d, {l: 1 for l in labels}), graph) for d in (genus - 1, genus)]
+            for profile in profiles:
+                on_wall = _on_a_wall(graph, profile)
+                assert on_wall == (not is_general(graph, profile)[0])
+                walled += on_wall
+                general += not on_wall
+    assert walled >= 100 and general >= 100, (walled, general)
 
 
 def test_profile_sums_to_degree(small_corpora):
