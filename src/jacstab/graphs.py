@@ -94,6 +94,16 @@ class MarkedDualGraph:
         return {v: i for i, (v, _) in enumerate(self.vertices)}
 
     @cached_property
+    def vertex_bits(self) -> int:
+        """One bit per distinct vertex id, at its position."""
+        return sum(1 << i for i in self.vertex_index.values())
+
+    @cached_property
+    def edge_ends(self) -> tuple[tuple[int, int], ...]:
+        index = self.vertex_index
+        return tuple((index[u], index[v]) for u, v in self.edges)
+
+    @cached_property
     def genus_map(self) -> dict[str, int]:
         return {v: g for v, g in self.vertices}
 
@@ -146,12 +156,8 @@ class MarkedDualGraph:
     # -- connectivity ---------------------------------------------------
 
     def is_connected(self, skip_edges: frozenset[int] = frozenset()) -> bool:
-        index = self.vertex_index
-        if not index:
-            return False
-        everyone = sum(1 << i for i in index.values())  # one bit per distinct id
-        adjacency = adjacency_masks(len(self.vertices), index, self.edges, skip_edges)
-        return next(mask_components(adjacency, everyone)) == everyone
+        adjacency = adjacency_masks(len(self.vertices), self.edge_ends, skip_edges)
+        return next(mask_components(adjacency, self.vertex_bits), None) == self.vertex_bits
 
     # -- validation -----------------------------------------------------
 
@@ -255,9 +261,8 @@ def subcurve_genus(graph: MarkedDualGraph, Y: frozenset[str]) -> int:
 def subcurve_invariants(graph: MarkedDualGraph, vertex_set) -> SubcurveInvariants:
     """k, w, genus and connected components of a proper subcurve."""
     Y = check_subcurve(graph, vertex_set)
-    index = graph.vertex_index
-    adjacency = adjacency_masks(len(graph.vertices), index, graph.edges)
-    comps = mask_components(adjacency, sum(1 << index[v] for v in Y))
+    adjacency = adjacency_masks(len(graph.vertices), graph.edge_ends)
+    comps = mask_components(adjacency, sum(1 << graph.vertex_index[v] for v in Y))
     return SubcurveInvariants(
         k=subcurve_k(graph, Y),
         w=subcurve_w(graph, Y),
@@ -293,12 +298,14 @@ SUBCURVE_TABLE_CACHE_SIZE = 128
 
 
 class Subcurve(NamedTuple):
-    """A connected proper subcurve; bit i of ``mask`` is the i-th vertex."""
+    """A connected proper subcurve; bit i of ``mask`` is the i-th vertex.
+    It is a wall when its complement is connected too."""
 
     vertices: frozenset[str]
     members: tuple[int, ...]
     mask: int
     k: int
+    wall: bool
 
 
 class SubcurveTable(NamedTuple):
@@ -306,7 +313,7 @@ class SubcurveTable(NamedTuple):
     the ends of edge e; ``subcurves`` are the connected proper subcurves in
     canonical order (``subcurve_sort_key``).
 
-    The degree-box walk tests a subcurve of two or more vertices, or its
+    The degree-box walk tests a wall of two or more vertices, or its
     complement when it holds the last vertex, at that side's top vertex v:
     ``walk_tests[v]`` = (slots, indices of the subcurves, slots, indices of
     the complemented ones).  A slot holds the running sum over a side less v
@@ -330,13 +337,12 @@ def mask_vertices(ids, mask: int) -> frozenset[str]:
     return frozenset(ids[i] for i in _bits(mask))
 
 
-def adjacency_masks(n: int, index, edges, skip_edges=()) -> list[int]:
-    """Entry i masks vertex i and its neighbours along ``edges``, less the
-    edge indices in ``skip_edges``; ``index`` maps an end to its position."""
+def adjacency_masks(n: int, ends, skip_edges=()) -> list[int]:
+    """Entry i masks vertex i and its neighbours along the edges with vertex
+    positions ``ends``, less the edge indices in ``skip_edges``."""
     adjacency = [1 << i for i in range(n)]
-    for e, (u, v) in enumerate(edges):
+    for e, (i, j) in enumerate(ends):
         if e not in skip_edges:
-            i, j = index[u], index[v]
             adjacency[i] |= 1 << j
             adjacency[j] |= 1 << i
     return adjacency
@@ -365,21 +371,23 @@ def _subcurve_table(vertices, edges) -> SubcurveTable:
     ids = [v for v, _ in vertices]
     n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
-    edge_masks = tuple(1 << index[u] | 1 << index[v] for u, v in edges)
-    adjacency = tuple(adjacency_masks(n, index, edges))
+    ends = [(index[u], index[v]) for u, v in edges]
+    edge_masks = tuple(1 << i | 1 << j for i, j in ends)
+    adjacency = tuple(adjacency_masks(n, ends))
     masks, level = set(), {1 << i for i in range(n)}
     while level:  # grow connected sets one neighbour at a time
         masks |= level
         level = {m | 1 << j for m in level for j in _bits(
             reduce(or_, (adjacency[i] for i in _bits(m))))} - masks
-    masks.discard((1 << n) - 1)
+    masks.discard(full := (1 << n) - 1)
     subcurves = sorted(
         (Subcurve(mask_vertices(ids, m), _bits(m), m,
-                  sum(1 for e in edge_masks if e & m and e & ~m)) for m in masks),
+                  sum(1 for e in edge_masks if e & m and e & ~m), full ^ m in masks)
+         for m in masks),
         key=lambda sub: subcurve_sort_key(sub.vertices))
-    full, tests, placed = (1 << n) - 1, [([], [], [], []) for _ in range(n)], {}
+    tests, placed = [([], [], [], []) for _ in range(n)], {}
     for j, sub in enumerate(subcurves):
-        if len(sub.members) > 1:  # a single vertex bounds the walk's box instead
+        if sub.wall and len(sub.members) > 1:  # a single vertex bounds the box instead
             side = sub.mask ^ full if sub.mask >> n - 1 else sub.mask
             top = side.bit_length() - 1
             placed[j] = (top, 2 * (side != sub.mask), side ^ 1 << top)
@@ -431,7 +439,7 @@ def _edge_type(graph: MarkedDualGraph, edge_index: int
     if u == v:
         return None
     ids = graph.vertex_ids
-    adjacency = adjacency_masks(len(ids), graph.vertex_index, graph.edges, {edge_index})
+    adjacency = adjacency_masks(len(ids), graph.edge_ends, {edge_index})
     comps = [mask_vertices(ids, c) for c in mask_components(adjacency, (1 << len(ids)) - 1)]
     if len(comps) == 1:
         return None

@@ -174,19 +174,12 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
     return make_profile(graph, q, d)
 
 
-def _exact_masks(graph: MarkedDualGraph, profile: QProfile) -> set[int]:
-    """Masks of the connected table subcurves Z with q_Z - k_Z/2 an integer."""
-    return {sub.mask for sub, (_, exact)
-            in zip(subcurve_table(graph).subcurves, profile.thresholds) if exact}
-
-
 def _on_a_wall(graph: MarkedDualGraph, profile: QProfile) -> bool:
-    """Some proper subcurve is integral: some exact connected subcurve has
-    an exact connected complement (a piece of an integral subcurve or of
-    its complement whose removal leaves the rest connected is one)."""
-    integral = _exact_masks(graph, profile)
-    full = (1 << len(graph.vertex_ids)) - 1
-    return any(full ^ mask in integral for mask in integral)
+    """Some proper subcurve is integral: some wall is exact (b_{Yᶜ} = d - k_Y
+    - b_Y then is an integer too; a piece of an integral subcurve or of its
+    complement whose removal leaves the rest connected is such a wall)."""
+    return any(exact and sub.wall for sub, (_, exact)
+               in zip(subcurve_table(graph).subcurves, profile.thresholds))
 
 
 def is_general(graph: MarkedDualGraph, profile: QProfile
@@ -201,7 +194,8 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
     if not _on_a_wall(graph, profile):
         return (True, ())
     table = subcurve_table(graph)
-    integral = _exact_masks(graph, profile)
+    integral = {sub.mask for sub, (_, exact)
+                in zip(table.subcurves, profile.thresholds) if exact}
     ids = graph.vertex_ids
     full = (1 << len(ids)) - 1
     witnesses = []

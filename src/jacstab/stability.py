@@ -7,11 +7,15 @@ A sheaf type of total degree d is semistable for a profile when
 stable when all inequalities are strict, and quasistable at a base vertex
 when it is semistable with strict inequality whenever the base lies in Y.
 Degrees, weights and cut counts are additive over connected components, so
-checking the connected subcurves of the shared subcurve table against
-integer thresholds suffices; the all-subsets check in rationals is kept as
-an oracle.  Enumeration walks the degree box of the singleton subcurves
-and their complements in lexicographic order, testing each subcurve against
-degree sums carried down the walk; non-free sets come in order too.
+``check`` decides on the connected subcurves of the shared subcurve table,
+against integer thresholds; the all-subsets check in rationals is kept as
+an oracle.  Only the walls (connected, with connected complement) matter:
+another subcurve's inequality is the sum of those of the walls Zᶜ, Z a
+component of its complement.  Enumeration walks the degree box of the
+singletons and their complements in lexicographic order, testing the walls
+against degree sums carried down the walk; it finds runs of vectors equal
+but in their last two entries, and ``count_components`` adds up their
+lengths without building a type.  Non-free sets come in order too.
 """
 
 from __future__ import annotations
@@ -114,9 +118,10 @@ def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:
 
 def _walk(bounds: list[tuple[int, int]], total: int,
           tests: list[tuple[tuple[int, ...], list[int], tuple[int, ...], list[int]]],
-          prefix_parents: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+          prefix_parents: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], int, int]]:
     """Vectors in the box ``bounds`` summing to ``total`` that pass ``tests``,
-    in lexicographic order.
+    as runs (prefix, lo, hi) in lexicographic order: prefix + (value, total
+    - sum(prefix) - value) for lo <= value <= hi, cut to the box's length.
 
     ``tests[i]`` is (slots, least degrees, slots, greatest degrees): each
     bounds the value at vertex i by a degree less the running sum in a slot
@@ -124,15 +129,13 @@ def _walk(bounds: list[tuple[int, int]], total: int,
     v.  The last value is forced by the total, so the walk ends one early.
     """
     n = len(bounds)
-    if n == 1:
-        return [(total,)] if bounds[0][0] <= total <= bounds[0][1] else []
-    suffix_lo = [sum(lo for lo, _ in bounds[i:]) for i in range(n + 1)]
-    suffix_hi = [sum(hi for _, hi in bounds[i:]) for i in range(n + 1)]
+    suffix_lo, suffix_hi = ([*accumulate(reversed(ends), initial=0)][::-1]
+                            for ends in zip(*bounds))
     starts = list(accumulate(map(len, prefix_parents), initial=1))
     sums = [0] * starts[-1]
     get = sums.__getitem__
     vector = [0] * n
-    out = []
+    runs = []
 
     def rec(i: int, remaining: int) -> None:
         low_slots, lows, high_slots, highs = tests[i]
@@ -140,9 +143,9 @@ def _walk(bounds: list[tuple[int, int]], total: int,
                  *map(minus, lows, map(get, low_slots)))
         hi = min(bounds[i][1], remaining - suffix_lo[i + 1],
                  *map(minus, highs, map(get, high_slots)))
-        if i == n - 2:
-            prefix = tuple(vector[:i])
-            out.extend(prefix + (value, remaining - value) for value in range(lo, hi + 1))
+        if i >= n - 2:
+            if lo <= hi:
+                runs.append((tuple(vector[:i]), lo, hi))
             return
         parents = list(map(get, prefix_parents[i]))
         for value in range(lo, hi + 1):
@@ -151,17 +154,13 @@ def _walk(bounds: list[tuple[int, int]], total: int,
             rec(i + 1, remaining - value)
 
     rec(0, total)
-    return out
+    return runs
 
 
-def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
-                      base_vertex: str | None = None,
-                      include_nonfree: bool = False) -> list[SheafType]:
-    """All sheaf types passing ``check`` in the requested mode.
-
-    Deterministic order: lexicographic in (sorted non-free edge indices,
-    degree vector in vertex order), the order they are found in.
-    """
+def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
+              base_vertex: str | None, include_nonfree: bool):
+    """Refuse bad arguments, then yield (non-free set, total, runs of
+    ``_walk``) in output order for the types passing ``check`` in ``mode``."""
     _require_profile(graph, profile)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -173,8 +172,6 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
 
     table = subcurve_table(graph)
     base_mask = 1 << graph.vertex_index[base] if base is not None else 0
-    ids = graph.vertex_ids
-    results = []
     for S in _nonfree_candidates(graph) if include_nonfree else [frozenset()]:
         nonfree = [table.edge_masks[e] for e in S]
         total = profile.d - len(S)
@@ -182,7 +179,7 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
         least = [need - sum(1 for m in nonfree if m & sub.mask == m) + (exact and (
             mode == "stable" or (mode == "quasistable" and sub.mask & base_mask != 0)))
             for sub, (need, exact) in zip(table.subcurves, profile.thresholds)]
-        bounds = [(total, total)] * len(ids)  # kept only by a lone vertex
+        bounds = [(total, total)] * len(graph.vertices)  # kept only by a lone vertex
         for sub, lo, (need, exact) in zip(table.subcurves, least, profile.thresholds):
             if len(sub.members) == 1:  # {v} and its complement bound the degree at v
                 bounds[sub.members[0]] = (lo, need - (not exact) + sub.k
@@ -191,8 +188,23 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
         tests = [(low_slots, [least[j] for j in lows], high_slots, [total - least[j] for j in highs])
                  for low_slots, lows, high_slots, highs in table.walk_tests]
         if all(lo <= hi for lo, hi in bounds):
-            results.extend(SheafType(S, tuple(zip(ids, vector)))
-                           for vector in _walk(bounds, total, tests, table.prefix_parents))
+            yield S, total, _walk(bounds, total, tests, table.prefix_parents)
+
+
+def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
+                      base_vertex: str | None = None,
+                      include_nonfree: bool = False) -> list[SheafType]:
+    """All sheaf types passing ``check`` in the requested mode.
+
+    Deterministic order: lexicographic in (sorted non-free edge indices,
+    degree vector in vertex order), the order they are found in.
+    """
+    ids, results = graph.vertex_ids, []
+    for S, total, runs in _box_runs(graph, profile, mode, base_vertex, include_nonfree):
+        for prefix, lo, hi in runs:
+            rest = total - sum(prefix)  # zip cuts a one-vertex run to (total,)
+            results.extend(SheafType(S, tuple(zip(ids, prefix + (value, rest - value))))
+                           for value in range(lo, hi + 1))
     return results
 
 
@@ -201,11 +213,11 @@ def count_components(graph: MarkedDualGraph, profile: QProfile,
     """Number of quasistable line-bundle types at the base vertex.
 
     Requires a general profile; for those the count matches the number of
-    spanning trees of the graph.
+    spanning trees of the graph.  It adds up the walk's runs' lengths.
     """
     general, witnesses = is_general(graph, profile)
     if not general:
         raise PreconditionError(
             f"profile is not general (integral at {sorted(map(sorted, witnesses))})")
-    return len(enumerate_sheaves(graph, profile, "quasistable",
-                                 base_vertex=base_vertex, include_nonfree=False))
+    return sum(hi - lo + 1 for _, _, runs in _box_runs(
+        graph, profile, "quasistable", base_vertex, False) for _, lo, hi in runs)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jacstab.cli import main
+from jacstab.cli import build_parser, main
 
 BRIDGE = {
     "vertices": [{"id": "v1", "genus": 1}, {"id": "v2", "genus": 2}],
@@ -406,6 +406,27 @@ def test_help_lists_subcommands_in_order(capsys, monkeypatch):
     assert out.splitlines()[0] == (
         "usage: jacstab check [-h] --graph GRAPH --pol POL --sheaf SHEAF "
         "[--base BASE]")
+
+
+def test_parser_built_once_answers_like_a_fresh_one(files, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["count", "--graph", files("g.json", THETA),
+         "--pol", files("p.json", THETA_PROFILE), "--base", "v1"],
+        ["corpus", "--genus", "2", "--max-vertices", "2"],
+        ["count", "--graph", files("g.json", THETA)],  # no --pol: a usage error
+        ["--help"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert "the following arguments are required: --pol" in fresh[2][2]
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 GLUE = {"vertices": [{"id": "v", "genus": 0}], "edges": [],

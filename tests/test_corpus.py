@@ -202,8 +202,7 @@ def parent_generate_corpus(genus, marking_labels, max_vertices):
             edges_total = genus - sum(genus_vec) + n - 1
             for c in range(n - 1, edges_total + 1):
                 for connect in itertools.combinations_with_replacement(links, c):
-                    # the ends are already positions: index them by range(n)
-                    adjacency = adjacency_masks(n, range(n), connect)
+                    adjacency = adjacency_masks(n, connect)
                     if next(mask_components(adjacency, everyone)) != everyone:
                         continue
                     for loops in itertools.combinations_with_replacement(

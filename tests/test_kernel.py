@@ -7,7 +7,10 @@ enumeration in all three modes, the generality test and the witness of
 ``subcurve_invariants`` and the sides of separating edges) is compared with
 a set-based search written here, which shares no code with the bitmask
 search of ``jacstab.graphs``.  The depth-first non-free search is compared
-with the filter over all edge subsets.  Inputs are the small corpora,
+with the filter over all edge subsets.  The walk that tests only walls is
+compared with the same walk placing every connected subcurve (a copy of
+the placement written here), and ``count_components`` with the
+enumeration and the spanning-tree count.  Inputs are the small corpora,
 chorded rings, K5 and generated multigraphs with loops and parallel edges.
 """
 
@@ -17,15 +20,17 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
-                     enumerate_sheaves, is_general, is_simple, node_type,
+                     complexity, count_components, enumerate_sheaves,
+                     is_general, is_simple, node_type, perturb_general,
                      subcurve_invariants)
 from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
-                            subcurve_sort_key)
+                            subcurve_sort_key, subcurve_table)
 from jacstab.stability import _nonfree_candidates
 
 from conftest import random_profile
@@ -307,13 +312,13 @@ def test_nonfree_search_matches_subset_filter(graphs):
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, max_vertices=5, max_edges=10):
     """Connected multigraphs with loops and parallel edges, made stable by
     marking every vertex whose 2g - 2 + valence is below 1."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_vertices))
     edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # a spanning tree
     edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                           max_size=10 - len(edges)))
+                           max_size=max_edges - len(edges)))
     genera = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     valence = [0] * n
     for u, v in edges:
@@ -376,3 +381,77 @@ def test_complete_graph_enumeration_matches_scan():
             assert got == ordered(found[mode]), mode
         verdicts += len(found["semistable"])
     assert verdicts > 100
+
+
+def full_table(graph):
+    """The subcurve table with every connected subcurve of two or more
+    vertices placed in the walk, walls or not: a copy of the placement in
+    ``graphs._subcurve_table`` without its wall filter."""
+    table = subcurve_table(graph)
+    n = len(graph.vertices)
+    full = (1 << n) - 1
+    tests, placed = [([], [], [], []) for _ in range(n)], {}
+    for j, sub in enumerate(table.subcurves):
+        if len(sub.members) > 1:
+            side = sub.mask ^ full if sub.mask >> n - 1 else sub.mask
+            top = side.bit_length() - 1
+            placed[j] = (top, 2 * (side != sub.mask), side ^ 1 << top)
+    prefixes = sorted({0} | {head & (2 << i) - 1 for _, _, head in placed.values()
+                             for i in range(n) if head >> i & 1})
+    slot = {p: i for i, p in enumerate(prefixes)}
+    for j, (top, upper, head) in placed.items():
+        tests[top][upper].append(slot[head])
+        tests[top][upper + 1].append(j)
+    parents = tuple(tuple(slot[p ^ 1 << v] for p in prefixes if p.bit_length() == v + 1)
+                    for v in range(n))
+    return table._replace(walk_tests=tuple(tuple(map(tuple, at)) for at in tests),
+                          prefix_parents=parents)
+
+
+def test_walk_tests_exactly_the_walls(graphs):
+    dropped = 0
+    for graph in graphs:  # the small corpora and the ten-vertex ring
+        table = subcurve_table(graph)
+        everything = frozenset(graph.vertex_ids)
+        connected_rest = [len(components(graph, everything - sub.vertices)) == 1
+                          for sub in table.subcurves]
+        assert [sub.wall for sub in table.subcurves] == connected_rest, graph
+        tested = sorted(j for _, lows, _, highs in table.walk_tests for j in lows + highs)
+        walls = [j for j, sub in enumerate(table.subcurves)
+                 if len(sub.vertices) > 1 and connected_rest[j]]
+        assert tested == walls, graph
+        dropped += sum(len(sub.vertices) > 1 for sub in table.subcurves) - len(walls)
+    assert dropped > 50, dropped
+
+
+def assert_walls_walk_matches_full_walk(graph, profile, base):
+    walls = [enumerate_sheaves(graph, profile, mode, base_vertex=base,
+                               include_nonfree=True) for mode in MODES]
+    with mock.patch("jacstab.stability.subcurve_table", full_table):
+        assert walls == [enumerate_sheaves(graph, profile, mode, base_vertex=base,
+                                           include_nonfree=True) for mode in MODES]
+
+
+def test_walls_walk_matches_full_walk_on_corpora(graphs):
+    rng = random.Random(137)
+    for graph in graphs[:-1]:  # the ring (191 non-free sets, 2 s) is left out
+        profile = random_profile(graph, rng, denominators=(1, 2, 3))
+        assert_walls_walk_matches_full_walk(graph, profile, rng.choice(graph.vertex_ids))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(multigraphs(max_vertices=7, max_edges=8), st.randoms(use_true_random=False))
+def test_walls_walk_matches_full_walk_on_sparse_multigraphs(graph, rng):
+    # few cycles leave many connected subcurves with a disconnected complement
+    profile = random_profile(graph, rng, denominators=(1, 2, 3))
+    assert_walls_walk_matches_full_walk(graph, profile, rng.choice(graph.vertex_ids))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(multigraphs(), st.randoms(use_true_random=False))
+def test_count_sums_the_quasistable_enumeration(graph, rng):
+    profile = perturb_general(graph, random_profile(graph, rng), seed=rng.randrange(100))
+    base = rng.choice(graph.vertex_ids)
+    count = count_components(graph, profile, base_vertex=base)
+    assert count == len(enumerate_sheaves(graph, profile, "quasistable", base_vertex=base))
+    assert count == complexity(graph)
