@@ -26,7 +26,7 @@ import sys
 from . import corpus as corpus_mod
 from . import io as docio
 from . import lattice, maps, polarization, stability
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, require_int
 from .graphs import label_sort_key, subcurve_invariants
 from .polarization import ExplicitPolarization
 from .sheaves import is_simple
@@ -59,10 +59,7 @@ def _int_map(path: str, what: str) -> dict[str, int]:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} document must map keys to integers")
-    for key, value in doc.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{what} entry {key!r} must be an integer")
-    return {str(key): value for key, value in doc.items()}
+    return {key: require_int(value, f"{what} entry {key!r}") for key, value in doc.items()}
 
 
 def _parse_markings(text: str | None) -> tuple[str, ...]:

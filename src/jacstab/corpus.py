@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ValidationError
-from .graphs import MarkedDualGraph, label_sort_key
+from .graphs import MarkedDualGraph, sorted_labels
 
 
 def canonical_key(graph: MarkedDualGraph) -> tuple:
@@ -128,10 +128,7 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
     """
     if genus < 0:
         raise ValidationError(f"genus must be nonnegative, got {genus}")
-    raw = [str(l) for l in marking_labels]
-    labels = tuple(sorted(set(raw), key=label_sort_key))
-    if len(labels) != len(raw):
-        raise ValidationError("duplicate marking labels")
+    labels = sorted_labels(marking_labels)
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
             f"no stable graphs for genus {genus} with {len(labels)} markings")

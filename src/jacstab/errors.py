@@ -1,4 +1,4 @@
-"""Error taxonomy shared by the library and the CLI.
+"""Error taxonomy shared by the library and the CLI, and the input rules.
 
 Two families matter for exit codes: invalid input data (documents that do
 not parse, graphs violating their invariants, coefficient recipes that do
@@ -6,7 +6,15 @@ not compile for the target graph) and unsatisfied mathematical
 preconditions on otherwise valid data (non-general profile where a general
 one is required, a clutching recipe without matching marking coefficients,
 a non-simple sheaf, a degree mismatch).
+
+Every builder and entry point reads caller values through one rule each:
+``require_int`` for integers, ``parse_rational`` for exact rationals and
+``require_keys`` for maps keyed by a fixed set of ids (``require_int_map``
+when the values are integers).  A value they refuse is a
+``ValidationError``; nothing is truncated or dropped.
 """
+
+from fractions import Fraction
 
 
 class JacstabError(Exception):
@@ -19,3 +27,54 @@ class ValidationError(JacstabError):
 
 class PreconditionError(JacstabError):
     """Valid data, unsatisfied operation precondition.  CLI exit code 3."""
+
+
+def require_int(value, what: str) -> int:
+    """``value`` if it is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def parse_rational(value) -> Fraction:
+    """An exact rational from a Fraction, an int or a "p/q" string; never a float."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a rational string, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ValidationError("floating point is not accepted; use p/q strings")
+    if not isinstance(value, str):
+        raise ValidationError(f"expected a rational string, got {value!r}")
+    text = value.strip()
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            d = int(den)
+            if d == 0:
+                raise ValidationError(f"zero denominator in {value!r}")
+            return Fraction(int(num), d)
+        return Fraction(int(text))
+    except ValueError as exc:
+        raise ValidationError(f"malformed rational {value!r}") from exc
+
+
+def require_keys(keys, values: dict, what: str, default=None) -> list:
+    """The values of ``values`` at ``keys``, in the order of ``keys``, when
+    its keys are exactly ``keys``; with a ``default``, a missing key takes it."""
+    if not isinstance(values, dict):
+        raise ValidationError(f"{what} must be a map, got {values!r}")
+    missing = [] if default is not None else [k for k in keys if k not in values]
+    unknown = [k for k in values if k not in keys]
+    if missing or unknown:
+        raise ValidationError(f"{what} mismatch: missing {sorted(missing)}, "
+                              f"unknown {sorted(unknown, key=str)}")
+    return [values.get(k, default) for k in keys]
+
+
+def require_int_map(keys, values: dict, what: str, default=None) -> list[int]:
+    """``require_keys`` with every value an integer."""
+    return [require_int(c, f"{what} at {k}")
+            for k, c in zip(keys, require_keys(keys, values, what, default))]

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, require_int
 
 
 def label_sort_key(label: str) -> tuple:
@@ -43,6 +43,14 @@ def label_sort_key(label: str) -> tuple:
         return (0, int(label), "")
     except (TypeError, ValueError):
         return (1, 0, str(label))
+
+
+def sorted_labels(marking_labels) -> tuple[str, ...]:
+    """Marking labels as strings in ``label_sort_key`` order, each once."""
+    labels = tuple(sorted(map(str, marking_labels), key=label_sort_key))
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate marking labels")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,7 @@ class MarkedDualGraph:
               ) -> "MarkedDualGraph":
         """Convenience constructor from plain dicts/lists of pairs."""
         items = markings.items() if isinstance(markings, dict) else markings or ()
-        return cls(vertices=tuple((str(v), int(g)) for v, g in vertices),
+        return cls(vertices=tuple((str(v), require_int(g, "genus")) for v, g in vertices),
                    edges=tuple((str(u), str(v)) for u, v in edges),
                    markings=tuple((str(l), str(v)) for l, v in items),
                    base_vertex=None if base_vertex is None else str(base_vertex))
@@ -228,8 +236,7 @@ class NodeTypeLabel:
 
     @classmethod
     def of(cls, genus: int, markings) -> "NodeTypeLabel":
-        return cls(int(genus),
-                   tuple(sorted((str(m) for m in markings), key=label_sort_key)))
+        return cls(require_int(genus, "side genus"), sorted_labels(markings))
 
 
 def check_subcurve(graph: MarkedDualGraph, vertex_set) -> frozenset[str]:
@@ -461,25 +468,13 @@ def admissible_labels(genus: int, marking_labels) -> tuple[NodeTypeLabel, ...]:
     (markings plus the node) beyond the node, i.e. b >= 1 or |B| >= 2, and
     symmetrically for the complement.  The self-symmetric label is excluded.
     """
-    labels_a = tuple(sorted((str(m) for m in marking_labels), key=label_sort_key))
-    out = []
-    smallest = min(labels_a, key=label_sort_key) if labels_a else None
-    for b in range(0, genus + 1):
-        for size in range(0, len(labels_a) + 1):
-            for B in itertools.combinations(labels_a, size):
-                comp = tuple(l for l in labels_a if l not in B)
-                if not (b >= 1 or len(B) >= 2):
-                    continue
-                if not (genus - b >= 1 or len(comp) >= 2):
-                    continue
-                if labels_a:
-                    if smallest not in B:
-                        continue
-                else:
-                    if not b < genus - b:
-                        continue
-                out.append(NodeTypeLabel.of(b, B))
-    return tuple(sorted(out))
+    labels_a = sorted_labels(marking_labels)
+    n = len(labels_a)
+    return tuple(sorted(
+        NodeTypeLabel.of(b, B) for b in range(genus + 1) for size in range(n + 1)
+        for B in itertools.combinations(labels_a, size)
+        if (b >= 1 or size >= 2) and (genus - b >= 1 or n - size >= 2)
+        and (labels_a[0] in B if labels_a else b < genus - b)))
 
 
 def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) -> int:

@@ -11,60 +11,29 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ValidationError
-from .graphs import MarkedDualGraph, NodeTypeLabel, label_sort_key
+from .errors import ValidationError, parse_rational, require_int
+from .graphs import MarkedDualGraph, NodeTypeLabel, sorted_labels
 from .maps import PhiTable
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            QProfile, make_profile)
 from .sheaves import SheafType
 
 
-def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a rational string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ValidationError("floating point is not accepted; use p/q strings")
-    if not isinstance(value, str):
-        raise ValidationError(f"expected a rational string, got {value!r}")
-    text = value.strip()
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            d = int(den)
-            if d == 0:
-                raise ValidationError(f"zero denominator in {value!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(text))
-    except ValueError as exc:
-        raise ValidationError(f"malformed rational {value!r}") from exc
-
-
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))  # "3", "-1/5"
 
 
-def _reject_floats(value):
-    raise ValidationError("floating point is not accepted; use p/q strings")
-
-
 def loads_document(text: str) -> dict:
-    return json.loads(text, parse_float=_reject_floats)
+    # a JSON float reaches the rational rule as a float, which it refuses
+    return json.loads(text, parse_float=lambda text: parse_rational(float(text)))
 
 
-def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _rational_map(doc: dict, key: str) -> dict[str, Fraction]:
-    """The JSON object doc[key] (empty when absent), its values parsed as rationals."""
+def _rational_map(doc: dict, key: str) -> dict:
+    """The JSON object doc[key] (empty when absent); its builder parses the values."""
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ValidationError(f'"{key}" must be a JSON object of rationals, got {value!r}')
-    return {str(label): parse_rational(c) for label, c in value.items()}
+    return value
 
 
 # -- graphs ------------------------------------------------------------------
@@ -80,7 +49,7 @@ def parse_graph_document(doc: dict) -> MarkedDualGraph:
     for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry or "genus" not in entry:
             raise ValidationError('each vertex needs "id" and "genus"')
-        vs.append((str(entry["id"]), _require_int(entry["genus"], "genus")))
+        vs.append((str(entry["id"]), entry["genus"]))
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ValidationError('"edges" must be an array of id pairs')
@@ -97,7 +66,7 @@ def parse_graph_document(doc: dict) -> MarkedDualGraph:
         markings={str(l): str(v) for l, v in markings.items()},
         base_vertex=doc.get("base_vertex"))
     expected = doc.get("expected_genus")
-    if expected is not None and graph.genus != _require_int(expected, "expected_genus"):
+    if expected is not None and graph.genus != require_int(expected, "expected_genus"):
         raise ValidationError(
             f"expected_genus {expected} does not match computed genus {graph.genus}")
     return graph
@@ -123,8 +92,20 @@ def parse_label(entry: dict) -> NodeTypeLabel:
         raise ValidationError('node type entries need "b" and "B"')
     if not isinstance(entry["B"], list):
         raise ValidationError('"B" must be an array of marking labels')
-    return NodeTypeLabel.of(_require_int(entry["b"], "b"),
-                            [str(l) for l in entry["B"]])
+    return NodeTypeLabel.of(entry["b"], entry["B"])
+
+
+def _label_values(entries, what: str) -> dict:
+    """Node-type entries ({"b", "B", "value"}) as label -> value, each label once."""
+    if not isinstance(entries, list):
+        raise ValidationError(f'"{what}" must be an array of node-type entries')
+    values = {}
+    for entry in entries:
+        label = parse_label(entry)
+        if label in values:
+            raise ValidationError(f"duplicate {what} label {label}")
+        values[label] = entry.get("value")
+    return values
 
 
 def label_document(label: NodeTypeLabel) -> dict:
@@ -143,29 +124,15 @@ def parse_polarization_document(doc: dict, graph: MarkedDualGraph | None = None)
         raise ValidationError("polarization document must be a JSON object")
     kind = doc.get("kind")
     if kind == "explicit":
-        a = _rational_map(doc, "a")
-        entries = doc.get("alpha", [])
-        if not isinstance(entries, list):
-            raise ValidationError('"alpha" must be an array of node-type entries')
-        alpha = {}
-        for entry in entries:
-            label = parse_label(entry)
-            if label in alpha:
-                raise ValidationError(f"duplicate alpha label {label}")
-            alpha[label] = parse_rational(entry.get("value"))
         return ExplicitPolarization.build(
-            s=parse_rational(doc.get("s", "0")),
-            r=parse_rational(doc.get("r", "1")),
-            a=a, alpha=alpha)
+            s=doc.get("s", "0"), r=doc.get("r", "1"), a=_rational_map(doc, "a"),
+            alpha=_label_values(doc.get("alpha", []), "alpha"))
     if kind == "canonical":
-        return CanonicalPolarization.build(
-            d=_require_int(doc.get("d"), "d"),
-            a=_rational_map(doc, "a"))
+        return CanonicalPolarization.build(d=doc.get("d"), a=_rational_map(doc, "a"))
     if kind == "profile":
         if graph is None:
             raise ValidationError("profile documents need a graph")
-        return make_profile(graph, _rational_map(doc, "q"),
-                            _require_int(doc.get("d"), "d"))
+        return make_profile(graph, _rational_map(doc, "q"), doc.get("d"))
     raise ValidationError(f'unknown polarization kind {kind!r}')
 
 
@@ -204,20 +171,13 @@ def profile_document(profile: QProfile) -> dict:
 def parse_sheaf_document(doc: dict, graph: MarkedDualGraph) -> SheafType:
     if not isinstance(doc, dict):
         raise ValidationError("sheaf document must be a JSON object")
-    degrees_doc = doc.get("degrees")
-    if not isinstance(degrees_doc, dict):
+    degrees = doc.get("degrees")
+    if not isinstance(degrees, dict):
         raise ValidationError('sheaf document needs a "degrees" object')
-    degrees = {str(v): _require_int(d, f"degree of {v}")
-               for v, d in degrees_doc.items()}
-    missing = set(graph.vertex_ids) - set(degrees)
-    extra = set(degrees) - set(graph.vertex_ids)
-    if missing or extra:
-        raise ValidationError(
-            f"sheaf degrees mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
     nonfree = doc.get("nonfree", [])
     if not isinstance(nonfree, list):
         raise ValidationError('"nonfree" must be an array of edge indices')
-    return SheafType.build(graph, degrees, [_require_int(e, "edge index") for e in nonfree])
+    return SheafType.build(graph, degrees, nonfree)
 
 
 def sheaf_document(sheaf: SheafType) -> dict:
@@ -233,22 +193,10 @@ def sheaf_document(sheaf: SheafType) -> dict:
 def parse_phi_document(doc: dict) -> tuple[PhiTable, int, tuple[str, ...]]:
     if not isinstance(doc, dict):
         raise ValidationError("phi document must be a JSON object")
-    genus = _require_int(doc.get("genus"), "genus")
+    genus = require_int(doc.get("genus"), "genus")
     if genus < 0:
         raise ValidationError(f"genus must be nonnegative, got {genus}")
     markings = doc.get("markings")
     if not isinstance(markings, list) or not markings:
         raise ValidationError('phi document needs a nonempty "markings" array')
-    entries = doc.get("phi")
-    if not isinstance(entries, list):
-        raise ValidationError('phi document needs a "phi" array')
-    values = {}
-    for entry in entries:
-        label = parse_label(entry)
-        if label in values:
-            raise ValidationError(f"duplicate phi label {label}")
-        values[label] = parse_rational(entry.get("value"))
-    labels = tuple(sorted((str(l) for l in markings), key=label_sort_key))
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate marking labels")
-    return PhiTable.build(values), genus, labels
+    return PhiTable.build(_label_values(doc.get("phi"), "phi")), genus, sorted_labels(markings)

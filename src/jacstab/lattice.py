@@ -11,7 +11,7 @@ neither to spanning trees nor to multidegree moves.
 
 from __future__ import annotations
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, require_int_map
 from .graphs import MarkedDualGraph
 
 
@@ -76,21 +76,16 @@ def multidegrees_equivalent(graph: MarkedDualGraph,
     replaces column j by the difference; so it is integral iff kappa
     divides every det_j.
     """
-    ids = graph.vertex_ids
-    if set(d1) != set(ids) or set(d2) != set(ids):
-        raise ValidationError("multidegree vectors must be keyed by the vertex ids")
-    if sum(d1.values()) != sum(d2.values()):
-        raise PreconditionError(
-            f"total degrees differ: {sum(d1.values())} vs {sum(d2.values())}")
-    n = len(ids)
+    first, second = (require_int_map(graph.vertex_index, d, "multidegree") for d in (d1, d2))
+    if sum(first) != sum(second):
+        raise PreconditionError(f"total degrees differ: {sum(first)} vs {sum(second)}")
+    n = len(first)
     if n == 1:
         return True
-    diff = [int(d1[v]) - int(d2[v]) for v in ids]
+    diff = [a - b for a, b in zip(first, second)]
     L = laplacian(graph)
     reduced = [row[:-1] for row in L[:-1]]
-    kappa = _det_bareiss(reduced)
-    if kappa == 0:
-        raise ValidationError("graph is disconnected")
+    kappa = _det_bareiss(reduced)  # positive: every graph is connected when built
     solution = []
     for j in range(n - 1):
         det_j = _det_bareiss([row[:j] + [b] + row[j + 1:]

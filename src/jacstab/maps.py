@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError, ValidationError
+from .errors import (PreconditionError, ValidationError, parse_rational,
+                     require_int_map, require_keys)
 from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel,
-                     admissible_labels, label_sort_key, stabilize_forgetting)
+                     admissible_labels, sorted_labels, stabilize_forgetting)
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            compile_polarization)
 from .sheaves import SheafType, require_simple, twist
@@ -217,8 +218,8 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *,
         if genus is None or marking_labels is None:
             raise PreconditionError(
                 "forgetting with boundary coefficients needs genus and markings")
-        labels = tuple(str(l) for l in marking_labels)
-        if x == min(labels, key=label_sort_key):
+        labels = sorted_labels(marking_labels)
+        if labels[:1] == (x,):
             raise PreconditionError(
                 f"cannot transport boundary coefficients: {x} is the "
                 f"smallest label, so canonical sides would flip")
@@ -265,15 +266,11 @@ def abel_jacobi(graph: MarkedDualGraph, dtuple: dict[str, int]
     """
     if not graph.markings:
         raise PreconditionError("Abel-Jacobi sections need at least one marking")
-    weights = {str(l): int(c) for l, c in dtuple.items()}
-    unknown = set(weights) - set(graph.marking_labels)
-    if unknown:
-        raise ValidationError(f"weights for unknown markings: {sorted(unknown)}")
+    weights = dict(zip(graph.marking_labels, require_int_map(
+        graph.marking_labels, dtuple, "marking weights", default=0)))
     pol = ExplicitPolarization.build(
-        s=-1, r=2,
-        a={l: 2 * weights.get(l, 0) for l in graph.marking_labels})
-    degrees = {v: sum(weights.get(l, 0)
-                      for l in graph.markings_by_vertex.get(v, ()))
+        s=-1, r=2, a={l: 2 * c for l, c in weights.items()})
+    degrees = {v: sum(weights[l] for l in graph.markings_by_vertex[v])
                for v in graph.vertex_ids}
     sheaf = SheafType.build(graph, degrees)
     profile = compile_polarization(pol, graph)
@@ -290,7 +287,7 @@ class PhiTable:
     @classmethod
     def build(cls, values) -> "PhiTable":
         items = tuple(sorted(
-            (label, Fraction(c)) for label, c in dict(values).items()))
+            (label, parse_rational(c)) for label, c in dict(values).items()))
         return cls(values=items)
 
     @cached_property
@@ -306,15 +303,13 @@ def kp_translate(phi: PhiTable, genus: int, marking_labels
     Compiled on the two-component one-node graph of that type, the weight
     of the labelled side equals phi exactly.
     """
-    labels_a = tuple(sorted({str(l) for l in marking_labels}, key=label_sort_key))
+    labels_a = sorted_labels(marking_labels)
     if not labels_a:
         raise PreconditionError("phi translation needs a nonempty marking set")
-    alpha: dict[NodeTypeLabel, Fraction] = {}
-    for label in admissible_labels(genus, labels_a):
-        value = phi.value_map.get(label)
-        if value is None:
-            raise ValidationError(f"phi table missing admissible label {label}")
-        alpha[label] = value - label.side_genus + Fraction(1, 2)
+    admissible = admissible_labels(genus, labels_a)
+    values = require_keys(admissible, phi.value_map, "phi table")
+    alpha = {label: value - label.side_genus + Fraction(1, 2)
+             for label, value in zip(admissible, values)}
     return ExplicitPolarization.build(s=0, r=1, a={l: 0 for l in labels_a},
                                       alpha=alpha)
 
@@ -326,7 +321,7 @@ def two_component_graph(genus: int, marking_labels, label: NodeTypeLabel
     Vertex "side" carries the label's genus and markings, "rest" their
     complements.
     """
-    labels_a = tuple(sorted({str(l) for l in marking_labels}, key=label_sort_key))
+    labels_a = sorted_labels(marking_labels)
     if label not in admissible_labels(genus, labels_a):
         raise ValidationError(f"label {label} not admissible for genus {genus}")
     side_marks = set(label.side_markings)

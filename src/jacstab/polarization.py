@@ -24,10 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError, ValidationError
+from .errors import (PreconditionError, ValidationError, parse_rational,
+                     require_int, require_int_map, require_keys)
 from .graphs import (MarkedDualGraph, NodeTypeLabel, admissible_labels,
                      label_sort_key, mask_components, mask_vertices,
                      separating_ends, subcurve_sort_key, subcurve_table)
+
+
+def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
+    """A recipe's (label, rational coefficient) pairs in label order."""
+    return tuple(sorted(((str(l), parse_rational(c)) for l, c in dict(a or {}).items()),
+                        key=lambda p: label_sort_key(p[0])))
 
 
 @dataclass(frozen=True)
@@ -41,15 +48,12 @@ class ExplicitPolarization:
 
     @classmethod
     def build(cls, s, r, a=None, alpha=None) -> "ExplicitPolarization":
-        r = Fraction(r)
+        r = parse_rational(r)
         if r <= 0:
             raise ValidationError(f"rank coefficient r must be positive, got {r}")
-        a_items = tuple(sorted(
-            ((str(l), Fraction(c)) for l, c in (dict(a or {})).items()),
-            key=lambda p: label_sort_key(p[0])))
         alpha_items = tuple(sorted(
-            ((lab, Fraction(c)) for lab, c in (dict(alpha or {})).items())))
-        return cls(s=Fraction(s), r=r, a=a_items, alpha=alpha_items)
+            (label, parse_rational(c)) for label, c in dict(alpha or {}).items()))
+        return cls(s=parse_rational(s), r=r, a=_marking_coefficients(a), alpha=alpha_items)
 
     @cached_property
     def a_map(self) -> dict[str, Fraction]:
@@ -72,10 +76,7 @@ class CanonicalPolarization:
 
     @classmethod
     def build(cls, d, a=None) -> "CanonicalPolarization":
-        a_items = tuple(sorted(
-            ((str(l), Fraction(c)) for l, c in (dict(a or {})).items()),
-            key=lambda p: label_sort_key(p[0])))
-        return cls(d=int(d), a=a_items)
+        return cls(d=require_int(d, "d"), a=_marking_coefficients(a))
 
     @cached_property
     def a_map(self) -> dict[str, Fraction]:
@@ -123,21 +124,25 @@ class QProfile:
 
 
 def make_profile(graph: MarkedDualGraph, q: dict[str, Fraction], d: int) -> QProfile:
-    if set(q) != set(graph.vertex_ids):
-        raise ValidationError("profile weights must be keyed by the vertex ids")
-    qs = tuple((v, Fraction(q[v])) for v in graph.vertex_ids)
+    weights = require_keys(graph.vertex_index, q, "profile weights")
+    qs = tuple(zip(graph.vertex_ids, map(parse_rational, weights)))
     total = sum((f for _, f in qs), Fraction(0))
-    if total != d:
+    if total != require_int(d, "d"):
         raise ValidationError(f"profile weights sum to {total}, expected d = {d}")
-    return QProfile(graph=graph, q=qs, d=int(d))
+    return QProfile(graph=graph, q=qs, d=d)
+
+
+def require_profile(graph: MarkedDualGraph, profile: QProfile) -> QProfile:
+    """``profile`` if it was compiled for ``graph``."""
+    if profile.graph != graph:
+        raise ValidationError("profile was compiled for a different graph")
+    return profile
 
 
 def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
     """Compile a recipe into the rational vertex weights of one graph."""
     if isinstance(pol, QProfile):
-        if pol.graph != graph:
-            raise ValidationError("profile was compiled for a different graph")
-        return pol
+        return require_profile(graph, pol)
     if isinstance(pol, CanonicalPolarization):
         pol = pol.as_explicit(graph.genus)
     if not isinstance(pol, ExplicitPolarization):
@@ -178,8 +183,8 @@ def _on_a_wall(graph: MarkedDualGraph, profile: QProfile) -> bool:
     """Some proper subcurve is integral: some wall is exact (b_{Yᶜ} = d - k_Y
     - b_Y then is an integer too; a piece of an integral subcurve or of its
     complement whose removal leaves the rest connected is such a wall)."""
-    return any(exact and sub.wall for sub, (_, exact)
-               in zip(subcurve_table(graph).subcurves, profile.thresholds))
+    return any(exact and sub.wall for sub, (_, exact) in zip(
+        subcurve_table(graph).subcurves, require_profile(graph, profile).thresholds))
 
 
 def is_general(graph: MarkedDualGraph, profile: QProfile
@@ -211,9 +216,9 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
 
 def twist_profile(profile: QProfile, bundle: dict[str, int]) -> QProfile:
     """Shift the weights by an integer line-bundle multidegree."""
-    shift = {str(v): int(c) for v, c in bundle.items()}
-    q = {v: f + shift.get(v, 0) for v, f in profile.q}
-    return make_profile(profile.graph, q, profile.d + sum(shift.values()))
+    shift = require_int_map(profile.graph.vertex_index, bundle, "twist", default=0)
+    q = {v: f + c for (v, f), c in zip(profile.q, shift)}
+    return make_profile(profile.graph, q, profile.d + sum(shift))
 
 
 def perturb_general(graph: MarkedDualGraph, profile: QProfile,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, require_int, require_int_map
 from .graphs import MarkedDualGraph, check_subcurve
 
 
@@ -25,9 +25,9 @@ class SheafType:
 
     @classmethod
     def build(cls, graph: MarkedDualGraph, degrees, nonfree_edges=()) -> "SheafType":
-        deg = dict(degrees) if not isinstance(degrees, dict) else degrees
-        sheaf = cls(nonfree_edges=frozenset(int(e) for e in nonfree_edges),
-                    degrees=tuple((v, int(deg[v])) for v in graph.vertex_ids))
+        deg = require_int_map(graph.vertex_index, dict(degrees), "sheaf degrees")
+        sheaf = cls(nonfree_edges=frozenset(require_int(e, "edge index") for e in nonfree_edges),
+                    degrees=tuple(zip(graph.vertex_ids, deg)))
         return validate_sheaf(graph, sheaf)
 
     @property
@@ -86,7 +86,7 @@ def d_of(graph: MarkedDualGraph, sheaf: SheafType, vertex_set) -> int:
 
 
 def twist(sheaf: SheafType, bundle: dict[str, int]) -> SheafType:
-    """Tensor with a line bundle of the given multidegree."""
-    return SheafType(
-        nonfree_edges=sheaf.nonfree_edges,
-        degrees=tuple((v, d + int(bundle.get(v, 0))) for v, d in sheaf.degrees))
+    """Tensor with a line bundle of the given multidegree (0 where unnamed)."""
+    shift = require_int_map(sheaf.degree_map, bundle, "twist", default=0)
+    return SheafType(nonfree_edges=sheaf.nonfree_edges, degrees=tuple(
+        (v, d + c) for (v, d), c in zip(sheaf.degrees, shift)))

@@ -27,7 +27,7 @@ from operator import add, sub as minus
 
 from .errors import PreconditionError, ValidationError
 from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k, subcurve_table
-from .polarization import QProfile, is_general
+from .polarization import QProfile, is_general, require_profile
 from .sheaves import SheafType, deg_subcurve, require_simple
 
 MODES = ("semistable", "stable", "quasistable")
@@ -46,24 +46,27 @@ class StabilityVerdict:
     witness: tuple[str, ...] | None = None
 
 
-def _require_profile(graph: MarkedDualGraph, profile: QProfile) -> None:
-    if profile.graph != graph:
-        raise ValidationError("profile belongs to a different graph")
+def _base_of(graph: MarkedDualGraph, profile: QProfile, base_vertex: str | None
+             ) -> str | None:
+    """The base vertex in use: the one given, else the graph's own, if any.
+    Refuses a profile compiled for another graph and an unknown base."""
+    require_profile(graph, profile)
+    base = base_vertex if base_vertex is not None else graph.base_vertex
+    if base is not None and base not in graph.vertex_index:
+        raise ValidationError(f"base vertex {base} is not a vertex")
+    return base
 
 
 def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
           base_vertex: str | None = None, all_subsets: bool = False
           ) -> StabilityVerdict:
     """Stability verdict of one sheaf type."""
-    _require_profile(graph, profile)
+    base = _base_of(graph, profile, base_vertex)
     require_simple(graph, sheaf)
     if sheaf.total_degree != profile.d:
         raise PreconditionError(
             f"degree mismatch: sheaf has total degree {sheaf.total_degree}, "
             f"profile expects {profile.d}")
-    base = base_vertex if base_vertex is not None else graph.base_vertex
-    if base is not None and base not in graph.vertex_index:
-        raise ValidationError(f"base vertex {base} is not a vertex")
 
     if all_subsets:  # the independent oracle, in rationals
         slacks = ((Y, deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)
@@ -161,14 +164,11 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
               base_vertex: str | None, include_nonfree: bool):
     """Refuse bad arguments, then yield (non-free set, total, runs of
     ``_walk``) in output order for the types passing ``check`` in ``mode``."""
-    _require_profile(graph, profile)
+    base = _base_of(graph, profile, base_vertex)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    base = base_vertex if base_vertex is not None else graph.base_vertex
     if mode == "quasistable" and base is None:
         raise PreconditionError("quasistable enumeration needs a base vertex")
-    if base is not None and base not in graph.vertex_index:
-        raise ValidationError(f"base vertex {base} is not a vertex")
 
     table = subcurve_table(graph)
     base_mask = 1 << graph.vertex_index[base] if base is not None else 0

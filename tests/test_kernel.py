@@ -455,3 +455,19 @@ def test_count_sums_the_quasistable_enumeration(graph, rng):
     count = count_components(graph, profile, base_vertex=base)
     assert count == len(enumerate_sheaves(graph, profile, "quasistable", base_vertex=base))
     assert count == complexity(graph)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(multigraphs(), st.randoms(use_true_random=False), st.data())
+def test_check_matches_all_subsets_check(graph, rng, data):
+    # the witnesses may differ: the oracle's first subset may be disconnected
+    profile = random_profile(graph, rng, denominators=(1, 2, 3))
+    S = data.draw(st.sampled_from(_nonfree_candidates(graph)))
+    base = data.draw(st.sampled_from((None,) + graph.vertex_ids))
+    degrees = [math.floor(f) + rng.randrange(-1, 2) for _, f in profile.q]
+    degrees[-1] += profile.d - len(S) - sum(degrees)
+    sheaf = SheafType(S, tuple(zip(graph.vertex_ids, degrees)))
+    fast = check(graph, profile, sheaf, base_vertex=base)
+    oracle = check(graph, profile, sheaf, base_vertex=base, all_subsets=True)
+    assert (fast.status, fast.quasistable_at_base) == \
+        (oracle.status, oracle.quasistable_at_base)

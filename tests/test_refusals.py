@@ -1,0 +1,323 @@
+"""Every refusal, from the CLI and from the library.
+
+Each input rule has one function: ``require_int`` and ``parse_rational``
+for numbers and ``require_keys`` for maps keyed by a fixed set of ids (all
+in ``jacstab.errors``), and ``require_profile`` for a profile paired with
+its graph (in ``jacstab.polarization``).  The tables below run every
+``raise`` the other tests leave alone.  A CLI case ends with exit 2 or 3,
+one ``error:`` or ``precondition failed:`` line and empty stdout; a library
+case raises the named class with the named message.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from fractions import Fraction
+
+import pytest
+
+from jacstab import (CanonicalPolarization, ExplicitPolarization,
+                     MarkedDualGraph, NodeTypeLabel, PreconditionError,
+                     SheafType, ValidationError, abel_jacobi,
+                     admissible_labels, boundary_degree, check,
+                     compile_polarization, count_components,
+                     enumerate_sheaves, forget_polarization, is_general,
+                     kp_translate, make_profile, multidegrees_equivalent,
+                     perturb_general, twist, twist_profile, two_component_graph)
+from jacstab.cli import main
+from jacstab.errors import parse_rational, require_int, require_keys
+from jacstab.io import polarization_document
+from jacstab.maps import PhiTable
+
+from conftest import chain_111, marked_chain, theta
+
+THETA = {
+    "vertices": [{"id": "v1", "genus": 0}, {"id": "v2", "genus": 0}],
+    "edges": [["v1", "v2"], ["v1", "v2"], ["v1", "v2"]],
+}
+THETA_SHEAF = {"nonfree": [], "degrees": {"v1": 1, "v2": 1}}
+CANONICAL_D2 = {"kind": "canonical", "d": 2, "a": {}}
+# v1(1, mk 1) - v0(0, mk x) - v2(1, mk 2); genus 2
+CHAIN = {
+    "vertices": [{"id": "v1", "genus": 1}, {"id": "v0", "genus": 0},
+                 {"id": "v2", "genus": 1}],
+    "edges": [["v1", "v0"], ["v0", "v2"]],
+    "markings": {"1": "v1", "x": "v0", "2": "v2"},
+}
+CHAIN_SHEAF = {"nonfree": [], "degrees": {"v1": 1, "v0": 0, "v2": 1}}
+TAIL = {"vertices": [{"id": "a", "genus": 1}], "markings": {"y": "a"}}
+TAIL_SHEAF = {"degrees": {"a": 0}}
+THREE_POINTED_LINE = {"vertices": [{"id": "a", "genus": 0}],
+                      "markings": {"1": "a", "2": "a", "3": "a"}}
+
+
+def explicit(s="1", r="1", a=None, alpha=()):
+    return {"kind": "explicit", "s": s, "r": r, "a": a or {}, "alpha": list(alpha)}
+
+
+def graph_doc(**fields):
+    return {"vertices": [{"id": "a", "genus": 1}], **fields}
+
+
+def phi_doc(phi, markings=("1", "2")):
+    return {"genus": 1, "markings": list(markings), "phi": phi}
+
+
+def qprofile(graph, pol):
+    return ["qprofile", "--graph", graph, "--pol", pol]
+
+
+def theta_check(sheaf, *extra):
+    return ["check", "--graph", THETA, "--pol", CANONICAL_D2, "--sheaf", sheaf, *extra]
+
+
+def clutch_sep(x, y, *pols):
+    return ["clutch-sep", "--graph1", CHAIN, "--sheaf1", CHAIN_SHEAF, "--x", x,
+            "--graph2", TAIL, "--sheaf2", TAIL_SHEAF, "--y", y, *pols]
+
+
+# (argv, with a JSON document in place of each file; exit code; message)
+CLI_REFUSALS = {
+    "graph-not-object": (["validate", "--graph", []], 2,
+                         "graph document must be a JSON object"),
+    "graph-no-vertices": (["validate", "--graph", {"edges": []}], 2,
+                          'graph document needs a "vertices" array'),
+    "vertex-no-genus": (["validate", "--graph", {"vertices": [{"id": "a"}]}], 2,
+                        'each vertex needs "id" and "genus"'),
+    "vertex-genus-string": (["validate", "--graph",
+                             {"vertices": [{"id": "a", "genus": "1"}]}], 2,
+                            "genus must be an integer, got '1'"),
+    "edges-not-array": (["validate", "--graph", graph_doc(edges={})], 2,
+                        '"edges" must be an array of id pairs'),
+    "edge-not-pair": (["validate", "--graph", graph_doc(edges=[["a"]])], 2,
+                      "edge ['a'] must be a pair of vertex ids"),
+    "markings-not-object": (["validate", "--graph", graph_doc(markings=[])], 2,
+                            '"markings" must map labels to vertex ids'),
+    "subcurve-unknown-vertex": (["invariants", "--graph", THETA, "--subcurve", "zz"], 2,
+                                "subcurve references unknown vertices: ['zz']"),
+    "pol-not-object": (qprofile(THETA, []), 2,
+                       "polarization document must be a JSON object"),
+    "profile-sum": (qprofile(THETA, {"kind": "profile", "q": {"v1": "1", "v2": "1"},
+                                     "d": 3}), 2,
+                    "profile weights sum to 2, expected d = 3"),
+    "profile-unknown-vertex": (qprofile(THETA, {"kind": "profile", "d": 2,
+                                                "q": {"v1": "1", "v2": "1", "v9": "0"}}),
+                               2, "profile weights mismatch: missing [], unknown ['v9']"),
+    "profile-float": (qprofile(THETA, {"kind": "profile", "q": {"v1": 1.5, "v2": "1/2"},
+                                       "d": 2}), 2,
+                      "floating point is not accepted"),
+    "rank-not-positive": (qprofile(CHAIN, explicit(r="0")), 2,
+                          "rank coefficient r must be positive, got 0"),
+    "canonical-weight-total": (qprofile(THREE_POINTED_LINE, {"kind": "canonical", "d": -1}),
+                               2, "canonical recipe needs 2g-2+sum(a) > 0, got -2"),
+    "coefficient-unknown-label": (qprofile(CHAIN, explicit(a={"z": "1"})), 2,
+                                  "marking coefficient for unknown label z"),
+    "sheaf-not-object": (theta_check([]), 2, "sheaf document must be a JSON object"),
+    "sheaf-no-degrees": (theta_check({"nonfree": []}), 2,
+                         'sheaf document needs a "degrees" object'),
+    "sheaf-nonfree-not-array": (theta_check({"degrees": {"v1": 1, "v2": 1},
+                                             "nonfree": {}}), 2,
+                                '"nonfree" must be an array of edge indices'),
+    "sheaf-unknown-vertex": (theta_check({"degrees": {"v1": 1, "v2": 1, "v3": 0}}), 2,
+                             "sheaf degrees mismatch: missing [], unknown ['v3']"),
+    "base-not-a-vertex": (theta_check(THETA_SHEAF, "--base", "zz"), 2,
+                          "base vertex zz is not a vertex"),
+    "clutch-irr-unknown-marking": (["clutch-irr", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF,
+                                    "--x", "zz", "--y", "1"], 2, "marking zz not present"),
+    "clutch-irr-same-marking": (["clutch-irr", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF,
+                                 "--x", "1", "--y", "1"], 2,
+                                "clutching needs two distinct markings"),
+    "clutch-sep-first-marking": (clutch_sep("zz", "y"), 2,
+                                 "marking zz not present in the first graph"),
+    "clutch-sep-second-marking": (clutch_sep("1", "zz"), 2,
+                                  "marking zz not present in the second graph"),
+    "clutch-sep-s-and-r": (clutch_sep("1", "y", "--pol1", explicit(a={"1": "1"}),
+                                      "--pol2", explicit(r="2", a={"y": "1"})), 3,
+                           "both recipes must share s and r"),
+    "clutch-sep-coefficient-twice": (
+        clutch_sep("1", "y", "--pol1", explicit(a={"1": "1", "z": "0"}),
+                   "--pol2", explicit(a={"y": "1", "z": "0"})), 3,
+        "marking coefficient z defined twice"),
+    "forget-inadmissible-alpha": (
+        ["forget", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF, "--marking", "2",
+         "--pol", explicit(s="0", alpha=[{"b": 0, "B": ["2", "x"], "value": "1"}])], 3,
+        "alpha label NodeTypeLabel(side_genus=0, side_markings=('2', 'x')) is not admissible"),
+    "phi-not-object": (["kp-translate", "--phi", []], 2, "phi document must be a JSON object"),
+    "phi-no-markings": (["kp-translate", "--phi", phi_doc([], markings=())], 2,
+                        'phi document needs a nonempty "markings" array'),
+    "phi-entry-without-B": (["kp-translate", "--phi", phi_doc([{"b": 0}])], 2,
+                            'node type entries need "b" and "B"'),
+    "phi-B-not-array": (["kp-translate", "--phi", phi_doc([{"b": 0, "B": "12"}])], 2,
+                        '"B" must be an array of marking labels'),
+    "phi-inadmissible-entry": (
+        ["kp-translate", "--phi", phi_doc([{"b": 0, "B": ["1", "2"], "value": "0"},
+                                           {"b": 1, "B": ["1"], "value": "0"}])], 2,
+        "phi table mismatch: missing [], "
+        "unknown [NodeTypeLabel(side_genus=1, side_markings=('1',))]"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", CLI_REFUSALS.values(), ids=CLI_REFUSALS)
+def test_cli_refusal(tmp_path, capsys, argv, code, message):
+    args = []
+    for i, item in enumerate(argv):
+        if not isinstance(item, str):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps(item), encoding="utf-8")
+            item = str(path)
+        args.append(item)
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "error: " if code == 2 else "precondition failed: "
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix) and message in captured.err
+
+
+def ring_111() -> MarkedDualGraph:
+    """``chain_111`` closed into a triangle: same vertex ids, another graph."""
+    chain = chain_111()
+    return chain.replace(edges=chain.edges + (("v1", "v3"),))
+
+
+def chain_profile():
+    return compile_polarization(CanonicalPolarization.build(2), chain_111())
+
+
+def theta_line_bundle(degrees=(1, 1)):
+    return SheafType.build(theta(), dict(zip(("v1", "v2"), degrees)))
+
+
+def theta_profile():
+    return compile_polarization(CanonicalPolarization.build(2), theta())
+
+
+CHAIN_LABEL = admissible_labels(2, ["1", "2", "x"])[0]
+CHAIN_ALPHA = ExplicitPolarization.build(s=0, r=1, alpha={CHAIN_LABEL: 1})
+
+# (call, exception class, message)
+LIBRARY_REFUSALS = {
+    # a profile compiled for another graph with the same vertex ids
+    "is-general-other-graph": (lambda: is_general(ring_111(), chain_profile()),
+                               ValidationError, "profile was compiled for a different graph"),
+    "perturb-other-graph": (lambda: perturb_general(ring_111(), chain_profile(), 0),
+                            ValidationError, "profile was compiled for a different graph"),
+    "count-other-graph": (lambda: count_components(ring_111(), chain_profile(), "v1"),
+                          ValidationError, "profile was compiled for a different graph"),
+    "check-other-graph": (lambda: check(ring_111(), chain_profile(), SheafType.build(
+        ring_111(), {"v1": 1, "v2": 1, "v3": 0})), ValidationError,
+        "profile was compiled for a different graph"),
+    "compile-other-graph": (lambda: compile_polarization(chain_profile(), ring_111()),
+                            ValidationError, "profile was compiled for a different graph"),
+    # integers
+    "graph-genus-fraction": (lambda: MarkedDualGraph.build([("a", 1.5)], [("a", "a")]),
+                             ValidationError, "genus must be an integer, got 1.5"),
+    "graph-genus-bool": (lambda: MarkedDualGraph.build([("a", True)], [("a", "a")]),
+                         ValidationError, "genus must be an integer, got True"),
+    "label-genus-fraction": (lambda: NodeTypeLabel.of(0.5, ["1"]), ValidationError,
+                             "side genus must be an integer, got 0.5"),
+    "sheaf-degree-fraction": (lambda: theta_line_bundle((0.9, 1)), ValidationError,
+                              "sheaf degrees at v1 must be an integer, got 0.9"),
+    "sheaf-edge-string": (lambda: SheafType.build(theta(), {"v1": 1, "v2": 0}, ["0"]),
+                          ValidationError, "edge index must be an integer, got '0'"),
+    "canonical-d-fraction": (lambda: CanonicalPolarization.build(2.9), ValidationError,
+                             "d must be an integer, got 2.9"),
+    "profile-d-fraction": (lambda: make_profile(theta(), {"v1": 1, "v2": 1}, Fraction(2)),
+                           ValidationError, "d must be an integer, got Fraction(2, 1)"),
+    "twist-fraction": (lambda: twist(theta_line_bundle(), {"v1": 1.5}), ValidationError,
+                       "twist at v1 must be an integer, got 1.5"),
+    "twist-profile-fraction": (lambda: twist_profile(theta_profile(), {"v2": 1.5}),
+                               ValidationError, "twist at v2 must be an integer, got 1.5"),
+    "abel-jacobi-fraction": (lambda: abel_jacobi(marked_chain(), {"1": 1.5}),
+                             ValidationError,
+                             "marking weights at 1 must be an integer, got 1.5"),
+    "equiv-fraction": (lambda: multidegrees_equivalent(
+        theta(), {"v1": 1.5, "v2": 0}, {"v1": 1, "v2": 0}), ValidationError,
+        "multidegree at v1 must be an integer, got 1.5"),
+    "require-int-string": (lambda: require_int("3", "n"), ValidationError,
+                           "n must be an integer, got '3'"),
+    # rationals
+    "explicit-s-float": (lambda: ExplicitPolarization.build(s=0.1, r=1), ValidationError,
+                         "floating point is not accepted"),
+    "explicit-coefficient-float": (lambda: ExplicitPolarization.build(s=0, r=1, a={"1": 0.5}),
+                                   ValidationError, "floating point is not accepted"),
+    "canonical-coefficient-list": (lambda: CanonicalPolarization.build(2, a={"1": [1]}),
+                                   ValidationError, "expected a rational string, got [1]"),
+    "phi-value-float": (lambda: PhiTable.build({CHAIN_LABEL: 0.5}), ValidationError,
+                        "floating point is not accepted"),
+    "rational-zero-denominator": (lambda: parse_rational("1/0"), ValidationError,
+                                  "zero denominator in '1/0'"),
+    # maps keyed by the vertex ids (or the marking labels)
+    "sheaf-missing-vertex": (lambda: SheafType.build(theta(), {"v1": 1}), ValidationError,
+                             "sheaf degrees mismatch: missing ['v2'], unknown []"),
+    "sheaf-unknown-vertex": (lambda: SheafType.build(theta(), {"v1": 1, "v2": 1, "v3": 0}),
+                             ValidationError,
+                             "sheaf degrees mismatch: missing [], unknown ['v3']"),
+    "profile-missing-vertex": (lambda: make_profile(theta(), {"v1": 2}, 2), ValidationError,
+                               "profile weights mismatch: missing ['v2'], unknown []"),
+    "twist-unknown-vertex": (lambda: twist(theta_line_bundle(), {"v3": 1}), ValidationError,
+                             "twist mismatch: missing [], unknown ['v3']"),
+    "twist-profile-unknown-vertex": (lambda: twist_profile(theta_profile(), {3: 1}),
+                                     ValidationError, "twist mismatch: missing [], unknown [3]"),
+    "abel-jacobi-unknown-marking": (lambda: abel_jacobi(marked_chain(), {"z": 1}),
+                                    ValidationError,
+                                    "marking weights mismatch: missing [], unknown ['z']"),
+    "equiv-missing-vertex": (lambda: multidegrees_equivalent(
+        theta(), {"v1": 2}, {"v1": 1, "v2": 1}), ValidationError,
+        "multidegree mismatch: missing ['v2'], unknown []"),
+    "twist-not-a-map": (lambda: twist(theta_line_bundle(), [("v1", 1)]), ValidationError,
+                        "twist must be a map, got [('v1', 1)]"),
+    "require-keys-mixed": (lambda: require_keys(("a",), {"a": 0, 1: 0, "b": 0}, "map"),
+                           ValidationError, "map mismatch: missing [], unknown [1, 'b']"),
+    # duplicate marking labels
+    "admissible-duplicate-labels": (lambda: admissible_labels(0, ["1", "1", "2", "3"]),
+                                    ValidationError, "duplicate marking labels"),
+    "kp-translate-duplicate-labels": (lambda: kp_translate(PhiTable.build({}), 1, ["1", "1"]),
+                                      ValidationError, "duplicate marking labels"),
+    "two-component-duplicate-labels": (lambda: two_component_graph(
+        1, ["1", "2", "2"], NodeTypeLabel.of(0, ["1", "2"])), ValidationError,
+        "duplicate marking labels"),
+    "forget-duplicate-labels": (lambda: forget_polarization(CHAIN_ALPHA, "2", genus=2,
+                                                            marking_labels=["1", "2", "2"]),
+                                ValidationError, "duplicate marking labels"),
+    # the rest of the library refusals
+    "two-component-inadmissible": (lambda: two_component_graph(
+        1, ["1", "2"], NodeTypeLabel.of(0, ["2"])), ValidationError,
+        "not admissible for genus 1"),
+    "boundary-degree-unknown-vertex": (lambda: boundary_degree(
+        marked_chain(), ["zz"], CHAIN_LABEL), ValidationError,
+        "invalid subcurve for boundary degree"),
+    "compile-unsupported": (lambda: compile_polarization(object(), theta()), ValidationError,
+                            "unsupported polarization object object"),
+    "serialize-unsupported": (lambda: polarization_document(object()), ValidationError,
+                              "cannot serialize object"),
+    "sheaf-out-of-order": (lambda: check(theta(), theta_profile(), SheafType(
+        frozenset(), (("v2", 1), ("v1", 1)))), ValidationError,
+        "sheaf degrees must cover the graph vertices in order"),
+    "enumerate-unknown-mode": (lambda: enumerate_sheaves(theta(), theta_profile(), "fine"),
+                               ValidationError, "unknown mode 'fine'"),
+    "forget-alpha-without-context": (lambda: forget_polarization(CHAIN_ALPHA, "x"),
+                                     PreconditionError, "forgetting with boundary "
+                                     "coefficients needs genus and markings"),
+    "forget-alpha-without-markings": (lambda: forget_polarization(
+        CHAIN_ALPHA, "x", genus=2, marking_labels=[]), PreconditionError,
+        f"alpha label {CHAIN_LABEL} is not admissible"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_REFUSALS.values(),
+                         ids=LIBRARY_REFUSALS)
+def test_library_refusal(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        call()
+    assert type(caught.value) is error
+
+
+def test_rationals_keep_their_value():
+    assert parse_rational(Fraction(-3, 6)) == Fraction(-1, 2)
+    assert parse_rational(" 4/6 ") == Fraction(2, 3)
+    # a builder fed a Fraction, an int or a string gets the same recipe
+    assert ExplicitPolarization.build(s=Fraction(1, 2), r=1, a={"1": 2}) \
+        == ExplicitPolarization.build(s="1/2", r="1", a={"1": "2"})
+    assert twist_profile(theta_profile(), {}).q == theta_profile().q
