@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ValidationError
-from .graphs import MarkedDualGraph, sorted_labels
+from .errors import ValidationError, require_int
+from .graphs import MarkedDualGraph, require_genus, sorted_labels
 
 
 def canonical_key(graph: MarkedDualGraph) -> tuple:
@@ -126,13 +126,11 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
 
     Deterministic: results are sorted by canonical key.
     """
-    if genus < 0:
-        raise ValidationError(f"genus must be nonnegative, got {genus}")
-    labels = sorted_labels(marking_labels)
+    genus, labels = require_genus(genus), sorted_labels(marking_labels)
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
             f"no stable graphs for genus {genus} with {len(labels)} markings")
-    if max_vertices < 1:
+    if require_int(max_vertices, "max_vertices") < 1:
         raise ValidationError("max_vertices must be at least 1")
 
     # each level has one edge more than the last, so no key repeats across levels

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .errors import PreconditionError, ValidationError, require_int
+from .errors import PreconditionError, ValidationError, require_int, require_keys
 
 
 def label_sort_key(label: str) -> tuple:
@@ -460,6 +460,13 @@ def _edge_type(graph: MarkedDualGraph, edge_index: int
     return _side_label(graph, side or side_a), side
 
 
+def require_genus(genus) -> int:
+    """``genus`` if it is a nonnegative integer."""
+    if require_int(genus, "genus") < 0:
+        raise ValidationError(f"genus must be nonnegative, got {genus}")
+    return genus
+
+
 def admissible_labels(genus: int, marking_labels) -> tuple[NodeTypeLabel, ...]:
     """All canonical separating-node labels admissible for (g, A).
 
@@ -468,6 +475,7 @@ def admissible_labels(genus: int, marking_labels) -> tuple[NodeTypeLabel, ...]:
     (markings plus the node) beyond the node, i.e. b >= 1 or |B| >= 2, and
     symmetrically for the complement.  The self-symmetric label is excluded.
     """
+    genus = require_genus(genus)
     labels_a = sorted_labels(marking_labels)
     n = len(labels_a)
     return tuple(sorted(
@@ -484,8 +492,8 @@ def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) ->
     type contributes +1 when it lies on the canonical side, -1 otherwise.
     Summed over every vertex of the graph the result is 0.
     """
-    if label not in admissible_labels(graph.genus, graph.marking_labels):
-        raise ValidationError(f"inadmissible node type label {label}")
+    require_keys(admissible_labels(graph.genus, graph.marking_labels), {label: 0},
+                 "node type label", default=0)
     Y = frozenset(str(v) for v in vertex_set)
     known = set(graph.vertex_ids)
     if not Y or not Y <= known:

@@ -193,10 +193,8 @@ def sheaf_document(sheaf: SheafType) -> dict:
 def parse_phi_document(doc: dict) -> tuple[PhiTable, int, tuple[str, ...]]:
     if not isinstance(doc, dict):
         raise ValidationError("phi document must be a JSON object")
-    genus = require_int(doc.get("genus"), "genus")
-    if genus < 0:
-        raise ValidationError(f"genus must be nonnegative, got {genus}")
     markings = doc.get("markings")
     if not isinstance(markings, list) or not markings:
         raise ValidationError('phi document needs a nonempty "markings" array')
-    return PhiTable.build(_label_values(doc.get("phi"), "phi")), genus, sorted_labels(markings)
+    phi = PhiTable.build(_label_values(doc.get("phi"), "phi"))
+    return phi, doc.get("genus"), sorted_labels(markings)  # kp_translate reads the genus

@@ -219,23 +219,21 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *,
             raise PreconditionError(
                 "forgetting with boundary coefficients needs genus and markings")
         labels = sorted_labels(marking_labels)
+        upstairs = admissible_labels(genus, labels)
+        values = dict(zip(upstairs, require_keys(
+            upstairs, pol.alpha_map, "boundary coefficients", default=Fraction(0))))
         if labels[:1] == (x,):
             raise PreconditionError(
                 f"cannot transport boundary coefficients: {x} is the "
                 f"smallest label, so canonical sides would flip")
         remaining = tuple(l for l in labels if l != x)
-        upstairs = set(admissible_labels(genus, labels))
-        values = dict(pol.alpha)
-        for label in values:
-            if label not in upstairs:
-                raise PreconditionError(f"alpha label {label} is not admissible")
         paired: set[NodeTypeLabel] = set()
         for label in admissible_labels(genus, remaining):
             with_x = NodeTypeLabel.of(label.side_genus,
                                       label.side_markings + (x,))
             paired |= {label, with_x}
-            plain_c = values.get(label, Fraction(0))
-            with_x_c = values.get(with_x, Fraction(0))
+            plain_c = values[label]
+            with_x_c = values.get(with_x, Fraction(0))  # x need not be a marking
             if plain_c != with_x_c:
                 raise PreconditionError(
                     f"boundary coefficients must agree on the pair "
@@ -322,8 +320,7 @@ def two_component_graph(genus: int, marking_labels, label: NodeTypeLabel
     complements.
     """
     labels_a = sorted_labels(marking_labels)
-    if label not in admissible_labels(genus, labels_a):
-        raise ValidationError(f"label {label} not admissible for genus {genus}")
+    require_keys(admissible_labels(genus, labels_a), {label: 0}, "node type label", default=0)
     side_marks = set(label.side_markings)
     markings = {l: ("side" if l in side_marks else "rest") for l in labels_a}
     return MarkedDualGraph.build(

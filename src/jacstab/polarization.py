@@ -155,25 +155,16 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
             f"target degree {d_frac} is not an integer for genus {g}")
     d = int(d_frac)
 
-    labels = set(admissible_labels(g, graph.marking_labels)) if pol.alpha else ()
-    for label, _ in pol.alpha:
-        if label not in labels:
-            raise ValidationError(
-                f"alpha label {label} is not admissible for genus {g}, "
-                f"markings {list(graph.marking_labels)}")
-
-    alpha = pol.alpha_map
-    a_map = pol.a_map
-    for label in a_map:
-        if label not in graph.marking_map:
-            raise ValidationError(f"marking coefficient for unknown label {label}")
+    labels = admissible_labels(g, graph.marking_labels) if pol.alpha else ()
+    alpha = dict(zip(labels, require_keys(labels, pol.alpha_map, "boundary coefficients", 0)))
+    a = require_keys(graph.marking_labels, pol.a_map, "marking coefficients", default=0)
 
     # per vertex: its marking coefficients and its signed boundary terms
     extra = dict.fromkeys(graph.vertex_ids, Fraction(0))
-    for label, v in graph.markings:
-        extra[v] += a_map.get(label, Fraction(0))
+    for (_, v), c in zip(graph.markings, a):
+        extra[v] += c
     for endpoint, label, sign in separating_ends(graph) if alpha else ():
-        extra[endpoint] += sign * alpha.get(label, 0)
+        extra[endpoint] += sign * alpha[label]
     q = {v: (pol.s * graph.w_of(v) + extra[v]) / pol.r + Fraction(graph.w_of(v), 2)
          for v in graph.vertex_ids}
     return make_profile(graph, q, d)

@@ -27,7 +27,7 @@ from operator import add, sub as minus
 
 from .errors import PreconditionError, ValidationError
 from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k, subcurve_table
-from .polarization import QProfile, is_general, require_profile
+from .polarization import QProfile, _on_a_wall, require_profile
 from .sheaves import SheafType, deg_subcurve, require_simple
 
 MODES = ("semistable", "stable", "quasistable")
@@ -215,9 +215,7 @@ def count_components(graph: MarkedDualGraph, profile: QProfile,
     Requires a general profile; for those the count matches the number of
     spanning trees of the graph.  It adds up the walk's runs' lengths.
     """
-    general, witnesses = is_general(graph, profile)
-    if not general:
-        raise PreconditionError(
-            f"profile is not general (integral at {sorted(map(sorted, witnesses))})")
+    if _on_a_wall(graph, profile):
+        raise PreconditionError("profile is not general (see is-general for witnesses)")
     return sum(hi - lo + 1 for _, _, runs in _box_runs(
         graph, profile, "quasistable", base_vertex, False) for _, lo, hi in runs)

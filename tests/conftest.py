@@ -42,6 +42,16 @@ def marked_chain() -> MarkedDualGraph:
         markings={"1": "v1", "x": "v0", "2": "v2"})
 
 
+def chorded_ring(n: int = 10, chord: int | None = None) -> MarkedDualGraph:
+    """An n-cycle of genus-1 vertices with chords v0-v<chord> and
+    v2-v<chord + 2>, ``chord`` defaulting to n // 2."""
+    chord = n // 2 if chord is None else chord
+    vertices = [(f"v{i}", 1) for i in range(n)]
+    edges = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)] \
+        + [("v0", f"v{chord}"), ("v2", f"v{chord + 2}")]
+    return MarkedDualGraph.build(vertices, edges, markings={"1": "v0"})
+
+
 def random_profile(graph, rng: random.Random, d_range=(-3, 6),
                    denominators=(1, 2, 3, 4, 5, 6, 8, 10)):
     """Random rational profile with integer total degree."""

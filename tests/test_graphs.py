@@ -198,7 +198,7 @@ def test_boundary_degree_absent_type_is_zero():
 
 
 def test_boundary_degree_rejects_inadmissible():
-    with pytest.raises(ValidationError, match="inadmissible"):
+    with pytest.raises(ValidationError, match="node type label mismatch"):
         boundary_degree(theta(), {"v1"}, NodeTypeLabel.of(1, []))  # self-symmetric for g=2
 
 

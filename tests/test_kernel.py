@@ -33,19 +33,9 @@ from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
                             subcurve_sort_key, subcurve_table)
 from jacstab.stability import _nonfree_candidates
 
-from conftest import random_profile
+from conftest import chorded_ring, random_profile
 
 MODES = ("semistable", "stable", "quasistable")
-
-
-def chorded_ring(n: int = 10, chord: int | None = None) -> MarkedDualGraph:
-    """An n-cycle of genus-1 vertices with chords v0-v<chord> and
-    v2-v<chord + 2>, ``chord`` defaulting to n // 2."""
-    chord = n // 2 if chord is None else chord
-    vertices = [(f"v{i}", 1) for i in range(n)]
-    edges = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)] \
-        + [("v0", f"v{chord}"), ("v2", f"v{chord + 2}")]
-    return MarkedDualGraph.build(vertices, edges, markings={"1": "v0"})
 
 
 def complete_graph(n: int) -> MarkedDualGraph:

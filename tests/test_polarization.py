@@ -48,7 +48,7 @@ def test_compile_rejects_non_integral_degree():
 def test_compile_rejects_inadmissible_alpha():
     pol = ExplicitPolarization.build(s=0, r=1,
                                      alpha={NodeTypeLabel.of(1, []): 1})
-    with pytest.raises(ValidationError, match="not admissible"):
+    with pytest.raises(ValidationError, match="boundary coefficients mismatch"):
         compile_polarization(pol, theta())  # self-symmetric for genus 2
 
 

@@ -6,25 +6,30 @@ in ``jacstab.errors``), and ``require_profile`` for a profile paired with
 its graph (in ``jacstab.polarization``).  The tables below run every
 ``raise`` the other tests leave alone.  A CLI case ends with exit 2 or 3,
 one ``error:`` or ``precondition failed:`` line and empty stdout; a library
-case raises the named class with the named message.
+case raises the named class with the named message.  A property test
+checks that the five readers of label-keyed input accept and refuse the
+same labels, with one wording.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      MarkedDualGraph, NodeTypeLabel, PreconditionError,
                      SheafType, ValidationError, abel_jacobi,
                      admissible_labels, boundary_degree, check,
                      compile_polarization, count_components,
-                     enumerate_sheaves, forget_polarization, is_general,
-                     kp_translate, make_profile, multidegrees_equivalent,
-                     perturb_general, twist, twist_profile, two_component_graph)
+                     enumerate_sheaves, forget_polarization, generate_corpus,
+                     is_general, kp_translate, make_profile,
+                     multidegrees_equivalent, perturb_general, twist,
+                     twist_profile, two_component_graph)
 from jacstab.cli import main
 from jacstab.errors import parse_rational, require_int, require_keys
 from jacstab.io import polarization_document
@@ -77,6 +82,15 @@ def clutch_sep(x, y, *pols):
             "--graph2", TAIL, "--sheaf2", TAIL_SHEAF, "--y", y, *pols]
 
 
+def forget_with_alpha(marking):
+    """Forget a marking of the chain with the inadmissible alpha label (0, {2, x})."""
+    return ["forget", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF, "--marking", marking,
+            "--pol", explicit(s="0", alpha=[{"b": 0, "B": ["2", "x"], "value": "1"}])]
+
+
+INADMISSIBLE_ALPHA = ("boundary coefficients mismatch: missing [], "
+                      "unknown [NodeTypeLabel(side_genus=0, side_markings=('2', 'x'))]")
+
 # (argv, with a JSON document in place of each file; exit code; message)
 CLI_REFUSALS = {
     "graph-not-object": (["validate", "--graph", []], 2,
@@ -112,7 +126,7 @@ CLI_REFUSALS = {
     "canonical-weight-total": (qprofile(THREE_POINTED_LINE, {"kind": "canonical", "d": -1}),
                                2, "canonical recipe needs 2g-2+sum(a) > 0, got -2"),
     "coefficient-unknown-label": (qprofile(CHAIN, explicit(a={"z": "1"})), 2,
-                                  "marking coefficient for unknown label z"),
+                                  "marking coefficients mismatch: missing [], unknown ['z']"),
     "sheaf-not-object": (theta_check([]), 2, "sheaf document must be a JSON object"),
     "sheaf-no-degrees": (theta_check({"nonfree": []}), 2,
                          'sheaf document needs a "degrees" object'),
@@ -139,10 +153,9 @@ CLI_REFUSALS = {
         clutch_sep("1", "y", "--pol1", explicit(a={"1": "1", "z": "0"}),
                    "--pol2", explicit(a={"y": "1", "z": "0"})), 3,
         "marking coefficient z defined twice"),
-    "forget-inadmissible-alpha": (
-        ["forget", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF, "--marking", "2",
-         "--pol", explicit(s="0", alpha=[{"b": 0, "B": ["2", "x"], "value": "1"}])], 3,
-        "alpha label NodeTypeLabel(side_genus=0, side_markings=('2', 'x')) is not admissible"),
+    "forget-inadmissible-alpha": (forget_with_alpha("2"), 2, INADMISSIBLE_ALPHA),
+    # forgetting x contracts v0, so compile_polarization reads the recipe first
+    "forget-contracted-inadmissible-alpha": (forget_with_alpha("x"), 2, INADMISSIBLE_ALPHA),
     "phi-not-object": (["kp-translate", "--phi", []], 2, "phi document must be a JSON object"),
     "phi-no-markings": (["kp-translate", "--phi", phi_doc([], markings=())], 2,
                         'phi document needs a nonempty "markings" array'),
@@ -237,6 +250,22 @@ LIBRARY_REFUSALS = {
         "multidegree at v1 must be an integer, got 1.5"),
     "require-int-string": (lambda: require_int("3", "n"), ValidationError,
                            "n must be an integer, got '3'"),
+    # genus and vertex bounds
+    "corpus-genus-bool": (lambda: generate_corpus(True, ["1"], 2), ValidationError,
+                          "genus must be an integer, got True"),
+    "corpus-max-vertices-fraction": (lambda: generate_corpus(2, [], 2.5), ValidationError,
+                                     "max_vertices must be an integer, got 2.5"),
+    "corpus-genus-fraction": (lambda: generate_corpus(1.5, ["1"], 2), ValidationError,
+                              "genus must be an integer, got 1.5"),
+    "admissible-genus-fraction": (lambda: admissible_labels(1.5, ["1", "2"]),
+                                  ValidationError, "genus must be an integer, got 1.5"),
+    "kp-translate-genus-fraction": (lambda: kp_translate(PhiTable.build({}), 1.5, ["1", "2"]),
+                                    ValidationError, "genus must be an integer, got 1.5"),
+    "two-component-genus-fraction": (lambda: two_component_graph(
+        1.5, ["1", "2"], NodeTypeLabel.of(0, ["1", "2"])), ValidationError,
+        "genus must be an integer, got 1.5"),
+    "admissible-negative-genus": (lambda: admissible_labels(-1, ["1", "2"]), ValidationError,
+                                  "genus must be nonnegative, got -1"),
     # rationals
     "explicit-s-float": (lambda: ExplicitPolarization.build(s=0.1, r=1), ValidationError,
                          "floating point is not accepted"),
@@ -284,7 +313,8 @@ LIBRARY_REFUSALS = {
     # the rest of the library refusals
     "two-component-inadmissible": (lambda: two_component_graph(
         1, ["1", "2"], NodeTypeLabel.of(0, ["2"])), ValidationError,
-        "not admissible for genus 1"),
+        "node type label mismatch: missing [], "
+        "unknown [NodeTypeLabel(side_genus=0, side_markings=('2',))]"),
     "boundary-degree-unknown-vertex": (lambda: boundary_degree(
         marked_chain(), ["zz"], CHAIN_LABEL), ValidationError,
         "invalid subcurve for boundary degree"),
@@ -301,8 +331,8 @@ LIBRARY_REFUSALS = {
                                      PreconditionError, "forgetting with boundary "
                                      "coefficients needs genus and markings"),
     "forget-alpha-without-markings": (lambda: forget_polarization(
-        CHAIN_ALPHA, "x", genus=2, marking_labels=[]), PreconditionError,
-        f"alpha label {CHAIN_LABEL} is not admissible"),
+        CHAIN_ALPHA, "x", genus=2, marking_labels=[]), ValidationError,
+        f"boundary coefficients mismatch: missing [], unknown [{CHAIN_LABEL}]"),
 }
 
 
@@ -321,3 +351,83 @@ def test_rationals_keep_their_value():
     assert ExplicitPolarization.build(s=Fraction(1, 2), r=1, a={"1": 2}) \
         == ExplicitPolarization.build(s="1/2", r="1", a={"1": "2"})
     assert twist_profile(theta_profile(), {}).q == theta_profile().q
+
+
+# -- the one label rule ----------------------------------------------------------
+
+MARKS = ("1", "2", "3")
+
+
+@functools.cache
+def small_corpus(genus, n):
+    return generate_corpus(genus, MARKS[:n], 3 if genus <= 1 else 2)
+
+
+@st.composite
+def label_cases(draw):
+    """(genus, markings, graph, alpha): a stable (g, A) with g <= 3 and
+    |A| <= 3, one of its graphs, and coefficients on labels that are
+    admissible or not (too large a genus, an unknown marking, a side
+    without the anchor or that is unstable)."""
+    genus = draw(st.integers(0, 3))
+    labels = MARKS[:draw(st.integers(max(0, 3 - 2 * genus), 3))]
+    graph = draw(st.sampled_from(small_corpus(genus, len(labels))))
+    label = st.builds(NodeTypeLabel.of, st.integers(0, genus + 1),
+                      st.lists(st.sampled_from(labels + ("z",)), unique=True))
+    admissible = admissible_labels(genus, labels)
+    label = st.one_of(st.sampled_from(admissible), label) if admissible else label
+    values = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+    return genus, labels, graph, draw(st.dictionaries(label, values, max_size=4))
+
+
+def refusal_tail(call, error=ValidationError):
+    """What ``call`` says after its map's name, when it raises ``error``."""
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    return str(caught.value).split(" mismatch: ", 1)[1]
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(label_cases(), st.integers(-1, 1), st.sampled_from((1, 3)))
+def test_one_label_rule(case, s, r):
+    """compile_polarization, forget_polarization, boundary_degree,
+    two_component_graph and kp_translate accept the admissible labels and
+    refuse the others with one wording; for admissible alpha the compiled
+    weights follow the weight formula through ``boundary_degree``."""
+    genus, labels, graph, alpha = case
+    admissible = admissible_labels(genus, labels)
+    bad = sorted((l for l in alpha if l not in admissible), key=str)
+    tail = f"missing [], unknown {bad}"
+    a = {l: r * (i - 1) for i, l in enumerate(labels)}  # keeps the degree an integer
+    pol = ExplicitPolarization.build(s=r * s, r=r, a=a, alpha=alpha)
+    upstairs = dict(genus=genus, marking_labels=labels)
+    forget = ExplicitPolarization.build(s=0, r=1, alpha=alpha)
+    x = labels[-1] if labels else "z"
+    phi = PhiTable.build({**dict.fromkeys(admissible, 0), **alpha})
+    if bad:
+        assert refusal_tail(lambda: compile_polarization(pol, graph)) == tail
+        assert refusal_tail(lambda: forget_polarization(forget, x, **upstairs)) == tail
+        if labels:
+            assert refusal_tail(lambda: kp_translate(phi, genus, labels)) == tail
+    else:
+        q = compile_polarization(pol, graph).q_map
+        for v in graph.vertex_ids:
+            w = graph.w_of(v)
+            boundary = sum(c * boundary_degree(graph, {v}, l) for l, c in alpha.items())
+            marked = sum(a[l] for l in graph.markings_by_vertex[v])
+            assert q[v] == (r * s * w + marked + boundary) / r + Fraction(w, 2)
+        try:
+            forget_polarization(forget, x, **upstairs)
+        except PreconditionError:  # a pairing it cannot transport, not a bad label
+            pass
+        if labels:
+            kp_translate(phi, genus, labels)
+    for label in alpha:
+        if label in admissible:
+            boundary_degree(graph, graph.vertex_ids[:1], label)
+            two_component_graph(genus, labels, label)
+        else:
+            one = f"missing [], unknown [{label}]"
+            assert refusal_tail(lambda: boundary_degree(graph, graph.vertex_ids[:1], label)) == one
+            assert refusal_tail(lambda: two_component_graph(genus, labels, label)) == one

@@ -11,7 +11,7 @@ from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      count_components, enumerate_sheaves, make_profile,
                      perturb_general, twist, twist_profile)
 
-from conftest import bridge_g3, dumbbell, random_profile, theta
+from conftest import bridge_g3, chorded_ring, dumbbell, random_profile, theta
 
 
 def canonical_d2():
@@ -127,6 +127,16 @@ def test_count_components_rejects_non_general():
     g = bridge_g3()
     with pytest.raises(PreconditionError, match="not general"):
         count_components(g, canonical_d2(), "v1")
+
+
+def test_count_refusal_is_short():
+    # the refusal is decided on the walls and lists no subcurve: the old
+    # message named every integral subcurve of this ring, 12,661 bytes
+    ring = chorded_ring()
+    profile = compile_polarization(CanonicalPolarization.build(ring.genus - 1), ring)
+    with pytest.raises(PreconditionError, match="not general") as caught:
+        count_components(ring, profile, "v0")
+    assert len(str(caught.value)) < 200
 
 
 def test_connected_check_equals_all_subsets(small_corpora):
