@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -67,8 +66,7 @@ def _parse_markings(text: str | None) -> tuple[str, ...]:
 
 
 def _emit(result: dict) -> None:
-    sys.stdout.write(json.dumps(result, indent=2))
-    sys.stdout.write("\n")
+    sys.stdout.write(docio.dumps_document(result) + "\n")
 
 
 def _verdict_document(verdict) -> dict:
@@ -252,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_threads_env() -> None:
     raw = os.environ.get("JACSTAB_THREADS")
-    if raw is None:
-        return
     try:
-        value = int(raw)
+        if raw is None or int(raw) >= 1:
+            return
     except ValueError:
-        raise ValidationError(f"JACSTAB_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValidationError(f"JACSTAB_THREADS must be a positive integer, got {raw!r}")
+        pass
+    raise ValidationError(f"JACSTAB_THREADS must be a positive integer, got {raw!r}")
 
 
 def _run(args) -> dict:

@@ -43,7 +43,8 @@ def _canonical_form(genus, mult, marks) -> tuple:
     fills the positions in turn.  Each vertex v of the first open cell
     fixes its upper-triangle row once every later cell is split by
     multiplicity to v, in increasing order; only the states whose row is
-    least go on, so only ties branch."""
+    least go on, so only ties branch.  Of the twins in a cell (``_twins``)
+    only the first branches: swapping two is an automorphism fixing the state."""
     marked = list(dict.fromkeys(v for _, v in marks))
     cells = []
     for g in sorted(set(genus)):
@@ -55,19 +56,30 @@ def _canonical_form(genus, mult, marks) -> tuple:
     for _ in order:
         least, kept = None, []
         for head, *tail in states:
+            branched = []  # the vertices of head kept from this state
             for v in head:
                 by_mult = mult[v].__getitem__
-                split = [list(part) for cell in [[w for w in head if w != v], *tail]
-                         for _, part in itertools.groupby(sorted(cell, key=by_mult), by_mult)]
+                split = []
+                for cell in [[w for w in head if w != v], *tail]:
+                    split += [cell] if len(cell) == 1 else [
+                        list(part) for _, part in itertools.groupby(sorted(cell, key=by_mult), by_mult)]
                 row = [mult[v][v]] + [mult[v][w] for cell in split for w in cell]
                 if least is None or row < least:
-                    least, kept = row, []
-                if row == least:
-                    kept.append(split)
+                    least, kept, branched = row, [], []
+                elif row > least or any(_twins(mult, u, v) for u in branched):
+                    continue
+                kept.append(split)
+                branched.append(v)
         adj += least
         states = kept
     return (len(order), tuple(sorted(genus)), tuple((l, order.index(v)) for l, v in marks),
             tuple(adj))
+
+
+def _twins(mult, u: int, v: int) -> bool:
+    """Whether u and v have the same loops and multiplicity to every other vertex."""
+    (i, j), a, b = sorted((u, v)), mult[u], mult[v]
+    return a[u] == b[v] and a[:i] == b[:i] and a[i + 1:j] == b[i + 1:j] and a[j + 1:] == b[j + 1:]
 
 
 def graph_from_key(key: tuple) -> MarkedDualGraph:
@@ -81,8 +93,8 @@ def graph_from_key(key: tuple) -> MarkedDualGraph:
 
 
 def _degenerations(key: tuple, bound: int):
-    """Encodings (genera, multiplicities, marks) of the graphs one node more
-    degenerate than ``graph_from_key(key)``, with at most ``bound`` vertices."""
+    """Encodings (genera, multiplicity rows, marks), as tuples, of the graphs one
+    node more degenerate than ``graph_from_key(key)``, with at most ``bound`` vertices."""
     n, genus, marks, adj = key
     mult = [[0] * n for _ in range(n)]
     for (i, j), m in zip(itertools.combinations_with_replacement(range(n), 2), adj):
@@ -91,7 +103,7 @@ def _degenerations(key: tuple, bound: int):
         if genus[v]:
             looped = [row.copy() for row in mult]
             looped[v][v] += 1
-            yield genus[:v] + (genus[v] - 1,) + genus[v + 1:], looped, marks
+            yield genus[:v] + (genus[v] - 1,) + genus[v + 1:], tuple(map(tuple, looped)), marks
     if n == bound:
         return
     labels = [l for l, _ in marks]
@@ -116,8 +128,8 @@ def _degenerations(key: tuple, bound: int):
                 split[n][u] = split[u][n] = s
             split[v][v], split[n][n] = stay, move
             split[v][n] = split[n][v] = join
-            yield (genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,), split,
-                   tuple(zip(labels, places)))
+            yield (genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,),
+                   tuple(map(tuple, split)), tuple(zip(labels, places)))
 
 
 def generate_corpus(genus: int, marking_labels, max_vertices: int
@@ -133,12 +145,12 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
     if require_int(max_vertices, "max_vertices") < 1:
         raise ValidationError("max_vertices must be at least 1")
 
-    # each level has one edge more than the last, so no key repeats across levels
+    # one edge more per level, so keys never repeat across levels; encodings do within one
     keys, level = [], {_canonical_form([genus], [[0]], [(l, 0) for l in labels])}
     while level:
         keys += level
-        level = {_canonical_form(*encoding) for key in level
-                 for encoding in _degenerations(key, max_vertices)}
+        level = {_canonical_form(*encoding) for encoding in
+                 {encoding for key in level for encoding in _degenerations(key, max_vertices)}}
     return [graph_from_key(key) for key in sorted(keys)]
 
 

@@ -144,10 +144,6 @@ class MarkedDualGraph:
             val[v] = val.get(v, 0) + 1
         return val
 
-    def edges_at(self, vertex: str) -> tuple[int, ...]:
-        return tuple(i for i, (u, v) in enumerate(self.edges)
-                     if u == vertex or v == vertex)
-
     @property
     def genus(self) -> int:
         """Arithmetic genus: sum of vertex genera + edges - vertices + 1."""
@@ -158,8 +154,7 @@ class MarkedDualGraph:
         return 2 * self.genus_map[vertex] - 2 + self.valence_map[vertex]
 
     def vertex_stability_margin(self, vertex: str) -> int:
-        return (2 * self.genus_map[vertex] - 2 + self.valence_map[vertex]
-                + len(self.markings_by_vertex.get(vertex, ())))
+        return self.w_of(vertex) + len(self.markings_by_vertex.get(vertex, ()))
 
     # -- connectivity ---------------------------------------------------
 
@@ -567,7 +562,7 @@ def _stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
             case=None, edge_map=tuple((i, i) for i in range(len(graph.edges))))
 
     g0 = graph.genus_map[v0]
-    incident = graph.edges_at(v0)
+    incident = tuple(i for i, ends in enumerate(graph.edges) if v0 in ends)
     other_marks = [l for l in graph.markings_by_vertex[v0] if l != marking]
     if g0 == 0 and graph.valence_map[v0] == 2 and not other_marks:
         # case (a): fuse the two edge ends into one new edge

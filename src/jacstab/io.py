@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import ValidationError, parse_rational, require_int
 from .graphs import MarkedDualGraph, NodeTypeLabel, sorted_labels
@@ -26,6 +27,37 @@ def format_rational(value: Fraction) -> str:
 def loads_document(text: str) -> dict:
     # a JSON float reaches the rational rule as a float, which it refuses
     return json.loads(text, parse_float=lambda text: parse_rational(float(text)))
+
+
+def dumps_document(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else is a TypeError."""
+    chunks: list[str] = []
+    _dump(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _dump(value, newline: str, put) -> None:
+    if isinstance(value, str):
+        put(_quoted(value))
+    elif value is None or isinstance(value, bool):
+        put("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, dict):  # _quoted refuses a key that is not a str
+        inner = newline + "  "
+        for k, (key, item) in enumerate(value.items()):
+            put(("," if k else "{") + inner + _quoted(key) + ": ")
+            _dump(item, inner, put)
+        put(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        for k, item in enumerate(value):
+            put(("," if k else "[") + inner)
+            _dump(item, inner, put)
+        put(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _rational_map(doc: dict, key: str) -> dict:

@@ -211,6 +211,9 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *,
     orientation of every label would flip.
     """
     x = str(x)
+    # with an empty list, the boundary-label check below words the refusal
+    if marking_labels and x not in map(str, marking_labels):
+        raise ValidationError(f"marking {x} not present")
     if pol.a_map.get(x, Fraction(0)) != 0:
         raise PreconditionError(f"forgetting {x} needs a_{x} = 0, got {pol.a_map[x]}")
     new_alpha: dict[NodeTypeLabel, Fraction] = {}

@@ -89,9 +89,7 @@ class CanonicalPolarization:
                 f"canonical recipe needs 2g-2+sum(a) > 0, got {weight_total}")
         lead = Fraction(self.d - genus + 1)
         return ExplicitPolarization.build(
-            s=lead, r=weight_total,
-            a={l: lead * c for l, c in self.a},
-            alpha={})
+            s=lead, r=weight_total, a={l: lead * c for l, c in self.a})
 
 
 @dataclass(frozen=True)

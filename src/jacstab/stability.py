@@ -175,17 +175,18 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
     for S in _nonfree_candidates(graph) if include_nonfree else [frozenset()]:
         nonfree = [table.edge_masks[e] for e in S]
         total = profile.d - len(S)
-        # an equality is rejected by raising the least degree by one
-        least = [need - sum(1 for m in nonfree if m & sub.mask == m) + (exact and (
-            mode == "stable" or (mode == "quasistable" and sub.mask & base_mask != 0)))
-            for sub, (need, exact) in zip(table.subcurves, profile.thresholds)]
+
+        def least(j: int) -> int:  # one more where an equality is rejected
+            mask, (need, exact) = table.subcurves[j].mask, profile.thresholds[j]
+            return need - sum(1 for m in nonfree if m & mask == m) + (exact and (
+                mode == "stable" or (mode == "quasistable" and mask & base_mask != 0)))
         bounds = [(total, total)] * len(graph.vertices)  # kept only by a lone vertex
-        for sub, lo, (need, exact) in zip(table.subcurves, least, profile.thresholds):
+        for j, (sub, (need, exact)) in enumerate(zip(table.subcurves, profile.thresholds)):
             if len(sub.members) == 1:  # {v} and its complement bound the degree at v
-                bounds[sub.members[0]] = (lo, need - (not exact) + sub.k
+                bounds[sub.members[0]] = (least(j), need - (not exact) + sub.k
                                           - sum(1 for m in nonfree if m & sub.mask))
         # a complement's degree total - deg(Y) is at most total - least
-        tests = [(low_slots, [least[j] for j in lows], high_slots, [total - least[j] for j in highs])
+        tests = [(low_slots, [least(j) for j in lows], high_slots, [total - least(j) for j in highs])
                  for low_slots, lows, high_slots, highs in table.walk_tests]
         if all(lo <= hi for lo, hi in bounds):
             yield S, total, _walk(bounds, total, tests, table.prefix_parents)

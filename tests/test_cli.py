@@ -42,6 +42,8 @@ def files(tmp_path):
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out and "--help" not in argv:  # json.dumps(..., indent=2), byte for byte
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
     return code, captured.out, captured.err
 
 

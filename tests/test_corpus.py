@@ -280,3 +280,62 @@ def test_corpus_counts_beyond_the_oracles():
     # and of M_{1,4}; 2g-2+n = 5 vertices reach all of both
     assert len(generate_corpus(0, [str(i) for i in range(1, 8)], 5)) == 2752
     assert len(generate_corpus(1, ("1", "2", "3", "4"), 5)) == 163
+
+
+def star(k: int, marked: bool = False) -> MarkedDualGraph:
+    """A rational centre with k genus-1 tails, the first tail marked or not:
+    k twins (k - 1 when marked)."""
+    return MarkedDualGraph.build([("c", 0)] + [(f"t{i}", 1) for i in range(k)],
+                                 [("c", f"t{i}") for i in range(k)],
+                                 markings={"1": "t0"} if marked else {})
+
+
+def banana(m: int, petals: int = 0) -> MarkedDualGraph:
+    """Two rational vertices joined by m edges, the second with ``petals``
+    genus-1 petals, each joined to it by a double edge."""
+    return MarkedDualGraph.build(
+        [("a", 0), ("b", 0)] + [(f"p{i}", 1) for i in range(petals)],
+        [("a", "b")] * m + [("b", f"p{i}") for i in range(petals) for _ in range(2)])
+
+
+def cycle_with_tails(tails) -> MarkedDualGraph:
+    """A cycle of rational vertices, the i-th with tails[i] genus-1 tails."""
+    n = len(tails)
+    cycle = [(f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+    ends = [(f"c{i}", f"t{i}_{j}") for i, count in enumerate(tails) for j in range(count)]
+    return MarkedDualGraph.build([(f"c{i}", 0) for i in range(n)] + [(t, 1) for _, t in ends],
+                                 cycle + ends)
+
+
+TWIN_HEAVY = [star(3), star(5), star(6), star(6, marked=True), banana(3), banana(5),
+              banana(3, petals=2), banana(3, petals=4), cycle_with_tails((1, 1, 1)),
+              cycle_with_tails((2, 2)), cycle_with_tails((2, 1, 1))]
+
+
+def test_twin_heavy_keys_match_all_permutations_oracle():
+    """The twin-pruned search keeps the least key where interchangeable
+    tails, parallel edges and petals tie, and so does every relabelling."""
+    rng = random.Random(5)
+    for graph in TWIN_HEAVY:
+        key = canonical_key(graph)
+        assert key == parent_canonical_form(*index_encoding(graph)), graph
+        for _ in range(3):
+            assert canonical_key(relabeled(graph, rng)) == key, graph
+    assert len({canonical_key(graph) for graph in TWIN_HEAVY}) == len(TWIN_HEAVY)
+
+
+# rational cycles with unequal multiplicities and loops: vertices that tie
+# for the least row in one cell without being twins, in some vertex order
+TIED_NOT_TWINS = [
+    MarkedDualGraph.build([(v, 0) for v in "abcd"], [
+        ("a", "b"), ("a", "b"), ("b", "c"), ("c", "d"), ("c", "d"), ("d", "a"), ("c", "c")]),
+    MarkedDualGraph.build([(v, 0) for v in "abcde"], [
+        ("a", "b"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("d", "e"), ("c", "c"),
+        ("e", "e")])]
+
+
+def test_tied_vertices_that_are_not_twins_all_branch():
+    for graph in TIED_NOT_TWINS:
+        key = parent_canonical_form(*index_encoding(graph))
+        for order in itertools.permutations(graph.vertices):
+            assert canonical_key(graph.replace(vertices=order)) == key, order

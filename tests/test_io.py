@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacstab import NodeTypeLabel, ValidationError
-from jacstab.io import (format_rational, graph_document, loads_document,
+from jacstab.io import (dumps_document, format_rational, graph_document, loads_document,
                         parse_graph_document, parse_polarization_document,
                         parse_phi_document, parse_rational,
                         parse_sheaf_document, polarization_document,
@@ -126,3 +128,32 @@ def test_phi_document():
         parse_phi_document({"genus": 2, "markings": ["1"],
                             "phi": [{"b": 1, "B": ["1"], "value": "0"},
                                     {"b": 1, "B": ["1"], "value": "1"}]})
+
+
+# what the CLI writes: nested dicts with str keys, lists, tuples, strings
+# (non-ASCII and control characters too), ints of any size, bools and None
+documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+    | st.text(st.characters(max_codepoint=0x1F600), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(documents)
+def test_dumps_document_is_indented_json(value):
+    assert dumps_document(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_document_edge_cases():
+    for value in ({}, [], (), "", {"a": {}, "b": [[]], "c": ()}, "\x00\n\"é😀\u2028",
+                  -10 ** 30, [True, False, None, 0]):
+        assert dumps_document(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1: "one"}, [1.5], {"a": {None: 0}},
+                                   {"a": {1, 2}}])
+def test_dumps_document_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        dumps_document(value)

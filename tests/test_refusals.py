@@ -333,6 +333,13 @@ LIBRARY_REFUSALS = {
     "forget-alpha-without-markings": (lambda: forget_polarization(
         CHAIN_ALPHA, "x", genus=2, marking_labels=[]), ValidationError,
         f"boundary coefficients mismatch: missing [], unknown [{CHAIN_LABEL}]"),
+    # a marking that is not among the markings is refused before any other check
+    "forget-unknown-marking-alpha": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1, alpha={NodeTypeLabel.of(0, ["1", "2"]): 1}),
+        "z", genus=2, marking_labels=["1", "2"]), ValidationError, "marking z not present"),
+    "forget-unknown-marking": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1), "z", genus=2, marking_labels=["1", "2"]),
+        ValidationError, "marking z not present"),
 }
 
 
