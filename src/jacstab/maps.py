@@ -211,8 +211,7 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *,
     orientation of every label would flip.
     """
     x = str(x)
-    # with an empty list, the boundary-label check below words the refusal
-    if marking_labels and x not in map(str, marking_labels):
+    if marking_labels is not None and x not in map(str, marking_labels):
         raise ValidationError(f"marking {x} not present")
     if pol.a_map.get(x, Fraction(0)) != 0:
         raise PreconditionError(f"forgetting {x} needs a_{x} = 0, got {pol.a_map[x]}")
@@ -236,7 +235,7 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *,
                                       label.side_markings + (x,))
             paired |= {label, with_x}
             plain_c = values[label]
-            with_x_c = values.get(with_x, Fraction(0))  # x need not be a marking
+            with_x_c = values[with_x]
             if plain_c != with_x_c:
                 raise PreconditionError(
                     f"boundary coefficients must agree on the pair "

@@ -116,7 +116,7 @@ class QProfile:
         an equality."""
         scale = math.lcm(2, *(f.denominator for _, f in self.q))
         scaled = [f.numerator * (scale // f.denominator) for _, f in self.q]
-        walls = (sum(scaled[i] for i in sub.members) - scale // 2 * sub.k
+        walls = (sum(map(scaled.__getitem__, sub.members)) - scale // 2 * sub.k
                  for sub in subcurve_table(self.graph).subcurves)
         return tuple((-(-b // scale), b % scale == 0) for b in walls)
 

@@ -13,15 +13,16 @@ an oracle.  Only the walls (connected, with connected complement) matter:
 another subcurve's inequality is the sum of those of the walls Zᶜ, Z a
 component of its complement.  Enumeration walks the degree box of the
 singletons and their complements in lexicographic order, testing the walls
-against degree sums carried down the walk; it finds runs of vectors equal
-but in their last two entries, and ``count_components`` adds up their
-lengths without building a type.  Non-free sets come in order too.
+against degree sums carried down the walk, each node bounding its children.
+It hands over runs of vectors equal but in their last two entries (summed
+by ``count_components``, which keeps none); non-free sets come in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, repeat
 from operator import add, sub as minus
 
@@ -121,49 +122,70 @@ def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:
 
 def _walk(bounds: list[tuple[int, int]], total: int,
           tests: list[tuple[tuple[int, ...], list[int], tuple[int, ...], list[int]]],
-          prefix_parents: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], int, int]]:
-    """Vectors in the box ``bounds`` summing to ``total`` that pass ``tests``,
-    as runs (prefix, lo, hi) in lexicographic order: prefix + (value, total
-    - sum(prefix) - value) for lo <= value <= hi, cut to the box's length.
+          prefix_parents: tuple[tuple[int, ...], ...], emit) -> None:
+    """Call ``emit(prefix, lo, hi)`` on the vectors in the box ``bounds``
+    summing to ``total`` that pass ``tests``, as runs in lexicographic
+    order: prefix + (value, total - sum(prefix) - value) for lo <= value <=
+    hi, cut to the box's length.
 
     ``tests[i]`` is (slots, least degrees, slots, greatest degrees): each
     bounds the value at vertex i by a degree less the running sum in a slot
     (see ``SubcurveTable``); setting vertex v sets the masks with top vertex
-    v.  The last value is forced by the total, so the walk ends one early.
+    v.  A node at vertex i bounds its children once: a and b from the box and
+    the slots set before it, p and q from the slots it sets (parent plus
+    value) and the sum left, so a child's range is max(a, p - value) ..
+    min(b, q - value); only values leaving it nonempty are visited.  The
+    last value is forced, so the runs come from the loop at vertex n - 3.
     """
     n = len(bounds)
     suffix_lo, suffix_hi = ([*accumulate(reversed(ends), initial=0)][::-1]
                             for ends in zip(*bounds))
     starts = list(accumulate(map(len, prefix_parents), initial=1))
-    sums = [0] * starts[-1]
+    rest = starts[-1]  # a last slot holds minus the sum left to place
+    sums = [0] * (rest + 1)
     get = sums.__getitem__
-    vector = [0] * n
-    runs = []
 
-    def rec(i: int, remaining: int) -> None:
-        low_slots, lows, high_slots, highs = tests[i]
-        lo = max(bounds[i][0], remaining - suffix_hi[i + 1],
-                 *map(minus, lows, map(get, low_slots)))
-        hi = min(bounds[i][1], remaining - suffix_lo[i + 1],
-                 *map(minus, highs, map(get, high_slots)))
-        if i >= n - 2:
-            if lo <= hi:
-                runs.append((tuple(vector[:i]), lo, hi))
+    def split(i: int, slots, ends, box: int, left: int):
+        """Level i's tests on slots set before level i - 1, led by ``box`` on
+        slot 0, then on the parents of those set at it, led by ``left``."""
+        first, parent, out = starts[i - 1], prefix_parents[i - 1], ([0], [box], [rest], [left])
+        for s, end in zip(slots, ends):
+            out[2 * (s >= first)].append(s if s < first else parent[s - first])
+            out[2 * (s >= first) + 1].append(end)
+        return out
+    levels = [(*split(i, *tests[i][:2], bounds[i][0], -suffix_hi[i + 1]),
+               *split(i, *tests[i][2:], bounds[i][1], -suffix_lo[i + 1])) for i in range(1, n - 1)]
+
+    def rec(i: int, remaining: int, lo: int, hi: int, prefix: tuple[int, ...]) -> None:
+        sums[rest] = -remaining
+        (low_slots, lows, low_parents, fresh_lows,
+         high_slots, highs, high_parents, fresh_highs) = levels[i]
+        a = max(map(minus, lows, map(get, low_slots)))
+        b = min(map(minus, highs, map(get, high_slots)))
+        p = max(map(minus, fresh_lows, map(get, low_parents)))
+        q = min(map(minus, fresh_highs, map(get, high_parents)))
+        values = range(max(lo, p - b), min(hi, q - a) + 1) if a <= b and p <= q else ()
+        if i == n - 3:
+            for value in values:
+                emit(prefix + (value,), max(a, p - value), min(b, q - value))
             return
         parents = list(map(get, prefix_parents[i]))
-        for value in range(lo, hi + 1):
-            vector[i] = value
+        for value in values:
             sums[starts[i]:starts[i + 1]] = map(add, parents, repeat(value))
-            rec(i + 1, remaining - value)
+            rec(i + 1, remaining - value, max(a, p - value), min(b, q - value), prefix + (value,))
 
-    rec(0, total)
-    return runs
+    lo = max(bounds[0][0], total - suffix_hi[1], *tests[0][1])  # on slot 0, which holds 0
+    hi = min(bounds[0][1], total - suffix_lo[1], *tests[0][3])
+    if lo <= hi and n > 2:
+        rec(0, total, lo, hi, ())
+    elif lo <= hi:
+        emit((), lo, hi)
 
 
 def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
               base_vertex: str | None, include_nonfree: bool):
-    """Refuse bad arguments, then yield (non-free set, total, runs of
-    ``_walk``) in output order for the types passing ``check`` in ``mode``."""
+    """Refuse bad arguments, then yield (non-free set, total, walk) in output
+    order: ``walk(emit)`` runs ``_walk`` on the types passing ``check``."""
     base = _base_of(graph, profile, base_vertex)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -171,6 +193,7 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
         raise PreconditionError("quasistable enumeration needs a base vertex")
 
     table = subcurve_table(graph)
+    n = len(graph.vertices)
     base_mask = 1 << graph.vertex_index[base] if base is not None else 0
     for S in _nonfree_candidates(graph) if include_nonfree else [frozenset()]:
         nonfree = [table.edge_masks[e] for e in S]
@@ -180,16 +203,16 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
             mask, (need, exact) = table.subcurves[j].mask, profile.thresholds[j]
             return need - sum(1 for m in nonfree if m & mask == m) + (exact and (
                 mode == "stable" or (mode == "quasistable" and mask & base_mask != 0)))
-        bounds = [(total, total)] * len(graph.vertices)  # kept only by a lone vertex
-        for j, (sub, (need, exact)) in enumerate(zip(table.subcurves, profile.thresholds)):
-            if len(sub.members) == 1:  # {v} and its complement bound the degree at v
-                bounds[sub.members[0]] = (least(j), need - (not exact) + sub.k
-                                          - sum(1 for m in nonfree if m & sub.mask))
+        bounds = [(total, total)] * n  # kept only by a lone vertex
+        # the singletons lead the table; {v} and its complement bound the degree at v
+        for j, (sub, (need, exact)) in enumerate(zip(table.subcurves[:n], profile.thresholds)):
+            bounds[sub.members[0]] = (least(j), need - (not exact) + sub.k
+                                      - sum(1 for m in nonfree if m & sub.mask))
         # a complement's degree total - deg(Y) is at most total - least
         tests = [(low_slots, [least(j) for j in lows], high_slots, [total - least(j) for j in highs])
                  for low_slots, lows, high_slots, highs in table.walk_tests]
         if all(lo <= hi for lo, hi in bounds):
-            yield S, total, _walk(bounds, total, tests, table.prefix_parents)
+            yield S, total, partial(_walk, bounds, total, tests, table.prefix_parents)
 
 
 def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
@@ -201,11 +224,13 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
     degree vector in vertex order), the order they are found in.
     """
     ids, results = graph.vertex_ids, []
-    for S, total, runs in _box_runs(graph, profile, mode, base_vertex, include_nonfree):
-        for prefix, lo, hi in runs:
-            rest = total - sum(prefix)  # zip cuts a one-vertex run to (total,)
-            results.extend(SheafType(S, tuple(zip(ids, prefix + (value, rest - value))))
-                           for value in range(lo, hi + 1))
+
+    def expand(prefix, lo, hi):  # reads the non-free set S and its total of the loop below
+        rest = total - sum(prefix)  # zip cuts a one-vertex run to (total,)
+        results.extend(SheafType(S, tuple(zip(ids, prefix + (value, rest - value))))
+                       for value in range(lo, hi + 1))
+    for S, total, walk in _box_runs(graph, profile, mode, base_vertex, include_nonfree):
+        walk(expand)
     return results
 
 
@@ -218,5 +243,11 @@ def count_components(graph: MarkedDualGraph, profile: QProfile,
     """
     if _on_a_wall(graph, profile):
         raise PreconditionError("profile is not general (see is-general for witnesses)")
-    return sum(hi - lo + 1 for _, _, runs in _box_runs(
-        graph, profile, "quasistable", base_vertex, False) for _, lo, hi in runs)
+    found = 0
+
+    def add_run(prefix, lo, hi):
+        nonlocal found
+        found += hi - lo + 1
+    for _, _, walk in _box_runs(graph, profile, "quasistable", base_vertex, False):
+        walk(add_run)
+    return found

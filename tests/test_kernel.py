@@ -10,7 +10,9 @@ search of ``jacstab.graphs``.  The depth-first non-free search is compared
 with the filter over all edge subsets.  The walk that tests only walls is
 compared with the same walk placing every connected subcurve (a copy of
 the placement written here), and ``count_components`` with the
-enumeration and the spanning-tree count.  Inputs are the small corpora,
+enumeration and the spanning-tree count.  The walk's shortcuts (runs from
+the root or its child, leaf-heavy complete graphs, a box empty at the root)
+are compared with the scan of the box filtered by ``check``.  Inputs are the small corpora,
 chorded rings, K5 and generated multigraphs with loops and parallel edges.
 """
 
@@ -27,11 +29,11 @@ from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
                      complexity, count_components, enumerate_sheaves,
-                     is_general, is_simple, node_type, perturb_general,
-                     subcurve_invariants)
+                     is_general, is_simple, make_profile, node_type,
+                     perturb_general, subcurve_invariants)
 from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
                             subcurve_sort_key, subcurve_table)
-from jacstab.stability import _nonfree_candidates
+from jacstab.stability import _box_runs, _nonfree_candidates
 
 from conftest import chorded_ring, random_profile
 
@@ -414,6 +416,16 @@ def test_walk_tests_exactly_the_walls(graphs):
     assert dropped > 50, dropped
 
 
+def test_singletons_lead_the_table(graphs):
+    # the box set-up reads the degree bounds from the first n entries
+    for graph in graphs + [chorded_ring(12), MarkedDualGraph.build([("v0", 2)], [])]:
+        n = len(graph.vertex_ids)
+        table = subcurve_table(graph)
+        singletons = sorted((frozenset([v]) for v in graph.vertex_ids), key=subcurve_sort_key)
+        assert [sub.vertices for sub in table.subcurves[:n]] == singletons[:len(table.subcurves)]
+        assert all(len(sub.members) > 1 for sub in table.subcurves[n:]), graph
+
+
 def assert_walls_walk_matches_full_walk(graph, profile, base):
     walls = [enumerate_sheaves(graph, profile, mode, base_vertex=base,
                                include_nonfree=True) for mode in MODES]
@@ -445,6 +457,49 @@ def test_count_sums_the_quasistable_enumeration(graph, rng):
     count = count_components(graph, profile, base_vertex=base)
     assert count == len(enumerate_sheaves(graph, profile, "quasistable", base_vertex=base))
     assert count == complexity(graph)
+
+
+def test_walk_matches_box_scan_where_it_cuts_short():
+    # one to three vertices (the last, K3 of genus-1 vertices): the runs come
+    # from the root or its child; on complete graphs most nodes are leaves
+    rng = random.Random(139)
+    small = [MarkedDualGraph.build([("v0", 0)], [("v0", "v0")] * 2),
+             MarkedDualGraph.build([("v0", 0), ("v1", 0)], [("v0", "v1")] * 3),
+             MarkedDualGraph.build([(f"v{i}", 1) for i in range(3)],
+                                   [("v0", "v1"), ("v1", "v2"), ("v0", "v2")])]
+    for graph in small + [complete_graph(n) for n in range(4, 7)]:
+        profile = random_profile(graph, rng, d_range=(0, 6), denominators=(1, 2, 3))
+        general = perturb_general(graph, profile, seed=rng.randrange(100))
+        base = rng.choice(graph.vertex_ids)
+        for q in (profile, general) if graph in small else (general,):
+            if graph in small:  # wide enough for every non-free set
+                window = [(math.floor(q.q_map[v]) - graph.valence_map[v] - 1,
+                           math.ceil(q.q_map[v]) + graph.valence_map[v] + 1)
+                          for v in graph.vertex_ids]
+                nonfree_sets = emitted_order(nonfree_filter(graph))
+            else:  # the singleton bounds of the free types
+                window = [(math.ceil(q.q_map[v] - Fraction(graph.valence_map[v], 2)),
+                           math.floor(q.q_map[v] + Fraction(graph.valence_map[v], 2)))
+                          for v in graph.vertex_ids]
+                nonfree_sets = [frozenset()]
+            found = scan(graph, lambda sheaf, base: check(graph, q, sheaf, base_vertex=base),
+                         base, window, nonfree_sets, q.d)
+            for mode in MODES:
+                assert enumerate_sheaves(graph, q, mode, base_vertex=base,
+                                         include_nonfree=graph in small) \
+                    == ordered(found[mode]), (graph, q, mode)
+        assert count_components(graph, general, base_vertex=base) == complexity(graph)
+
+    # S = {0, 1} leaves the stable degrees 5 at v0 and -5 at v1, which sum
+    # to 0, not to the total -1: the box is empty at the root
+    theta = small[1]
+    profile = make_profile(theta, {"v0": Fraction(11, 2), "v1": Fraction(-9, 2)}, 1)
+    walked, runs = [], []
+    for S, _, walk in _box_runs(theta, profile, "stable", None, True):
+        walked.append(S)
+        walk(lambda prefix, lo, hi, S=S: runs.append((S, lo, hi)))
+    assert frozenset({0, 1}) in walked
+    assert runs and all(lo <= hi and S != {0, 1} for S, lo, hi in runs)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
