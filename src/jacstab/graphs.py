@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
@@ -38,9 +39,9 @@ from .errors import PreconditionError, ValidationError, require_int, require_key
 
 
 def label_sort_key(label: str) -> tuple:
-    """Sort key for marking labels: numeric labels first, numerically."""
+    """Sort key for marking labels: numbers first, numerically, then by text."""
     try:
-        return (0, int(label), "")
+        return (0, int(label), str(label))
     except (TypeError, ValueError):
         return (1, 0, str(label))
 
@@ -313,21 +314,12 @@ class Subcurve(NamedTuple):
 class SubcurveTable(NamedTuple):
     """``adjacency[i]`` masks vertex i and its neighbours, ``edge_masks[e]``
     the ends of edge e; ``subcurves`` are the connected proper subcurves in
-    canonical order (``subcurve_sort_key``).
-
-    The degree-box walk tests a wall of two or more vertices, or its
-    complement when it holds the last vertex, at that side's top vertex v:
-    ``walk_tests[v]`` = (slots, indices of the subcurves, slots, indices of
-    the complemented ones).  A slot holds the running sum over a side less v
-    or over a mask got from one by dropping top bits; slot 0 is the empty
-    mask and ``prefix_parents[v]`` has, for each mask with top vertex v, the
-    slot of that mask less v.  The masks are in increasing order."""
+    canonical order (``subcurve_sort_key``); ``walk`` is the walls' ``walk_layout``."""
 
     adjacency: tuple[int, ...]
     edge_masks: tuple[int, ...]
     subcurves: tuple[Subcurve, ...]
-    walk_tests: tuple[tuple[tuple[int, ...], ...], ...]
-    prefix_parents: tuple[tuple[int, ...], ...]
+    walk: tuple[tuple, tuple]
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -387,21 +379,40 @@ def _subcurve_table(vertices, edges) -> SubcurveTable:
                   sum(1 for e in edge_masks if e & m and e & ~m), full ^ m in masks)
          for m in masks),
         key=lambda sub: subcurve_sort_key(sub.vertices))
-    tests, placed = [([], [], [], []) for _ in range(n)], {}
-    for j, sub in enumerate(subcurves):
-        if sub.wall and len(sub.members) > 1:  # a single vertex bounds the box instead
-            side = sub.mask ^ full if sub.mask >> n - 1 else sub.mask
-            top = side.bit_length() - 1
-            placed[j] = (top, 2 * (side != sub.mask), side ^ 1 << top)
-    prefixes = sorted({0} | {h & (2 << i) - 1 for _, _, h in placed.values() for i in _bits(h)})
+    return SubcurveTable(adjacency, edge_masks, tuple(subcurves), walk_layout(
+        n, subcurves, [j for j, sub in enumerate(subcurves) if sub.wall and len(sub.members) > 1]))
+
+
+def walk_layout(n: int, subcurves, placed) -> tuple[tuple, tuple]:
+    """(levels, spans): where the degree-box walk on n vertices tests
+    ``subcurves[j]``, j in ``placed``: at the top vertex v of its side (it,
+    a low, or its complement when that holds the last vertex, a high), by a
+    running sum over the side less v.  Slot 0 holds 0, slot -1 minus the sum
+    left, the others the masks read and those got from them by dropping top
+    bits, in increasing order: ``spans[v]`` = (slice of the slots with top
+    vertex v, the slot of each less v).  ``levels[v]`` = (lows, highs) as
+    the node at v - 1 reads them, each (slots set before v - 1 led by slot 0
+    for the box, their table indices, parent slots of those set at v - 1
+    led by slot -1, their table indices), for every v but the last, which no
+    side holds, unless it is the only vertex."""
+    full, reads = (1 << n) - 1, {}
+    for j in placed:
+        high = subcurves[j].mask >> n - 1  # 1 when the subcurve holds the last vertex
+        side = subcurves[j].mask ^ full * high
+        top = side.bit_length() - 1
+        head = side ^ 1 << top
+        read = head & ~(1 << top >> 1)  # a head holding v - 1 is read at its parent
+        reads[j] = (top, high, 2 * (read != head), read)
+    prefixes = sorted({0} | {r & (2 << i) - 1 for *_, r in reads.values() for i in _bits(r)})
     slot = {p: i for i, p in enumerate(prefixes)}
-    for j, (top, upper, head) in placed.items():
-        tests[top][upper].append(slot[head])
-        tests[top][upper + 1].append(j)
-    parents = tuple(tuple(slot[p ^ 1 << v] for p in prefixes if p.bit_length() == v + 1)
-                    for v in range(n))
-    return SubcurveTable(adjacency, edge_masks, tuple(subcurves),
-                         tuple(tuple(map(tuple, at)) for at in tests), parents)
+    levels = [tuple(([0], [], [-1], []) for _ in range(2)) for _ in range(max(n - 1, 1))]
+    for j, (top, high, fresh, read) in reads.items():
+        levels[top][high][fresh].append(slot[read])
+        levels[top][high][fresh + 1].append(j)
+    spans = [slice(bisect_left(prefixes, 1 << v), bisect_left(prefixes, 2 << v)) for v in range(n)]
+    return (tuple(tuple(tuple(map(tuple, half)) for half in at) for at in levels),
+            tuple((span, tuple(slot[p ^ 1 << v] for p in prefixes[span]))
+                  for v, span in enumerate(spans)))
 
 
 # -- separating nodes and their types ------------------------------------

@@ -26,8 +26,11 @@ class SheafType:
     @classmethod
     def build(cls, graph: MarkedDualGraph, degrees, nonfree_edges=()) -> "SheafType":
         deg = require_int_map(graph.vertex_index, dict(degrees), "sheaf degrees")
-        sheaf = cls(nonfree_edges=frozenset(require_int(e, "edge index") for e in nonfree_edges),
-                    degrees=tuple(zip(graph.vertex_ids, deg)))
+        edges = [require_int(e, "edge index") for e in nonfree_edges]
+        for i, e in enumerate(edges):
+            if e in edges[:i]:
+                raise ValidationError(f"non-free edge index {e} repeated")
+        sheaf = cls(nonfree_edges=frozenset(edges), degrees=tuple(zip(graph.vertex_ids, deg)))
         return validate_sheaf(graph, sheaf)
 
     @property

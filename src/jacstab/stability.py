@@ -120,66 +120,48 @@ def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:
     return out
 
 
-def _walk(bounds: list[tuple[int, int]], total: int,
-          tests: list[tuple[tuple[int, ...], list[int], tuple[int, ...], list[int]]],
-          prefix_parents: tuple[tuple[int, ...], ...], emit) -> None:
-    """Call ``emit(prefix, lo, hi)`` on the vectors in the box ``bounds``
-    summing to ``total`` that pass ``tests``, as runs in lexicographic
-    order: prefix + (value, total - sum(prefix) - value) for lo <= value <=
-    hi, cut to the box's length.
+def _walk(levels, spans, total: int, emit) -> None:
+    """Call ``emit(prefix, lo, hi)`` on the vectors summing to ``total`` that
+    pass the tests of ``levels``, as runs in lexicographic order: prefix +
+    (value, total - sum(prefix) - value) for lo <= value <= hi, cut to the
+    box's length.  ``levels`` and ``spans`` are a ``walk_layout`` with a
+    degree for each table index, each list led by the box end or by minus
+    the box sum over the later vertices.
 
-    ``tests[i]`` is (slots, least degrees, slots, greatest degrees): each
-    bounds the value at vertex i by a degree less the running sum in a slot
-    (see ``SubcurveTable``); setting vertex v sets the masks with top vertex
-    v.  A node at vertex i bounds its children once: a and b from the box and
-    the slots set before it, p and q from the slots it sets (parent plus
-    value) and the sum left, so a child's range is max(a, p - value) ..
-    min(b, q - value); only values leaving it nonempty are visited.  The
-    last value is forced, so the runs come from the loop at vertex n - 3.
+    A node at vertex i reads level i + 1 once, before its loop: a and b from
+    the slots set before it, p and q from the parents of those it sets plus
+    the value, so a child's range is max(a, p - value) .. min(b, q - value)
+    and only values leaving it nonempty are visited.  The root reads level 0
+    as if at value 0, and the node reading the last level hands over runs.
     """
-    n = len(bounds)
-    suffix_lo, suffix_hi = ([*accumulate(reversed(ends), initial=0)][::-1]
-                            for ends in zip(*bounds))
-    starts = list(accumulate(map(len, prefix_parents), initial=1))
-    rest = starts[-1]  # a last slot holds minus the sum left to place
-    sums = [0] * (rest + 1)
+    last = len(levels) - 1
+    sums = [0] * (spans[-1][0].stop + 1)
     get = sums.__getitem__
 
-    def split(i: int, slots, ends, box: int, left: int):
-        """Level i's tests on slots set before level i - 1, led by ``box`` on
-        slot 0, then on the parents of those set at it, led by ``left``."""
-        first, parent, out = starts[i - 1], prefix_parents[i - 1], ([0], [box], [rest], [left])
-        for s, end in zip(slots, ends):
-            out[2 * (s >= first)].append(s if s < first else parent[s - first])
-            out[2 * (s >= first) + 1].append(end)
-        return out
-    levels = [(*split(i, *tests[i][:2], bounds[i][0], -suffix_hi[i + 1]),
-               *split(i, *tests[i][2:], bounds[i][1], -suffix_lo[i + 1])) for i in range(1, n - 1)]
+    def bound(i: int, remaining: int) -> tuple[int, int, int, int]:
+        sums[-1] = -remaining
+        ((low_slots, lows, low_parents, fresh_lows),
+         (high_slots, highs, high_parents, fresh_highs)) = levels[i]
+        return (max(map(minus, lows, map(get, low_slots))),
+                min(map(minus, highs, map(get, high_slots))),
+                max(map(minus, fresh_lows, map(get, low_parents))),
+                min(map(minus, fresh_highs, map(get, high_parents))))
 
-    def rec(i: int, remaining: int, lo: int, hi: int, prefix: tuple[int, ...]) -> None:
-        sums[rest] = -remaining
-        (low_slots, lows, low_parents, fresh_lows,
-         high_slots, highs, high_parents, fresh_highs) = levels[i]
-        a = max(map(minus, lows, map(get, low_slots)))
-        b = min(map(minus, highs, map(get, high_slots)))
-        p = max(map(minus, fresh_lows, map(get, low_parents)))
-        q = min(map(minus, fresh_highs, map(get, high_parents)))
+    def rec(i: int, remaining: int, prefix: tuple[int, ...], lo: int, hi: int) -> None:
+        a, b, p, q = bound(i + 1, remaining)
         values = range(max(lo, p - b), min(hi, q - a) + 1) if a <= b and p <= q else ()
-        if i == n - 3:
+        if i + 1 == last:
             for value in values:
                 emit(prefix + (value,), max(a, p - value), min(b, q - value))
             return
-        parents = list(map(get, prefix_parents[i]))
+        span, parents = spans[i][0], [*map(get, spans[i][1])]
         for value in values:
-            sums[starts[i]:starts[i + 1]] = map(add, parents, repeat(value))
-            rec(i + 1, remaining - value, max(a, p - value), min(b, q - value), prefix + (value,))
+            sums[span] = map(add, parents, repeat(value))
+            rec(i + 1, remaining - value, prefix + (value,), max(a, p - value), min(b, q - value))
 
-    lo = max(bounds[0][0], total - suffix_hi[1], *tests[0][1])  # on slot 0, which holds 0
-    hi = min(bounds[0][1], total - suffix_lo[1], *tests[0][3])
-    if lo <= hi and n > 2:
-        rec(0, total, lo, hi, ())
-    elif lo <= hi:
-        emit((), lo, hi)
+    a, b, p, q = bound(0, total)
+    if max(a, p) <= min(b, q):  # the root's run, walked below unless it is the last
+        (partial(rec, 0, total) if last else emit)((), max(a, p), min(b, q))
 
 
 def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
@@ -203,16 +185,23 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
             mask, (need, exact) = table.subcurves[j].mask, profile.thresholds[j]
             return need - sum(1 for m in nonfree if m & mask == m) + (exact and (
                 mode == "stable" or (mode == "quasistable" and mask & base_mask != 0)))
+
+        def fill(tests, box: int, later: int, end) -> tuple:  # (slots, ends, parents, ends)
+            return tests[0], [box, *map(end, tests[1])], tests[2], [-later, *map(end, tests[3])]
         bounds = [(total, total)] * n  # kept only by a lone vertex
         # the singletons lead the table; {v} and its complement bound the degree at v
         for j, (sub, (need, exact)) in enumerate(zip(table.subcurves[:n], profile.thresholds)):
             bounds[sub.members[0]] = (least(j), need - (not exact) + sub.k
                                       - sum(1 for m in nonfree if m & sub.mask))
-        # a complement's degree total - deg(Y) is at most total - least
-        tests = [(low_slots, [least(j) for j in lows], high_slots, [total - least(j) for j in highs])
-                 for low_slots, lows, high_slots, highs in table.walk_tests]
         if all(lo <= hi for lo, hi in bounds):
-            yield S, total, partial(_walk, bounds, total, tests, table.prefix_parents)
+            later_lo, later_hi = ([*accumulate(reversed(ends), initial=0)][-2::-1]
+                                  for ends in zip(*bounds))
+            # a complement's degree total - deg(Y) is at most total - least
+            levels = [(fill(lows, lo, after_hi, least),
+                       fill(highs, hi, after_lo, lambda j: total - least(j)))
+                      for (lows, highs), (lo, hi), after_lo, after_hi
+                      in zip(table.walk[0], bounds, later_lo, later_hi)]
+            yield S, total, partial(_walk, levels, table.walk[1], total)
 
 
 def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,

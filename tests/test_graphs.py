@@ -7,11 +7,11 @@ import re
 import pytest
 
 from jacstab import (MarkedDualGraph, NodeTypeLabel, PreconditionError, SheafType,
-                     ValidationError, admissible_labels, boundary_degree,
+                     ValidationError, admissible_labels, are_isomorphic, boundary_degree,
                      canonical_key, clutch_irr, clutch_sep, generate_corpus,
                      is_simple, node_type, stabilize_forgetting, subcurve_invariants)
 from jacstab.corpus import graph_from_key
-from jacstab.graphs import designated_side, label_sort_key, proper_subcurves
+from jacstab.graphs import designated_side, label_sort_key, proper_subcurves, sorted_labels
 from jacstab.io import graph_document, parse_graph_document
 
 from conftest import bridge_g3, chain_111, marked_chain, theta
@@ -345,6 +345,20 @@ def test_construction_puts_the_graph_in_normal_form(scrambled_corpora):
         assert all(order[u] <= order[v] for u, v in built.edges)
         keys = [label_sort_key(l) for l in built.marking_labels]
         assert keys == sorted(keys)
+
+
+def test_labels_of_one_number_sort_by_their_text():
+    # int() reads "1", "01", "+1" and " 1" as 1, and "1_0" and "10" as 10
+    assert sorted_labels(["1", "01", "+1", " 1", "1_0", "10"]) \
+        == (" 1", "+1", "01", "1", "10", "1_0")
+    vertices, edges = [("v0", 1), ("v1", 1)], [("v0", "v1")]
+    for labels in (["1", "01"], ["1_0", "10"]):
+        markings = list(zip(labels, ("v0", "v1")))
+        first, second = (MarkedDualGraph.build(vertices, edges, dict(items))
+                         for items in (markings, markings[::-1]))
+        assert first == second and are_isomorphic(first, second)
+        assert node_type(first, 0) == node_type(second, 0)
+        assert generate_corpus(1, labels, 2) == generate_corpus(1, labels[::-1], 2)
 
 
 def test_forgetting_output_is_in_normal_form(scrambled_corpora):

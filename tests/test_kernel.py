@@ -7,13 +7,14 @@ enumeration in all three modes, the generality test and the witness of
 ``subcurve_invariants`` and the sides of separating edges) is compared with
 a set-based search written here, which shares no code with the bitmask
 search of ``jacstab.graphs``.  The depth-first non-free search is compared
-with the filter over all edge subsets.  The walk that tests only walls is
-compared with the same walk placing every connected subcurve (a copy of
-the placement written here), and ``count_components`` with the
-enumeration and the spanning-tree count.  The walk's shortcuts (runs from
-the root or its child, leaf-heavy complete graphs, a box empty at the root)
-are compared with the scan of the box filtered by ``check``.  Inputs are the small corpora,
-chorded rings, K5 and generated multigraphs with loops and parallel edges.
+with the filter over all edge subsets.  The walk's layout is checked
+against the masks its slots hold; the walk that tests only walls is
+compared with the same walk placing every connected subcurve, and
+``count_components`` with the enumeration and the spanning-tree count.
+The walk's shortcuts (runs from the root or its child, leaf-heavy complete
+graphs, a box empty at the root) are compared with the scan of the box
+filtered by ``check``.  Inputs are the small corpora, chorded rings, K5,
+K6 and generated multigraphs with loops and parallel edges.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
                      is_general, is_simple, make_profile, node_type,
                      perturb_general, subcurve_invariants)
 from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
-                            subcurve_sort_key, subcurve_table)
+                            subcurve_sort_key, subcurve_table, walk_layout)
 from jacstab.stability import _box_runs, _nonfree_candidates
 
 from conftest import chorded_ring, random_profile
@@ -377,27 +378,10 @@ def test_complete_graph_enumeration_matches_scan():
 
 def full_table(graph):
     """The subcurve table with every connected subcurve of two or more
-    vertices placed in the walk, walls or not: a copy of the placement in
-    ``graphs._subcurve_table`` without its wall filter."""
+    vertices placed in the walk, walls or not."""
     table = subcurve_table(graph)
-    n = len(graph.vertices)
-    full = (1 << n) - 1
-    tests, placed = [([], [], [], []) for _ in range(n)], {}
-    for j, sub in enumerate(table.subcurves):
-        if len(sub.members) > 1:
-            side = sub.mask ^ full if sub.mask >> n - 1 else sub.mask
-            top = side.bit_length() - 1
-            placed[j] = (top, 2 * (side != sub.mask), side ^ 1 << top)
-    prefixes = sorted({0} | {head & (2 << i) - 1 for _, _, head in placed.values()
-                             for i in range(n) if head >> i & 1})
-    slot = {p: i for i, p in enumerate(prefixes)}
-    for j, (top, upper, head) in placed.items():
-        tests[top][upper].append(slot[head])
-        tests[top][upper + 1].append(j)
-    parents = tuple(tuple(slot[p ^ 1 << v] for p in prefixes if p.bit_length() == v + 1)
-                    for v in range(n))
-    return table._replace(walk_tests=tuple(tuple(map(tuple, at)) for at in tests),
-                          prefix_parents=parents)
+    return table._replace(walk=walk_layout(len(graph.vertices), table.subcurves, [
+        j for j, sub in enumerate(table.subcurves) if len(sub.members) > 1]))
 
 
 def test_walk_tests_exactly_the_walls(graphs):
@@ -408,12 +392,53 @@ def test_walk_tests_exactly_the_walls(graphs):
         connected_rest = [len(components(graph, everything - sub.vertices)) == 1
                           for sub in table.subcurves]
         assert [sub.wall for sub in table.subcurves] == connected_rest, graph
-        tested = sorted(j for _, lows, _, highs in table.walk_tests for j in lows + highs)
+        tested = sorted(j for level in table.walk[0] for _, js, _, parent_js in level
+                        for j in js + parent_js)
         walls = [j for j, sub in enumerate(table.subcurves)
                  if len(sub.vertices) > 1 and connected_rest[j]]
         assert tested == walls, graph
         dropped += sum(len(sub.vertices) > 1 for sub in table.subcurves) - len(walls)
     assert dropped > 50, dropped
+
+
+def assert_walk_layout_contract(graph):
+    """The node at v - 1 reads level v: each slot it reads as set before it
+    (slot 0, the box, aside) holds a mask with top vertex below v - 1, each
+    parent slot the parent of a mask with top vertex v - 1, and the mask
+    with what the walk adds is the side tested.  Every wall of two or more
+    vertices is tested once.  The masks are rebuilt from ``spans``."""
+    table = subcurve_table(graph)
+    levels, spans = table.walk
+    n, masks, tested = len(graph.vertices), [0], []
+    for v, (span, parents) in enumerate(spans):
+        assert span.start == len(masks) and len(parents) == span.stop - span.start
+        assert all(parent < span.start for parent in parents), (graph, v)
+        masks += [masks[parent] | 1 << v for parent in parents]
+    for v, halves in enumerate(levels):
+        for high, (slots, js, parents, parent_js) in enumerate(halves):
+            assert slots[0] == 0 and parents[0] == -1, (graph, v)
+            sides = [table.subcurves[j].mask ^ ((1 << n) - 1) * high for j in js + parent_js]
+            assert all(table.subcurves[j].mask >> n - 1 == high for j in js + parent_js)
+            for s, side in zip(slots[1:], sides):
+                assert s == 0 or masks[s] < 1 << v >> 1, (graph, v, s)
+                assert masks[s] | 1 << v == side, (graph, v, s)
+            for s, side in zip(parents[1:], sides[len(js):]):
+                assert 0 < v and masks[s] < 1 << v >> 1, (graph, v, s)
+                assert masks[s] | 1 << v - 1 | 1 << v == side, (graph, v, s)
+            tested += js + parent_js
+    assert sorted(tested) == [j for j, sub in enumerate(table.subcurves)
+                              if sub.wall and len(sub.members) > 1], graph
+
+
+def test_walk_layout_contract(graphs):
+    for graph in graphs + [complete_graph(6)]:
+        assert_walk_layout_contract(graph)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(multigraphs(max_vertices=7))
+def test_walk_layout_contract_on_multigraphs(graph):
+    assert_walk_layout_contract(graph)
 
 
 def test_singletons_lead_the_table(graphs):

@@ -135,6 +135,8 @@ CLI_REFUSALS = {
                                 '"nonfree" must be an array of edge indices'),
     "sheaf-unknown-vertex": (theta_check({"degrees": {"v1": 1, "v2": 1, "v3": 0}}), 2,
                              "sheaf degrees mismatch: missing [], unknown ['v3']"),
+    "sheaf-nonfree-repeated": (theta_check({"degrees": {"v1": 1, "v2": 0}, "nonfree": [0, 0]}),
+                               2, "non-free edge index 0 repeated"),
     "base-not-a-vertex": (theta_check(THETA_SHEAF, "--base", "zz"), 2,
                           "base vertex zz is not a vertex"),
     "clutch-irr-unknown-marking": (["clutch-irr", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF,
@@ -234,6 +236,8 @@ LIBRARY_REFUSALS = {
                               "sheaf degrees at v1 must be an integer, got 0.9"),
     "sheaf-edge-string": (lambda: SheafType.build(theta(), {"v1": 1, "v2": 0}, ["0"]),
                           ValidationError, "edge index must be an integer, got '0'"),
+    "sheaf-edge-repeated": (lambda: SheafType.build(theta(), {"v1": 1, "v2": 0}, [1, 0, 1]),
+                            ValidationError, "non-free edge index 1 repeated"),
     "canonical-d-fraction": (lambda: CanonicalPolarization.build(2.9), ValidationError,
                              "d must be an integer, got 2.9"),
     "profile-d-fraction": (lambda: make_profile(theta(), {"v1": 1, "v2": 1}, Fraction(2)),
