@@ -186,7 +186,7 @@ COMMANDS = {
         ("--quasistable", SWITCH), BASE, ("--include-nonfree", SWITCH),
     ], _enumerate),
     "count": ("number of quasistable line-bundle types (general profile)", [
-        "--graph", "--pol", BASE,
+        "--graph", "--pol", ("--base", {"help": "validated; the count does not depend on it"}),
     ], lambda args: {"count": stability.count_components(
         args.graph, args.pol, base_vertex=args.base)}),
     "is-general": ("generality of a profile, with witnesses", ["--graph", "--pol"],

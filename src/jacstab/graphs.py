@@ -235,8 +235,16 @@ class NodeTypeLabel:
         return cls(require_int(genus, "side genus"), sorted_labels(markings))
 
 
+def _vertex_ids(vertex_set) -> frozenset[str]:
+    ids = [str(v) for v in vertex_set]  # a repeated id is refused, not dropped
+    for i, v in enumerate(ids):
+        if v in ids[:i]:
+            raise ValidationError(f"subcurve vertex {v} repeated")
+    return frozenset(ids)
+
+
 def check_subcurve(graph: MarkedDualGraph, vertex_set) -> frozenset[str]:
-    Y = frozenset(str(v) for v in vertex_set)
+    Y = _vertex_ids(vertex_set)
     if not Y:
         raise ValidationError("empty subcurve")
     known = set(graph.vertex_ids)
@@ -500,7 +508,7 @@ def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) ->
     """
     require_keys(admissible_labels(graph.genus, graph.marking_labels), {label: 0},
                  "node type label", default=0)
-    Y = frozenset(str(v) for v in vertex_set)
+    Y = _vertex_ids(vertex_set)
     known = set(graph.vertex_ids)
     if not Y or not Y <= known:
         raise ValidationError("invalid subcurve for boundary degree")

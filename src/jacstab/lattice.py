@@ -4,12 +4,14 @@ Used as independent oracles: the number of spanning trees (any cofactor of
 the Laplacian, computed fraction-free) predicts how many multidegree
 classes a fixed total degree splits into, and membership of a difference
 vector in the integer column span of the Laplacian decides multidegree
-equivalence (Cramer's rule over the same determinant, read modulo the
-spanning-tree count).  Loops are excluded throughout; they contribute
+equivalence (one elimination of the same minor, the difference vector as
+an extra column).  Loops are excluded throughout; they contribute
 neither to spanning trees nor to multidegree moves.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import PreconditionError, require_int_map
 from .graphs import MarkedDualGraph
@@ -32,34 +34,31 @@ def laplacian(graph: MarkedDualGraph) -> list[list[int]]:
     return L
 
 
-def _det_bareiss(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free (Bareiss) elimination of the leading square block of
+    ``matrix``, carrying any further columns along.  Returns the block's
+    exact determinant and the echelon rows, whose k-th pivot is the k-th
+    leading minor of the row-swapped block."""
+    n, m = len(matrix), [row[:] for row in matrix]
+    sign = prev = 1
+    for k in range(n):
         if m[k][k] == 0:
             pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot_row is None:
-                return 0
+                return 0, m
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev, m
 
 
 def complexity(graph: MarkedDualGraph) -> int:
     """Number of spanning trees, via a cofactor of the Laplacian."""
-    L = laplacian(graph)
-    reduced = [row[:-1] for row in L[:-1]]
-    value = _det_bareiss(reduced)
+    value = _bareiss([row[:-1] for row in laplacian(graph)[:-1]])[0]
     assert value > 0, "matrix-tree count must be positive on a connected graph"
     return value
 
@@ -68,32 +67,25 @@ def multidegrees_equivalent(graph: MarkedDualGraph,
                             d1: dict[str, int], d2: dict[str, int]) -> bool:
     """Whether two multidegrees differ by an integer Laplacian move.
 
-    Decided by Cramer's rule in integers: on a connected graph the rational
-    kernel of the Laplacian is spanned by the all-ones vector, so the
-    difference lies in the integer column span iff the unique solution
-    with last coordinate 0 is integral.  With kappa the determinant of the
-    reduced Laplacian, that solution is x_j = det_j / kappa, where det_j
-    replaces column j by the difference; so it is integral iff kappa
-    divides every det_j.
+    On a connected graph the rational kernel of the Laplacian is spanned by
+    the all-ones vector, so the difference lies in the integer column span
+    iff the unique solution x with last coordinate 0 is integral.  One
+    elimination of the reduced Laplacian, the difference as an extra
+    column, gives its determinant kappa; back substitution finds kappa * x,
+    integral by Cramer's rule, so every division is exact.
     """
     first, second = (require_int_map(graph.vertex_index, d, "multidegree") for d in (d1, d2))
     if sum(first) != sum(second):
         raise PreconditionError(f"total degrees differ: {sum(first)} vs {sum(second)}")
-    n = len(first)
-    if n == 1:
-        return True
     diff = [a - b for a, b in zip(first, second)]
     L = laplacian(graph)
-    reduced = [row[:-1] for row in L[:-1]]
-    kappa = _det_bareiss(reduced)  # positive: every graph is connected when built
-    solution = []
-    for j in range(n - 1):
-        det_j = _det_bareiss([row[:j] + [b] + row[j + 1:]
-                              for row, b in zip(reduced, diff[:-1])])
-        if det_j % kappa:
-            return False
-        solution.append(det_j // kappa)
+    kappa, rows = _bareiss([row[:-1] + [b] for row, b in zip(L[:-1], diff)])
+    scaled = [0] * len(rows)  # kappa * x, from the last coordinate up
+    for i in reversed(range(len(rows))):
+        row = rows[i]
+        scaled[i] = (kappa * row[-1] - sum(map(mul, row[i + 1:-1], scaled[i + 1:]))) // row[i]
+    if any(v % kappa for v in scaled):
+        return False
     # Consistency of the dropped row is automatic (all row sums are zero),
     # but check it anyway.
-    last = sum(L[n - 1][j] * solution[j] for j in range(n - 1))
-    return last == diff[n - 1]
+    return sum(map(mul, L[-1], (v // kappa for v in scaled))) == diff[-1]

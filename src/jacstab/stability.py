@@ -14,8 +14,8 @@ another subcurve's inequality is the sum of those of the walls Zᶜ, Z a
 component of its complement.  Enumeration walks the degree box of the
 singletons and their complements in lexicographic order, testing the walls
 against degree sums carried down the walk, each node bounding its children.
-It hands over runs of vectors equal but in their last two entries (summed
-by ``count_components``, which keeps none); non-free sets come in order.
+It hands runs of vectors equal but in their last two entries to one
+callback, non-free set by non-free set; ``count_components`` keeps none.
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ def _walk(levels, spans, total: int, emit) -> None:
 
 
 def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
-              base_vertex: str | None, include_nonfree: bool):
-    """Refuse bad arguments, then yield (non-free set, total, walk) in output
-    order: ``walk(emit)`` runs ``_walk`` on the types passing ``check``."""
+              base_vertex: str | None, include_nonfree: bool, emit) -> None:
+    """Refuse bad arguments, then walk every non-free set S in output order,
+    calling ``emit(S, total, prefix, lo, hi)`` on the runs of types passing
+    ``check``."""
     base = _base_of(graph, profile, base_vertex)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -201,7 +202,7 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
                        fill(highs, hi, after_lo, lambda j: total - least(j)))
                       for (lows, highs), (lo, hi), after_lo, after_hi
                       in zip(table.walk[0], bounds, later_lo, later_hi)]
-            yield S, total, partial(_walk, levels, table.walk[1], total)
+            _walk(levels, table.walk[1], total, partial(emit, S, total))
 
 
 def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
@@ -214,29 +215,26 @@ def enumerate_sheaves(graph: MarkedDualGraph, profile: QProfile, mode: str,
     """
     ids, results = graph.vertex_ids, []
 
-    def expand(prefix, lo, hi):  # reads the non-free set S and its total of the loop below
+    def expand(S, total, prefix, lo, hi):
         rest = total - sum(prefix)  # zip cuts a one-vertex run to (total,)
         results.extend(SheafType(S, tuple(zip(ids, prefix + (value, rest - value))))
                        for value in range(lo, hi + 1))
-    for S, total, walk in _box_runs(graph, profile, mode, base_vertex, include_nonfree):
-        walk(expand)
+    _box_runs(graph, profile, mode, base_vertex, include_nonfree, expand)
     return results
 
 
 def count_components(graph: MarkedDualGraph, profile: QProfile,
                      base_vertex: str | None = None) -> int:
-    """Number of quasistable line-bundle types at the base vertex.
-
-    Requires a general profile; for those the count matches the number of
-    spanning trees of the graph.  It adds up the walk's runs' lengths.
-    """
+    """Number of stable line-bundle types of a general profile: one per
+    component, as many as the graph's spanning trees.  No wall is exact, so
+    every mode and base agree; a given base is only validated.  It adds up
+    the walk's runs' lengths."""
     if _on_a_wall(graph, profile):
         raise PreconditionError("profile is not general (see is-general for witnesses)")
     found = 0
 
-    def add_run(prefix, lo, hi):
+    def add_run(S, total, prefix, lo, hi):
         nonlocal found
         found += hi - lo + 1
-    for _, _, walk in _box_runs(graph, profile, "quasistable", base_vertex, False):
-        walk(add_run)
+    _box_runs(graph, profile, "stable", base_vertex, False, add_run)
     return found

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from jacstab import MarkedDualGraph, generate_corpus, make_profile
 
@@ -62,6 +63,28 @@ def random_profile(graph, rng: random.Random, d_range=(-3, 6),
         q[v] = Fraction(rng.randrange(-12, 13), rng.choice(denominators))
     q[ids[-1]] = d - sum(q.values(), Fraction(0))
     return make_profile(graph, q, d)
+
+
+@st.composite
+def multigraphs(draw, max_vertices=5, max_edges=10):
+    """Connected multigraphs with loops and parallel edges, made stable by
+    marking every vertex whose 2g - 2 + valence is below 1."""
+    n = draw(st.integers(1, max_vertices))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # a spanning tree
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=max_edges - len(edges)))
+    genera = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    valence = [0] * n
+    for u, v in edges:
+        valence[u] += 1
+        valence[v] += 1
+    markings, label = {}, 0
+    for v in range(n):
+        for _ in range(1 - (2 * genera[v] - 2 + valence[v])):
+            label += 1
+            markings[str(label)] = f"v{v}"
+    return MarkedDualGraph.build([(f"v{v}", g) for v, g in enumerate(genera)],
+                                 [(f"v{u}", f"v{v}") for u, v in edges], markings=markings)
 
 
 @pytest.fixture(scope="session")

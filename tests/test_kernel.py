@@ -10,7 +10,8 @@ search of ``jacstab.graphs``.  The depth-first non-free search is compared
 with the filter over all edge subsets.  The walk's layout is checked
 against the masks its slots hold; the walk that tests only walls is
 compared with the same walk placing every connected subcurve, and
-``count_components`` with the enumeration and the spanning-tree count.
+``count_components`` with the enumeration and the spanning-tree count, at
+every base and at none.
 The walk's shortcuts (runs from the root or its child, leaf-heavy complete
 graphs, a box empty at the root) are compared with the scan of the box
 filtered by ``check``.  Inputs are the small corpora, chorded rings, K5,
@@ -34,9 +35,9 @@ from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
                      perturb_general, subcurve_invariants)
 from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
                             subcurve_sort_key, subcurve_table, walk_layout)
-from jacstab.stability import _box_runs, _nonfree_candidates
+from jacstab.stability import _box_runs, _nonfree_candidates, _walk
 
-from conftest import chorded_ring, random_profile
+from conftest import chorded_ring, multigraphs, random_profile
 
 MODES = ("semistable", "stable", "quasistable")
 
@@ -86,21 +87,24 @@ def connected_oracle(graph):
 
 
 def fraction_oracle(graph, profile, subcurves):
-    """check() from the rational slacks deg_Y - q_Y + k_Y/2 of ``subcurves``."""
-    walls = [(Y, profile.q_of(Y) - Fraction(subcurve_k(graph, Y), 2))
-             for Y in subcurves]
+    """check() from the rational slacks deg_Y - q_Y + k_Y/2 of ``subcurves``.
+    Each wall q_Y - k_Y/2 = num/den is read once per graph, with Y's vertex
+    ids and inner edges, and deg_Y is compared with it as deg_Y * den vs num."""
+    walls = []
+    for Y in subcurves:
+        wall = profile.q_of(Y) - Fraction(subcurve_k(graph, Y), 2)
+        inner = frozenset(e for e, (u, v) in enumerate(graph.edges) if u in Y and v in Y)
+        walls.append((Y, tuple(Y), inner, wall.numerator, wall.denominator))
 
     def verdict(sheaf, base):
-        degrees = sheaf.degree_map
+        degrees, nonfree = sheaf.degree_map, sheaf.nonfree_edges
         equal = []
-        for Y, wall in walls:
-            deg = sum(degrees[v] for v in Y) + sum(
-                1 for e in sheaf.nonfree_edges
-                if graph.edges[e][0] in Y and graph.edges[e][1] in Y)
-            if deg < wall:
+        for Y, vertices, inner, num, den in walls:
+            deg = (sum(map(degrees.__getitem__, vertices)) + len(nonfree & inner)) * den
+            if deg < num:
                 return StabilityVerdict("unstable", None if base is None
                                         else False, tuple(sorted(Y)))
-            if deg == wall:
+            if deg == num:
                 equal.append(Y)
         return StabilityVerdict(
             "strictly_semistable" if equal else "stable",
@@ -304,28 +308,6 @@ def test_nonfree_search_matches_subset_filter(graphs):
     assert got == emitted_order(nonfree_filter(ring))
 
 
-@st.composite
-def multigraphs(draw, max_vertices=5, max_edges=10):
-    """Connected multigraphs with loops and parallel edges, made stable by
-    marking every vertex whose 2g - 2 + valence is below 1."""
-    n = draw(st.integers(1, max_vertices))
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # a spanning tree
-    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                           max_size=max_edges - len(edges)))
-    genera = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    valence = [0] * n
-    for u, v in edges:
-        valence[u] += 1
-        valence[v] += 1
-    markings, label = {}, 0
-    for v in range(n):
-        for _ in range(1 - (2 * genera[v] - 2 + valence[v])):
-            label += 1
-            markings[str(label)] = f"v{v}"
-    return MarkedDualGraph.build([(f"v{v}", g) for v, g in enumerate(genera)],
-                                 [(f"v{u}", f"v{v}") for u, v in edges], markings=markings)
-
-
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(multigraphs())
 def test_nonfree_search_matches_subset_filter_on_multigraphs(graph):
@@ -482,6 +464,9 @@ def test_count_sums_the_quasistable_enumeration(graph, rng):
     count = count_components(graph, profile, base_vertex=base)
     assert count == len(enumerate_sheaves(graph, profile, "quasistable", base_vertex=base))
     assert count == complexity(graph)
+    # no wall is exact on a general profile: every base, and none, counts kappa
+    assert {count_components(graph, profile, base_vertex=other)
+            for other in (None,) + graph.vertex_ids} == {count}
 
 
 def test_walk_matches_box_scan_where_it_cuts_short():
@@ -519,10 +504,11 @@ def test_walk_matches_box_scan_where_it_cuts_short():
     # to 0, not to the total -1: the box is empty at the root
     theta = small[1]
     profile = make_profile(theta, {"v0": Fraction(11, 2), "v1": Fraction(-9, 2)}, 1)
-    walked, runs = [], []
-    for S, _, walk in _box_runs(theta, profile, "stable", None, True):
-        walked.append(S)
-        walk(lambda prefix, lo, hi, S=S: runs.append((S, lo, hi)))
+    runs = []
+    with mock.patch("jacstab.stability._walk", wraps=_walk) as walk:
+        _box_runs(theta, profile, "stable", None, True,
+                  lambda S, total, prefix, lo, hi: runs.append((S, lo, hi)))
+    walked = [call.args[-1].args[0] for call in walk.call_args_list]  # emit's bound S
     assert frozenset({0, 1}) in walked
     assert runs and all(lo <= hi and S != {0, 1} for S, lo, hi in runs)
 

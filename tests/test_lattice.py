@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, PreconditionError, complexity,
                      multidegrees_equivalent)
-from jacstab.lattice import _det_bareiss, laplacian
+from jacstab.lattice import _bareiss, laplacian
 
-from conftest import bridge_g3, dumbbell, theta
+from conftest import bridge_g3, dumbbell, multigraphs, theta
 
 
 def test_complexity_bridge_is_one():
@@ -38,11 +40,11 @@ def test_complexity_complete_graph():
 
 
 def test_det_bareiss_known_values():
-    assert _det_bareiss([]) == 1
-    assert _det_bareiss([[7]]) == 7
-    assert _det_bareiss([[1, 2], [3, 4]]) == -2
-    assert _det_bareiss([[0, 1], [1, 0]]) == -1
-    assert _det_bareiss([[2, 4], [1, 2]]) == 0
+    assert _bareiss([])[0] == 1
+    assert _bareiss([[7]])[0] == 7
+    assert _bareiss([[1, 2], [3, 4]])[0] == -2
+    assert _bareiss([[0, 1], [1, 0]])[0] == -1
+    assert _bareiss([[2, 4], [1, 2]])[0] == 0
 
 
 def test_equivalence_theta_examples():
@@ -115,3 +117,49 @@ def test_class_count_matches_complexity(small_corpora):
             assert len(representatives) == kappa
             seen += 1
     assert seen >= 20
+
+
+def leibniz_det(matrix: list[list[int]]) -> int:
+    """A determinant by the permutation expansion, sharing no code with the
+    elimination."""
+    n = len(matrix)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * math.prod(matrix[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def edge_laplacian(graph) -> list[list[int]]:
+    """The loop-free Laplacian, built edge by edge from the vertex ids."""
+    ids = graph.vertex_ids
+    return [[sum((u == a) != (v == a) for u, v in graph.edges) if a == b
+             else -sum({u, v} == {a, b} for u, v in graph.edges) for b in ids] for a in ids]
+
+
+def cramer_equivalent(graph, d1: list[int], d2: list[int]) -> bool:
+    """The Laplacian with its last row and column dropped solves x = d1 - d2
+    (x last 0) by Cramer's rule: integral iff kappa divides every det_j."""
+    reduced = [row[:-1] for row in edge_laplacian(graph)[:-1]]
+    diff = [a - b for a, b in zip(d1, d2)]
+    kappa = leibniz_det(reduced)
+    return all(leibniz_det([row[:j] + [b] + row[j + 1:] for row, b in zip(reduced, diff)])
+               % kappa == 0 for j in range(len(reduced)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(multigraphs(), st.data())
+def test_equivalence_matches_cramer_oracle(graph, data):
+    # loops, parallel edges and one-vertex graphs; half the pairs differ by
+    # a Laplacian move, the others by a vector of total 0
+    ids, n = graph.vertex_ids, len(graph.vertex_ids)
+    vectors = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    d1, step = data.draw(vectors), data.draw(vectors)
+    moved = data.draw(st.booleans())
+    if moved:
+        d2 = [a + sum(map(int.__mul__, row, step)) for a, row in zip(d1, edge_laplacian(graph))]
+    else:
+        d2 = step[:-1] + [step[-1] + sum(d1) - sum(step)]
+    expected = cramer_equivalent(graph, d1, d2)
+    assert expected or not moved
+    first, second = dict(zip(ids, d1)), dict(zip(ids, d2))
+    assert multidegrees_equivalent(graph, first, second) == expected
+    assert multidegrees_equivalent(graph, second, first) == expected

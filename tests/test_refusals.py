@@ -28,8 +28,9 @@ from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      compile_polarization, count_components,
                      enumerate_sheaves, forget_polarization, generate_corpus,
                      is_general, kp_translate, make_profile,
-                     multidegrees_equivalent, perturb_general, twist,
-                     twist_profile, two_component_graph)
+                     multidegrees_equivalent, perturb_general,
+                     subcurve_invariants, twist, twist_profile,
+                     two_component_graph)
 from jacstab.cli import main
 from jacstab.errors import parse_rational, require_int, require_keys
 from jacstab.io import polarization_document
@@ -110,6 +111,8 @@ CLI_REFUSALS = {
                             '"markings" must map labels to vertex ids'),
     "subcurve-unknown-vertex": (["invariants", "--graph", THETA, "--subcurve", "zz"], 2,
                                 "subcurve references unknown vertices: ['zz']"),
+    "subcurve-repeated-vertex": (["invariants", "--graph", THETA, "--subcurve", "v1,v1"], 2,
+                                 "subcurve vertex v1 repeated"),
     "pol-not-object": (qprofile(THETA, []), 2,
                        "polarization document must be a JSON object"),
     "profile-sum": (qprofile(THETA, {"kind": "profile", "q": {"v1": "1", "v2": "1"},
@@ -322,6 +325,12 @@ LIBRARY_REFUSALS = {
     "boundary-degree-unknown-vertex": (lambda: boundary_degree(
         marked_chain(), ["zz"], CHAIN_LABEL), ValidationError,
         "invalid subcurve for boundary degree"),
+    # a repeated vertex is refused, not dropped
+    "subcurve-repeated-vertex": (lambda: subcurve_invariants(theta(), ["v1", "v1"]),
+                                 ValidationError, "subcurve vertex v1 repeated"),
+    "boundary-degree-repeated-vertex": (lambda: boundary_degree(
+        marked_chain(), ["v1", "v0", "v1"], CHAIN_LABEL), ValidationError,
+        "subcurve vertex v1 repeated"),
     "compile-unsupported": (lambda: compile_polarization(object(), theta()), ValidationError,
                             "unsupported polarization object object"),
     "serialize-unsupported": (lambda: polarization_document(object()), ValidationError,
