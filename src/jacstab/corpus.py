@@ -58,12 +58,15 @@ def _canonical_form(genus, mult, marks) -> tuple:
         for head, *tail in states:
             branched = []  # the vertices of head kept from this state
             for v in head:
-                by_mult = mult[v].__getitem__
-                split = []
+                to_v, row, split = mult[v], [mult[v][v]], []
                 for cell in [[w for w in head if w != v], *tail]:
-                    split += [cell] if len(cell) == 1 else [
-                        list(part) for _, part in itertools.groupby(sorted(cell, key=by_mult), by_mult)]
-                row = [mult[v][v]] + [mult[v][w] for cell in split for w in cell]
+                    last = None  # each cell splits into runs of equal multiplicity to v
+                    for w in sorted(cell, key=to_v.__getitem__) if len(cell) > 1 else cell:
+                        if to_v[w] != last:
+                            split.append([])
+                            last = to_v[w]
+                        split[-1].append(w)
+                        row.append(last)
                 if least is None or row < least:
                     least, kept, branched = row, [], []
                 elif row > least or any(_twins(mult, u, v) for u in branched):
@@ -84,12 +87,12 @@ def _twins(mult, u: int, v: int) -> bool:
 
 def graph_from_key(key: tuple) -> MarkedDualGraph:
     n, genus_t, mark_t, adj = key
+    ids = [f"v{i}" for i in range(n)]
     return MarkedDualGraph(
-        vertices=tuple((f"v{i}", genus_t[i]) for i in range(n)),
-        edges=tuple((f"v{i}", f"v{j}") for (i, j), m in
-                    zip(itertools.combinations_with_replacement(range(n), 2), adj)
+        vertices=tuple(zip(ids, genus_t)),
+        edges=tuple(pair for pair, m in zip(itertools.combinations_with_replacement(ids, 2), adj)
                     for _ in range(m)),
-        markings=tuple((l, f"v{i}") for l, i in mark_t))
+        markings=tuple((l, ids[i]) for l, i in mark_t))
 
 
 def _degenerations(key: tuple, bound: int):

@@ -18,9 +18,12 @@ A graph is put in normal form and checked once, when it is built:
 ``MarkedDualGraph.__post_init__`` puts each edge's ends in vertex order and
 the markings in label order, then runs ``validate``.  So one structure is
 one value however it was reached, every graph object is connected and
-stable, and no function orders or re-checks its input.  Connectivity is
-one bitmask search, ``mask_components``, over the adjacency masks of
-``adjacency_masks``.
+stable, and no function orders or re-checks its input.  ``validate`` is
+one pass over vertices, edges and markings by vertex position; it fills
+none of the cached lookups (``vertex_ids``, ``genus_map``, ``valence_map``,
+``markings_by_vertex``, ``edge_ends``), which stay lazy for their readers.
+Connectivity is one bitmask search, ``mask_components``, over the
+adjacency masks of ``adjacency_masks``.
 
 All values are immutable; every function is pure.
 """
@@ -126,10 +129,7 @@ class MarkedDualGraph:
 
     @cached_property
     def markings_by_vertex(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {v: [] for v in self.vertex_ids}
-        for label, v in self.markings:
-            out.setdefault(v, []).append(label)
-        return {v: tuple(ls) for v, ls in out.items()}
+        return {v: tuple(l for l, w in self.markings if w == v) for v in self.vertex_ids}
 
     @cached_property
     def _forgettings(self) -> dict[str, tuple]:
@@ -139,11 +139,7 @@ class MarkedDualGraph:
     @cached_property
     def valence_map(self) -> dict[str, int]:
         """Valence with loops counted twice."""
-        val = {v: 0 for v in self.vertex_ids}
-        for u, v in self.edges:
-            val[u] = val.get(u, 0) + 1
-            val[v] = val.get(v, 0) + 1
-        return val
+        return {v: sum(e.count(v) for e in self.edges) for v in self.vertex_ids}
 
     @property
     def genus(self) -> int:
@@ -168,33 +164,41 @@ class MarkedDualGraph:
     def validate(self) -> "MarkedDualGraph":
         """Return self iff every invariant holds; report all violations."""
         problems: list[str] = []
-        ids = [v for v, _ in self.vertices]
-        if not ids:
+        index, n = self.vertex_index, len(self.vertices)
+        if not n:
             problems.append("disconnected: graph has no vertices")
-        if len(set(ids)) != len(ids):
+        if len(index) != n:
             problems.append("duplicate vertex ids")
-        known = set(ids)
+        margin, genus = [], len(self.edges) - n + 1  # 2g-2+valence+markings by position
         for v, g in self.vertices:
             if g < 0:
                 problems.append(f"vertex {v} has negative genus {g}")
+            margin.append(2 * g - 2)
+            genus += g
+        ends = []
         for i, (u, v) in enumerate(self.edges):
-            if u not in known or v not in known:
+            if u in index and v in index:
+                ends.append((index[u], index[v]))
+                margin[index[u]] += 1
+                margin[index[v]] += 1
+            else:
                 problems.append(f"edge {i} references unknown vertex")
-        labels = [l for l, _ in self.markings]
-        if len(set(labels)) != len(labels):
+        if len(dict(self.markings)) != len(self.markings):
             problems.append("duplicate marking label")
         for l, v in self.markings:
-            if v not in known:
+            if v in index:
+                margin[index[v]] += 1
+            else:
                 problems.append(f"marking {l} placed on unknown vertex {v}")
-        if self.base_vertex is not None and self.base_vertex not in known:
+        if self.base_vertex is not None and self.base_vertex not in index:
             problems.append(f"base vertex {self.base_vertex} is not a vertex")
-        if ids and not set(u for e in self.edges for u in e) - known and not self.is_connected():
+        if n and len(ends) == len(self.edges) and next(mask_components(
+                adjacency_masks(n, ends), self.vertex_bits), None) != self.vertex_bits:
             problems.append("disconnected graph")
-        if ids and self.genus < 0:
-            problems.append(f"total genus {self.genus} is negative")
+        if n and genus < 0:
+            problems.append(f"total genus {genus} is negative")
         if not problems:
-            for v in self.vertex_ids:
-                m = self.vertex_stability_margin(v)
+            for (v, _), m in zip(self.vertices, margin):
                 if m <= 0:
                     problems.append(
                         f"unstable vertex {v}: 2g-2+valence+markings = {m} <= 0")

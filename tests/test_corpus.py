@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -261,6 +262,7 @@ def test_complete_corpus_m23():
     # is the all-permutations form of its graph, and so that no two agree
     for graph in graphs:
         assert canonical_key(graph) == parent_canonical_form(*index_encoding(graph))
+    assert_keys_build_their_graphs(graphs)
 
 
 def test_key_survives_relabeling(small_corpora):
@@ -278,8 +280,41 @@ def test_key_survives_relabeling(small_corpora):
 def test_corpus_counts_beyond_the_oracles():
     # boundary strata of M_{0,7} (Schroeder's fourth problem, OEIS A000311)
     # and of M_{1,4}; 2g-2+n = 5 vertices reach all of both
-    assert len(generate_corpus(0, [str(i) for i in range(1, 8)], 5)) == 2752
-    assert len(generate_corpus(1, ("1", "2", "3", "4"), 5)) == 163
+    m07, m14 = generate_corpus(0, [str(i) for i in range(1, 8)], 5), \
+        generate_corpus(1, ("1", "2", "3", "4"), 5)
+    assert (len(m07), len(m14)) == (2752, 163)
+    assert_keys_build_their_graphs(m07 + m14)
+
+
+def assert_keys_build_their_graphs(graphs) -> None:
+    """Each graph's key k gives it back, ``canonical_key(graph_from_key(k)) == k``,
+    and construction keeps the edges and markings that ``graph_from_key``
+    passes it, so the normal form changes nothing on corpus output."""
+    passed, normalize = [], MarkedDualGraph.__post_init__
+
+    def recording(graph):
+        passed.append((graph.edges, graph.markings))
+        normalize(graph)
+
+    with mock.patch.object(MarkedDualGraph, "__post_init__", recording):
+        for graph in graphs:
+            key = canonical_key(graph)
+            built = graph_from_key(key)
+            assert built == graph and canonical_key(built) == key
+            assert (built.edges, built.markings) == passed[-1]
+
+
+# the largest vertex bound of every (genus, markings) of this file but
+# M_{2,3}, M_{0,7} and M_{1,4}, which their own tests check
+SPECS = [(0, ("1", "2", "3"), 1), (0, ("1", "2", "3", "4", "5"), 3), (0, SIX, 4),
+         (1, ("1",), 3), (1, ("1", "2"), 3), (1, ("1", "2", "3"), 4), (2, (), 5),
+         (2, ("1",), 3), (2, ("1", "2"), 4), (3, (), 5)]
+
+
+def test_keys_build_their_graphs(small_corpora):
+    assert_keys_build_their_graphs([g for _, _, gs in small_corpora for g in gs])
+    for spec in SPECS:
+        assert_keys_build_their_graphs(generate_corpus(*spec))
 
 
 def star(k: int, marked: bool = False) -> MarkedDualGraph:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, NodeTypeLabel, PreconditionError, SheafType,
                      ValidationError, admissible_labels, are_isomorphic, boundary_degree,
@@ -65,6 +67,99 @@ def test_validate_reports_every_violation():
     assert "duplicate vertex ids" in message
     assert "negative genus" in message
     assert "unknown vertex" in message
+
+
+def parent_validate(self) -> "MarkedDualGraph":
+    """Reference: ``MarkedDualGraph.validate`` before it became one pass,
+    copied verbatim."""
+    problems: list[str] = []
+    ids = [v for v, _ in self.vertices]
+    if not ids:
+        problems.append("disconnected: graph has no vertices")
+    if len(set(ids)) != len(ids):
+        problems.append("duplicate vertex ids")
+    known = set(ids)
+    for v, g in self.vertices:
+        if g < 0:
+            problems.append(f"vertex {v} has negative genus {g}")
+    for i, (u, v) in enumerate(self.edges):
+        if u not in known or v not in known:
+            problems.append(f"edge {i} references unknown vertex")
+    labels = [l for l, _ in self.markings]
+    if len(set(labels)) != len(labels):
+        problems.append("duplicate marking label")
+    for l, v in self.markings:
+        if v not in known:
+            problems.append(f"marking {l} placed on unknown vertex {v}")
+    if self.base_vertex is not None and self.base_vertex not in known:
+        problems.append(f"base vertex {self.base_vertex} is not a vertex")
+    if ids and not set(u for e in self.edges for u in e) - known and not self.is_connected():
+        problems.append("disconnected graph")
+    if ids and self.genus < 0:
+        problems.append(f"total genus {self.genus} is negative")
+    if not problems:
+        for v in self.vertex_ids:
+            m = self.vertex_stability_margin(v)
+            if m <= 0:
+                problems.append(
+                    f"unstable vertex {v}: 2g-2+valence+markings = {m} <= 0")
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return self
+
+
+def refusal(vertices, edges, markings, base_vertex, validate=MarkedDualGraph.validate):
+    """The message with which construction refuses the graph, or None."""
+    with mock.patch.object(MarkedDualGraph, "validate", validate):
+        try:
+            MarkedDualGraph(vertices, edges, markings, base_vertex)
+        except ValidationError as error:
+            return str(error)
+    return None
+
+
+IDS, GENERA = ("a", "b", "c", "d"), (0, 1, 2, 0, 1, 0, 1, -1)
+
+
+def raw_graph(b: bytes) -> tuple:
+    """Fields of a graph on up to four vertices read off 19 bytes, often
+    disconnected or unstable, at times with a duplicate vertex id, a negative
+    genus, a duplicate label, or an edge end, a marking or a base vertex that
+    is not a vertex."""
+    n = b[0] % 5
+    known = IDS[:n] or ("z",)
+    ends = known + ("z",) if b[1] % 4 == 0 else known
+    vertices = [(v, GENERA[g % 8]) for v, g in zip(IDS[:n], b[2:6])]
+    if n and b[6] % 4 == 0:
+        vertices.append((IDS[b[6] // 4 % n], 0))
+    edges = [(ends[x % len(ends)], ends[x // 16 % len(ends)]) for x in b[8:8 + b[7] % 7]]
+    markings = [("123"[x % 3], ends[x // 4 % len(ends)]) for x in b[15:15 + b[14] % 4]]
+    base = None if b[18] % 4 else ends[b[18] // 4 % len(ends)]
+    return tuple(vertices), tuple(edges), tuple(markings), base
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.binary(min_size=19, max_size=19).map(raw_graph))
+def test_one_pass_validate_matches_parent(fields):
+    assert refusal(*fields) == refusal(*fields, validate=parent_validate)
+
+
+@pytest.mark.parametrize("fields,reason", [
+    (((), (), (), None), "disconnected: graph has no vertices"),
+    (((("a", 1), ("a", 0)), (), (), None), "duplicate vertex ids"),
+    (((("a", -1), ("b", 2)), (("a", "b"),), (), None), "vertex a has negative genus -1"),
+    (((("a", 1),), (("a", "z"), ("z", "a")), (), None), "edge 0 references unknown vertex; edge 1"),
+    (((("a", 1),), (), (("1", "a"), ("1", "a")), None), "duplicate marking label"),
+    (((("a", 1),), (), (("2", "z"), ("1", "y")), None), "marking 1 placed on unknown vertex y; marking 2"),
+    (((("a", 1),), (), (), "z"), "base vertex z is not a vertex"),
+    (((("a", 1), ("b", 1)), (), (), None), "disconnected graph"),
+    (((("a", 0), ("b", 0), ("c", 0)), (), (), None), "total genus -2 is negative"),
+    (((("a", 0), ("b", 1)), (("a", "b"),), (), None), "unstable vertex a"),
+    (((("a", 1), ("b", 1)), (("b", "a"),), (("1", "b"),), "a"), None)])
+def test_every_refusal_matches_parent(fields, reason):
+    message = refusal(*fields)
+    assert message == refusal(*fields, validate=parent_validate)
+    assert message is None if reason is None else reason in message
 
 
 # -- subcurve invariants ------------------------------------------------------
