@@ -8,10 +8,11 @@ one is required, a clutching recipe without matching marking coefficients,
 a non-simple sheaf, a degree mismatch).
 
 Every builder and entry point reads caller values through one rule each:
-``require_int`` for integers, ``parse_rational`` for exact rationals and
-``require_keys`` for maps keyed by a fixed set of ids (``require_int_map``
-when the values are integers).  A value they refuse is a
-``ValidationError``; nothing is truncated or dropped.
+``require_int`` for integers, ``require_name`` for vertex ids and marking
+labels, ``parse_rational`` for exact rationals and ``require_keys`` for maps
+keyed by a fixed set of ids (``require_int_map`` when the values are
+integers).  A value they refuse is a ``ValidationError``; nothing is
+truncated, dropped or read as the text of another type.
 """
 
 from fractions import Fraction
@@ -34,6 +35,13 @@ def require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def require_name(value, what: str) -> str:
+    """``value`` as a str if it is a str or an int (a bool is not)."""
+    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ValidationError(f"{what} must be a string or an integer, got {value!r}")
 
 
 def parse_rational(value) -> Fraction:

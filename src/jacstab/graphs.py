@@ -38,7 +38,8 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .errors import PreconditionError, ValidationError, require_int, require_keys
+from .errors import (PreconditionError, ValidationError, require_int, require_keys,
+                     require_name)
 
 
 def label_sort_key(label: str) -> tuple:
@@ -50,8 +51,10 @@ def label_sort_key(label: str) -> tuple:
 
 
 def sorted_labels(marking_labels) -> tuple[str, ...]:
-    """Marking labels as strings in ``label_sort_key`` order, each once."""
-    labels = tuple(sorted(map(str, marking_labels), key=label_sort_key))
+    """Marking labels, each read by ``require_name``, in ``label_sort_key``
+    order, each once."""
+    labels = tuple(sorted((require_name(l, "marking label") for l in marking_labels),
+                          key=label_sort_key))
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate marking labels")
     return labels
@@ -79,12 +82,17 @@ class MarkedDualGraph:
     @classmethod
     def build(cls, vertices, edges, markings=None, base_vertex=None
               ) -> "MarkedDualGraph":
-        """Convenience constructor from plain dicts/lists of pairs."""
+        """Convenience constructor from plain dicts/lists of pairs; every id
+        and label is read by ``require_name``."""
         items = markings.items() if isinstance(markings, dict) else markings or ()
-        return cls(vertices=tuple((str(v), require_int(g, "genus")) for v, g in vertices),
-                   edges=tuple((str(u), str(v)) for u, v in edges),
-                   markings=tuple((str(l), str(v)) for l, v in items),
-                   base_vertex=None if base_vertex is None else str(base_vertex))
+        return cls(
+            vertices=tuple((require_name(v, "vertex id"), require_int(g, "genus"))
+                           for v, g in vertices),
+            edges=tuple((require_name(u, "edge end"), require_name(v, "edge end"))
+                        for u, v in edges),
+            markings=tuple((require_name(l, "marking label"), require_name(v, "marking vertex"))
+                           for l, v in items),
+            base_vertex=None if base_vertex is None else require_name(base_vertex, "base vertex"))
 
     def __post_init__(self) -> None:
         order = self.vertex_index  # an end that is not a vertex is left for validate
@@ -264,10 +272,6 @@ def subcurve_k(graph: MarkedDualGraph, Y: frozenset[str]) -> int:
     return sum(1 for u, v in graph.edges if (u in Y) != (v in Y))
 
 
-def subcurve_w(graph: MarkedDualGraph, Y: frozenset[str]) -> int:
-    return sum(graph.w_of(v) for v in Y)
-
-
 def subcurve_genus(graph: MarkedDualGraph, Y: frozenset[str]) -> int:
     interior = sum(1 for u, v in graph.edges if u in Y and v in Y)
     return sum(graph.genus_map[v] for v in Y) + interior - len(Y) + 1
@@ -280,7 +284,7 @@ def subcurve_invariants(graph: MarkedDualGraph, vertex_set) -> SubcurveInvariant
     comps = mask_components(adjacency, sum(1 << graph.vertex_index[v] for v in Y))
     return SubcurveInvariants(
         k=subcurve_k(graph, Y),
-        w=subcurve_w(graph, Y),
+        w=sum(graph.w_of(v) for v in Y),
         genus=subcurve_genus(graph, Y),
         components=tuple(sorted((mask_vertices(graph.vertex_ids, c) for c in comps),
                                 key=sorted)),
@@ -291,16 +295,11 @@ def subcurve_sort_key(Y) -> tuple:
     return (len(Y), tuple(sorted(Y)))
 
 
-def proper_subcurves(graph: MarkedDualGraph, connected_only: bool = True
-                     ) -> tuple[frozenset[str], ...]:
-    """All proper nonempty vertex subsets, canonically ordered.
-
-    With ``connected_only`` the list is restricted to subsets inducing a
-    connected subgraph, which is enough for every stability question
-    (degrees, weights and cut counts are all additive over components).
+def proper_subcurves(graph: MarkedDualGraph) -> tuple[frozenset[str], ...]:
+    """All proper nonempty vertex subsets, connected or not, canonically
+    ordered: the all-subsets oracle's list.  The connected ones, which are
+    enough for every stability question, are ``subcurve_table(graph).subcurves``.
     """
-    if connected_only:
-        return tuple(sub.vertices for sub in subcurve_table(graph).subcurves)
     ids = graph.vertex_ids
     return tuple(sorted((frozenset(c) for r in range(1, len(ids))
                          for c in itertools.combinations(ids, r)), key=subcurve_sort_key))
@@ -570,6 +569,11 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
 
 
 def _stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
+    """``stabilize_forgetting`` uncached.  Only the vertex v0 carrying the
+    marking can become unstable, and then 2g0 - 2 + valence + its other
+    markings = 0.  It is not the only vertex (the 2g - 2 + n check refuses
+    that), so it has one of two shapes: rational with two edges and no other
+    marking (case a), or with one edge and one other marking (case b)."""
     if marking not in graph.marking_map:
         raise ValidationError(f"marking {marking} not present")
     rest = [(l, v) for l, v in graph.markings if l != marking]
@@ -584,25 +588,20 @@ def _stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
         return graph.replace(markings=tuple(rest)), identity_map, ContractionReport(
             case=None, edge_map=tuple((i, i) for i in range(len(graph.edges))))
 
-    g0 = graph.genus_map[v0]
     incident = tuple(i for i, ends in enumerate(graph.edges) if v0 in ends)
     other_marks = [l for l in graph.markings_by_vertex[v0] if l != marking]
-    if g0 == 0 and graph.valence_map[v0] == 2 and not other_marks:
+    if graph.valence_map[v0] == 2:
         # case (a): fuse the two edge ends into one new edge
         ends = [next(w for w in graph.edges[e] if w != v0) for e in incident]
         target, fused, markings = None, (tuple(ends),), tuple(rest)
         report = dict(case="a", new_edge_index=len(graph.edges) - 2,
                       fused_ends=tuple(zip(incident, ends)))
-    elif g0 == 0 and graph.valence_map[v0] == 1 and len(other_marks) == 1:
+    else:
         # case (b): delete the tail, transfer its marking to the attachment
-        target = next(w for w in graph.edges[incident[0]] if w != v0)
-        fused, transferred = (), other_marks[0]
+        (edge,), (transferred,) = incident, other_marks  # the only other shape
+        target, fused = next(w for w in graph.edges[edge] if w != v0), ()
         markings = tuple((l, target if l == transferred else v) for l, v in rest)
         report = dict(case="b", transferred_marking=transferred)
-    else:
-        raise PreconditionError(
-            f"vertex {v0} became unstable in an unexpected way (genus {g0}, "
-            f"valence {graph.valence_map[v0]}, markings {other_marks})")
 
     # both cases delete v0 and its edges; v0 maps to the new node or the attachment
     survivors = [i for i in range(len(graph.edges)) if i not in incident]

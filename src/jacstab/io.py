@@ -81,22 +81,19 @@ def parse_graph_document(doc: dict) -> MarkedDualGraph:
     for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry or "genus" not in entry:
             raise ValidationError('each vertex needs "id" and "genus"')
-        vs.append((str(entry["id"]), entry["genus"]))
+        vs.append((entry["id"], entry["genus"]))
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ValidationError('"edges" must be an array of id pairs')
-    es = []
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValidationError(f"edge {entry!r} must be a pair of vertex ids")
-        es.append((str(entry[0]), str(entry[1])))
     markings = doc.get("markings", {})
     if not isinstance(markings, dict):
         raise ValidationError('"markings" must map labels to vertex ids')
-    graph = MarkedDualGraph.build(
-        vertices=vs, edges=es,
-        markings={str(l): str(v) for l, v in markings.items()},
-        base_vertex=doc.get("base_vertex"))
+    # the ids and labels go to the builder as JSON gave them: it reads each once
+    graph = MarkedDualGraph.build(vertices=vs, edges=edges, markings=markings,
+                                  base_vertex=doc.get("base_vertex"))
     expected = doc.get("expected_genus")
     if expected is not None and graph.genus != require_int(expected, "expected_genus"):
         raise ValidationError(

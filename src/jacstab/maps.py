@@ -196,31 +196,27 @@ def forget_point(graph: MarkedDualGraph, x: str, sheaf: SheafType
     return new_graph, new_sheaf, report
 
 
-def forget_polarization(pol: ExplicitPolarization, x: str, *,
-                        genus: int | None = None,
-                        marking_labels=None) -> ExplicitPolarization:
-    """Drop the (zero) coefficient of a forgotten marking.
+def forget_polarization(pol: ExplicitPolarization, x: str, *, genus: int,
+                        marking_labels) -> ExplicitPolarization:
+    """Drop the (zero) coefficient of a forgotten marking x of the family of
+    genus ``genus`` with markings ``marking_labels``; x must be one of them.
 
     Contracting the marked component turns every separating node of type
     (b, B + {x}) into one of type (b, B), so a downstairs coefficient pulls
     back to EQUAL coefficients on the pair {(b, B), (b, B + {x})} upstairs.
     Boundary coefficients therefore transport only when they respect that
     pairing; node types that vanish under the contraction (their downstairs
-    partner is inadmissible) must carry coefficient 0.  Needs the (genus,
-    markings) context; x must not be the smallest label, or the canonical
+    partner is inadmissible) must carry coefficient 0.  With boundary
+    coefficients x must not be the smallest label, or the canonical
     orientation of every label would flip.
     """
-    x = str(x)
-    if marking_labels is not None and x not in map(str, marking_labels):
+    x, labels = str(x), sorted_labels(marking_labels)
+    if x not in labels:
         raise ValidationError(f"marking {x} not present")
     if pol.a_map.get(x, Fraction(0)) != 0:
         raise PreconditionError(f"forgetting {x} needs a_{x} = 0, got {pol.a_map[x]}")
     new_alpha: dict[NodeTypeLabel, Fraction] = {}
     if pol.alpha:
-        if genus is None or marking_labels is None:
-            raise PreconditionError(
-                "forgetting with boundary coefficients needs genus and markings")
-        labels = sorted_labels(marking_labels)
         upstairs = admissible_labels(genus, labels)
         values = dict(zip(upstairs, require_keys(
             upstairs, pol.alpha_map, "boundary coefficients", default=Fraction(0))))

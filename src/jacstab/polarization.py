@@ -199,8 +199,8 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
                for c in mask_components(table.adjacency, m)):
             pair = [mask_vertices(ids, m) for m in (mask, full ^ mask)]
             witnesses.append(min(pair, key=subcurve_sort_key))
-    ordered = tuple(sorted(witnesses, key=subcurve_sort_key))
-    return (not ordered, ordered)
+    # an exact wall is integral itself, so the witnesses are never empty here
+    return (False, tuple(sorted(witnesses, key=subcurve_sort_key)))
 
 
 def twist_profile(profile: QProfile, bundle: dict[str, int]) -> QProfile:

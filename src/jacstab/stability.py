@@ -72,7 +72,7 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
     if all_subsets:  # the independent oracle, in rationals
         slacks = ((Y, deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)
                    + Fraction(subcurve_k(graph, Y), 2))
-                  for Y in proper_subcurves(graph, connected_only=False))
+                  for Y in proper_subcurves(graph))
     else:
         slacks = _slack_signs(graph, profile, sheaf)
     first_equality: frozenset[str] | None = None

@@ -109,7 +109,7 @@ def check_forget_degree_law(graph, sheaf, new_graph, new_sheaf, report):
     from jacstab.graphs import proper_subcurves
 
     v0 = report.removed_vertex
-    for Z in proper_subcurves(new_graph, connected_only=False):
+    for Z in proper_subcurves(new_graph):
         out_deg = deg_subcurve(new_graph, new_sheaf, Z)
         if report.case is None:
             assert out_deg == deg_subcurve(graph, sheaf, Z)

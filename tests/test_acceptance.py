@@ -178,7 +178,7 @@ def test_criterion_5_invariance_suite():
                 profile = random_profile(graph, rng)
                 # complement identity over every proper subcurve
                 ids = set(graph.vertex_ids)
-                for Y in proper_subcurves(graph, connected_only=False):
+                for Y in proper_subcurves(graph):
                     assert profile.q_of(Y) + profile.q_of(ids - Y) == profile.d
                 # twist equivariance of the stability sets
                 bundle = {v: rng.randrange(-2, 3) for v in graph.vertex_ids}
@@ -249,7 +249,7 @@ def test_criterion_6_clutching():
                 assert profile_bar.d == profile.d + 1
                 if glued_cache is None:
                     glued_cache = (out, profile_bar)
-                    for Y in proper_subcurves(graph, connected_only=False):
+                    for Y in proper_subcurves(graph):
                         m = (vx in Y) + (vy in Y)
                         assert profile_bar.q_of(Y) == profile.q_of(Y) + Fraction(m, 2)
                         assert subcurve_k(out, Y) == subcurve_k(graph, Y) \
@@ -291,7 +291,7 @@ def test_criterion_6_clutching():
                             assert out.genus == ga.genus + gb.genus
                             vx_id = "1:" + ga.marking_map["x"]
                             vy_id = "2:" + vy
-                            for Y in proper_subcurves(out, connected_only=False):
+                            for Y in proper_subcurves(out):
                                 y1 = frozenset(v[2:] for v in Y if v[0] == "1")
                                 y2 = frozenset(v[2:] for v in Y if v[0] == "2")
                                 expected = Fraction((vx_id in Y) + (vy_id in Y), 2)
@@ -461,7 +461,7 @@ def test_criterion_8_abel_jacobi():
                     assert verdict.status == "stable"
                     profile = compile_polarization(pol, graph)
                     marks_at = graph.markings_by_vertex
-                    for Y in proper_subcurves(graph, connected_only=False):
+                    for Y in proper_subcurves(graph):
                         expected = sum(weights[l] for v in Y
                                        for l in marks_at.get(v, ()))
                         assert profile.q_of(Y) == expected

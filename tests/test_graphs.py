@@ -8,15 +8,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacstab import (MarkedDualGraph, NodeTypeLabel, PreconditionError, SheafType,
-                     ValidationError, admissible_labels, are_isomorphic, boundary_degree,
-                     canonical_key, clutch_irr, clutch_sep, generate_corpus,
+from jacstab import (ContractionReport, MarkedDualGraph, NodeTypeLabel, PreconditionError,
+                     SheafType, ValidationError, admissible_labels, are_isomorphic,
+                     boundary_degree, canonical_key, clutch_irr, clutch_sep, generate_corpus,
                      is_simple, node_type, stabilize_forgetting, subcurve_invariants)
 from jacstab.corpus import graph_from_key
-from jacstab.graphs import designated_side, label_sort_key, proper_subcurves, sorted_labels
+from jacstab.graphs import (_stabilize_forgetting, designated_side, label_sort_key,
+                            proper_subcurves, sorted_labels)
 from jacstab.io import graph_document, parse_graph_document
 
-from conftest import bridge_g3, chain_111, marked_chain, theta
+from conftest import bridge_g3, chain_111, marked_chain, multigraphs, theta
 
 
 # -- validation --------------------------------------------------------------
@@ -193,7 +194,7 @@ def test_subcurve_complement_identities(small_corpora):
         for graph in graphs:
             two_g = 2 * graph.genus - 2
             ids = set(graph.vertex_ids)
-            for Y in proper_subcurves(graph, connected_only=False):
+            for Y in proper_subcurves(graph):
                 a = subcurve_invariants(graph, Y)
                 b = subcurve_invariants(graph, ids - Y)
                 assert a.k == b.k
@@ -389,6 +390,86 @@ def test_stabilize_forgetting_is_memoized_per_graph(small_corpora):
             first[1].update(dict.fromkeys(first[1], "changed by a caller"))
             assert stabilize_forgetting(graph, mark) == expected, (graph, mark)
     assert refused > len(graphs)  # every "absent", and some 2g-2+n <= 0
+
+
+def parent_stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
+    """Reference: ``_stabilize_forgetting`` before it kept only its two
+    contraction shapes, copied verbatim."""
+    if marking not in graph.marking_map:
+        raise ValidationError(f"marking {marking} not present")
+    rest = [(l, v) for l, v in graph.markings if l != marking]
+    if 2 * graph.genus - 2 + len(rest) <= 0:
+        raise PreconditionError(
+            f"forgetting {marking} leaves 2g-2+n = {2 * graph.genus - 2 + len(rest)} <= 0")
+    v0 = graph.marking_map[marking]
+    identity_map: dict[str, str | None] = {v: v for v in graph.vertex_ids}
+
+    margin = graph.vertex_stability_margin(v0) - 1  # without the forgotten marking
+    if margin > 0:
+        return graph.replace(markings=tuple(rest)), identity_map, ContractionReport(
+            case=None, edge_map=tuple((i, i) for i in range(len(graph.edges))))
+
+    g0 = graph.genus_map[v0]
+    incident = tuple(i for i, ends in enumerate(graph.edges) if v0 in ends)
+    other_marks = [l for l in graph.markings_by_vertex[v0] if l != marking]
+    if g0 == 0 and graph.valence_map[v0] == 2 and not other_marks:
+        # case (a): fuse the two edge ends into one new edge
+        ends = [next(w for w in graph.edges[e] if w != v0) for e in incident]
+        target, fused, markings = None, (tuple(ends),), tuple(rest)
+        report = dict(case="a", new_edge_index=len(graph.edges) - 2,
+                      fused_ends=tuple(zip(incident, ends)))
+    elif g0 == 0 and graph.valence_map[v0] == 1 and len(other_marks) == 1:
+        # case (b): delete the tail, transfer its marking to the attachment
+        target = next(w for w in graph.edges[incident[0]] if w != v0)
+        fused, transferred = (), other_marks[0]
+        markings = tuple((l, target if l == transferred else v) for l, v in rest)
+        report = dict(case="b", transferred_marking=transferred)
+    else:
+        raise PreconditionError(
+            f"vertex {v0} became unstable in an unexpected way (genus {g0}, "
+            f"valence {graph.valence_map[v0]}, markings {other_marks})")
+
+    # both cases delete v0 and its edges; v0 maps to the new node or the attachment
+    survivors = [i for i in range(len(graph.edges)) if i not in incident]
+    vmap = {**identity_map, v0: target}
+    new_graph = MarkedDualGraph(
+        vertices=tuple(p for p in graph.vertices if p[0] != v0),
+        edges=tuple(graph.edges[i] for i in survivors) + fused, markings=markings,
+        base_vertex=graph.base_vertex if graph.base_vertex != v0 else target)
+    return new_graph, vmap, ContractionReport(
+        removed_vertex=v0, removed_edges=incident,
+        edge_map=tuple((old, new) for new, old in enumerate(survivors)), **report)
+
+
+def forgettings_match_parent(graph: MarkedDualGraph) -> list:
+    """Assert that the two-shape contraction and the parent's agree on every
+    marking of ``graph`` and on one absent marking: the same (graph, vertex
+    map, report), or the same exception class and message.  Returns the
+    outcomes, each a contraction case or an exception class."""
+    cases = []
+    for mark in graph.marking_labels + ("absent",):
+        outcomes = []
+        for stabilize in (_stabilize_forgetting, parent_stabilize_forgetting):
+            try:
+                outcomes.append(stabilize(graph, mark))
+            except Exception as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1], (graph, mark)
+        cases.append(outcomes[0][2].case if len(outcomes[0]) == 3 else outcomes[0][0])
+    return cases
+
+
+def test_two_shape_forgetting_matches_parent_on_corpora(small_corpora):
+    graphs = [g for _, _, gs in small_corpora for g in gs] \
+        + generate_corpus(1, ("1", "2"), 3) + generate_corpus(0, ("1", "2", "3", "4"), 3)
+    cases = {case for graph in graphs for case in forgettings_match_parent(graph)}
+    assert cases == {None, "a", "b", ValidationError, PreconditionError}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(multigraphs())
+def test_two_shape_forgetting_matches_parent_on_multigraphs(graph):
+    forgettings_match_parent(graph)
 
 
 # -- the normal form -------------------------------------------------------------

@@ -82,7 +82,7 @@ def components(graph, subset: frozenset[str],
 
 
 def connected_oracle(graph):
-    return [Y for Y in proper_subcurves(graph, connected_only=False)
+    return [Y for Y in proper_subcurves(graph)
             if len(components(graph, Y)) == 1]
 
 
@@ -117,7 +117,7 @@ def fraction_oracle(graph, profile, subcurves):
 def general_oracle(graph, profile):
     everything = frozenset(graph.vertex_ids)
     witnesses = set()
-    for Y in proper_subcurves(graph, connected_only=False):
+    for Y in proper_subcurves(graph):
         Yc = everything - Y
         pieces = components(graph, Y) + components(graph, Yc)
         if all((profile.q_of(Z) - Fraction(subcurve_k(graph, Z), 2))
@@ -200,7 +200,7 @@ def test_connectivity_matches_set_search(graphs):
                 == (len(components(graph, everything, S)) == 1), (graph, S)
             assert is_simple(graph, SheafType(S, zero)) \
                 == (len(components(graph, everything, S)) == 1), (graph, S)
-        for Y in proper_subcurves(graph, connected_only=False):
+        for Y in proper_subcurves(graph):
             assert subcurve_invariants(graph, Y).components \
                 == tuple(sorted(components(graph, Y), key=sorted)), (graph, Y)
         for e, (u, v) in enumerate(graph.edges):
@@ -213,7 +213,7 @@ def test_connectivity_matches_set_search(graphs):
 
 def test_connected_subcurves_match_filtered_subsets(graphs):
     for graph in graphs:
-        assert list(proper_subcurves(graph, connected_only=True)) \
+        assert [s.vertices for s in subcurve_table(graph).subcurves] \
             == connected_oracle(graph)
 
 

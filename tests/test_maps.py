@@ -405,12 +405,12 @@ def test_forget_point_matches_case_ladder():
 
 def test_forget_polarization():
     pol = ExplicitPolarization.build(s=1, r=1, a={"1": 1, "2": 1, "x": 0})
-    out = forget_polarization(pol, "x")
+    out = forget_polarization(pol, "x", genus=2, marking_labels=("1", "2", "x"))
     assert out.a_map == {"1": 1, "2": 1}
     assert out.s == 1 and out.r == 1
     with pytest.raises(PreconditionError, match="a_x = 0"):
-        forget_polarization(
-            ExplicitPolarization.build(s=1, r=1, a={"x": 1}), "x")
+        forget_polarization(ExplicitPolarization.build(s=1, r=1, a={"x": 1}), "x",
+                            genus=2, marking_labels=("1", "2", "x"))
 
 
 def test_forget_polarization_with_alpha():
@@ -476,7 +476,7 @@ def test_forget_verdict_transport_instance():
     pol = ExplicitPolarization.build(s=0, r=1, a={"1": 1, "2": 1, "x": 0})
     assert check_star(pol, g, "x")
     prof = compile_polarization(pol, g)
-    pol_bar = forget_polarization(pol, "x")
+    pol_bar = forget_polarization(pol, "x", genus=g.genus, marking_labels=g.marking_labels)
     for degs in [{"v1": 2, "v0": 0, "v2": 1}, {"v1": 1, "v0": 0, "v2": 2},
                  {"v1": 3, "v0": 0, "v2": 0}, {"v1": 2, "v0": 1, "v2": 0}]:
         sheaf = SheafType.build(g, degs)

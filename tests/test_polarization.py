@@ -166,7 +166,8 @@ def test_wall_predicate_is_not_general(small_corpora):
                 d, {l: 1 for l in labels}), graph) for d in (genus - 1, genus)]
             for profile in profiles:
                 on_wall = _on_a_wall(graph, profile)
-                assert on_wall == (not is_general(graph, profile)[0])
+                general_flag, witnesses = is_general(graph, profile)
+                assert on_wall == (not general_flag) == bool(witnesses)
                 walled += on_wall
                 general += not on_wall
     assert walled >= 100 and general >= 100, (walled, general)
@@ -178,6 +179,6 @@ def test_profile_sums_to_degree(small_corpora):
         for graph in graphs:
             prof = random_profile(graph, rng)
             assert sum(prof.q_map.values()) == prof.d
-            for Y in proper_subcurves(graph, connected_only=False):
+            for Y in proper_subcurves(graph):
                 Yc = set(graph.vertex_ids) - Y
                 assert prof.q_of(Y) + prof.q_of(Yc) == prof.d

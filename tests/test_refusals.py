@@ -1,8 +1,9 @@
 """Every refusal, from the CLI and from the library.
 
 Each input rule has one function: ``require_int`` and ``parse_rational``
-for numbers and ``require_keys`` for maps keyed by a fixed set of ids (all
-in ``jacstab.errors``), and ``require_profile`` for a profile paired with
+for numbers, ``require_name`` for vertex ids and marking labels and
+``require_keys`` for maps keyed by a fixed set of ids (all in
+``jacstab.errors``), and ``require_profile`` for a profile paired with
 its graph (in ``jacstab.polarization``).  The tables below run every
 ``raise`` the other tests leave alone.  A CLI case ends with exit 2 or 3,
 one ``error:`` or ``precondition failed:`` line and empty stdout; a library
@@ -168,6 +169,23 @@ CLI_REFUSALS = {
                             'node type entries need "b" and "B"'),
     "phi-B-not-array": (["kp-translate", "--phi", phi_doc([{"b": 0, "B": "12"}])], 2,
                         '"B" must be an array of marking labels'),
+    # a vertex id or a marking label is a string or an integer, nothing else
+    "vertex-id-null": (["validate", "--graph", {"vertices": [
+        {"id": None, "genus": 1}, {"id": True, "genus": 1}, {"id": ["a"], "genus": 1}],
+        "edges": [[None, True], [True, ["a"]]], "markings": {"1": ["a"]}}], 2,
+        "vertex id must be a string or an integer, got None"),
+    "vertex-id-bool": (["validate", "--graph", {"vertices": [{"id": True, "genus": 2}]}], 2,
+                       "vertex id must be a string or an integer, got True"),
+    "edge-end-list": (["validate", "--graph", graph_doc(edges=[["a", ["a"]]])], 2,
+                      "edge end must be a string or an integer, got ['a']"),
+    "marking-vertex-null": (["validate", "--graph", graph_doc(markings={"1": None})], 2,
+                            "marking vertex must be a string or an integer, got None"),
+    "base-vertex-bool": (["validate", "--graph", graph_doc(base_vertex=False)], 2,
+                         "base vertex must be a string or an integer, got False"),
+    "phi-marking-null": (["kp-translate", "--phi", phi_doc([], markings=(None, "1"))], 2,
+                         "marking label must be a string or an integer, got None"),
+    "phi-B-null": (["kp-translate", "--phi", phi_doc([{"b": 0, "B": [None], "value": "0"}])],
+                   2, "marking label must be a string or an integer, got None"),
     "phi-inadmissible-entry": (
         ["kp-translate", "--phi", phi_doc([{"b": 0, "B": ["1", "2"], "value": "0"},
                                            {"b": 1, "B": ["1"], "value": "0"}])], 2,
@@ -257,6 +275,29 @@ LIBRARY_REFUSALS = {
         "multidegree at v1 must be an integer, got 1.5"),
     "require-int-string": (lambda: require_int("3", "n"), ValidationError,
                            "n must be an integer, got '3'"),
+    # names
+    "graph-vertex-id-none": (lambda: MarkedDualGraph.build([(None, 1)], []), ValidationError,
+                             "vertex id must be a string or an integer, got None"),
+    "graph-edge-end-bool": (lambda: MarkedDualGraph.build([("a", 1)], [("a", True)]),
+                            ValidationError, "edge end must be a string or an integer, got True"),
+    "graph-marking-label-none": (lambda: MarkedDualGraph.build([("a", 1)], [], {None: "a"}),
+                                 ValidationError,
+                                 "marking label must be a string or an integer, got None"),
+    "graph-marking-vertex-tuple": (lambda: MarkedDualGraph.build([("a", 1)], [], {"1": ("a",)}),
+                                   ValidationError,
+                                   "marking vertex must be a string or an integer, got ('a',)"),
+    "graph-base-vertex-float": (lambda: MarkedDualGraph.build([("a", 1)], [], base_vertex=1.0),
+                                ValidationError,
+                                "base vertex must be a string or an integer, got 1.0"),
+    "label-marking-bool": (lambda: NodeTypeLabel.of(0, ["1", True]), ValidationError,
+                           "marking label must be a string or an integer, got True"),
+    "admissible-marking-none": (lambda: admissible_labels(1, [None, "1"]), ValidationError,
+                                "marking label must be a string or an integer, got None"),
+    "corpus-marking-none": (lambda: generate_corpus(1, ["1", None], 2), ValidationError,
+                            "marking label must be a string or an integer, got None"),
+    "forget-marking-label-none": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1), "x", genus=1, marking_labels=["x", None]),
+        ValidationError, "marking label must be a string or an integer, got None"),
     # genus and vertex bounds
     "corpus-genus-bool": (lambda: generate_corpus(True, ["1"], 2), ValidationError,
                           "genus must be an integer, got True"),
@@ -340,9 +381,6 @@ LIBRARY_REFUSALS = {
         "sheaf degrees must cover the graph vertices in order"),
     "enumerate-unknown-mode": (lambda: enumerate_sheaves(theta(), theta_profile(), "fine"),
                                ValidationError, "unknown mode 'fine'"),
-    "forget-alpha-without-context": (lambda: forget_polarization(CHAIN_ALPHA, "x"),
-                                     PreconditionError, "forgetting with boundary "
-                                     "coefficients needs genus and markings"),
     "forget-alpha-without-markings": (lambda: forget_polarization(
         CHAIN_ALPHA, "x", genus=2, marking_labels=[]), ValidationError,
         "marking x not present"),
@@ -371,6 +409,14 @@ def test_rationals_keep_their_value():
     assert ExplicitPolarization.build(s=Fraction(1, 2), r=1, a={"1": 2}) \
         == ExplicitPolarization.build(s="1/2", r="1", a={"1": "2"})
     assert twist_profile(theta_profile(), {}).q == theta_profile().q
+
+
+def test_names_keep_their_text():
+    # an integer id or label is read as its decimal text, the same graph as the text
+    assert MarkedDualGraph.build([(1, 1), ("2", 0)], [(1, 2), (2, "2")], {3: 2}, base_vertex=1) \
+        == MarkedDualGraph.build([("1", 1), ("2", 0)], [("1", "2"), ("2", "2")], {"3": "2"},
+                                 base_vertex="1")
+    assert admissible_labels(1, [2, "1"]) == admissible_labels(1, ["2", "1"])
 
 
 # -- the one label rule ----------------------------------------------------------

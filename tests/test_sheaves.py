@@ -100,7 +100,7 @@ def test_degree_identities(small_corpora):
                 S = rng.choice(subsets) if subsets else ()
                 sheaf = SheafType.build(
                     graph, {v: rng.randrange(-3, 4) for v in graph.vertex_ids}, S)
-                for Y in proper_subcurves(graph, connected_only=False):
+                for Y in proper_subcurves(graph):
                     Yc = set(graph.vertex_ids) - Y
                     crossing = sum(
                         1 for e in sheaf.nonfree_edges

@@ -165,7 +165,7 @@ def test_equality_complement_symmetry(small_corpora):
         for graph in graphs[:5]:
             prof = random_profile(graph, rng)
             for sheaf in enumerate_sheaves(graph, prof, "semistable")[:6]:
-                for Y in proper_subcurves(graph, connected_only=False):
+                for Y in proper_subcurves(graph):
                     Yc = set(graph.vertex_ids) - Y
                     k = subcurve_k(graph, Y)
                     slack = deg_subcurve(graph, sheaf, Y) - prof.q_of(Y) + F(k, 2)
