@@ -2,16 +2,16 @@
 
 Generates every stable graph of fixed genus and marking set with a bounded
 number of vertices, up to decorated isomorphism, by one-node degenerations
-(Maggiolo-Pagani, "Generating stable modular graphs"): starting from the
-one-vertex graph of genus g with every marking, either add a loop at a
-vertex of positive genus or split a vertex into two stable halves joined by
-a new edge.  Contracting any edge of a stable graph leaves it stable and
-never adds a vertex, so every graph is reached, one edge per level, through
-graphs with no more vertices than it has.  Each level is deduplicated by
-the one canonical form, ``canonical_key``: the least (genus vector, marking
-placement, adjacency upper triangle) over the vertex orders that list the
-genera in increasing order, found by an ordered individualise-and-refine
-search that branches only on ties."""
+(Maggiolo-Pagani, "Generating stable modular graphs") of the one-vertex graph
+of genus g with every marking: a loop at a vertex of positive genus, or a
+vertex split into two stable halves joined by a new edge, kept when the new
+edge ranks first in the child (``_ends``).  Contracting an edge of highest rank
+leaves a stable graph with no more vertices, and undoing it is a kept
+degeneration, so every graph is reached (McKay's canonical augmentation).  Rank
+ties are left to the deduplication of each level by the one canonical form,
+``canonical_key``: the least (genus vector, marking placement, adjacency upper
+triangle) over the vertex orders that list the genera in increasing order,
+found by an ordered individualise-and-refine search that branches only on ties."""
 
 from __future__ import annotations
 
@@ -95,44 +95,58 @@ def graph_from_key(key: tuple) -> MarkedDualGraph:
         markings=tuple((l, ids[i]) for l, i in mark_t))
 
 
+def _ends(genus, mult, marks) -> list[tuple]:
+    """Vertex invariants (genus, valence with loops counted twice, loops, indices of markings in
+    label order); an edge ranks by (is a loop, its ends' sorted invariants, multiplicity)."""
+    return [(g, sum(row) + row[u], row[u], tuple(i for i, (_, w) in enumerate(marks) if w == u))
+            for u, (g, row) in enumerate(zip(genus, mult))]
+
+
 def _degenerations(key: tuple, bound: int):
-    """Encodings (genera, multiplicity rows, marks), as tuples, of the graphs one
-    node more degenerate than ``graph_from_key(key)``, with at most ``bound`` vertices."""
+    """Encodings (genera, multiplicity rows, marks) of the graphs one node more
+    degenerate than ``graph_from_key(key)``, with at most ``bound`` vertices,
+    whose new edge ranks first among their edges (``_ends``)."""
     n, genus, marks, adj = key
     mult = [[0] * n for _ in range(n)]
     for (i, j), m in zip(itertools.combinations_with_replacement(range(n), 2), adj):
         mult[i][j] = mult[j][i] = m
-    for v in range(n):
-        if genus[v]:
-            looped = [row.copy() for row in mult]
-            looped[v][v] += 1
-            yield genus[:v] + (genus[v] - 1,) + genus[v + 1:], tuple(map(tuple, looped)), marks
-    if n == bound:
+    ends, looped = _ends(genus, mult, marks), [v for v in range(n) if mult[v][v]]
+    for v, (g, valence, loops, mine) in enumerate(ends):
+        # loops outrank the other edges, and only the end at v changes
+        if g and all(ends[u] <= (g - 1, valence + 2, loops + 1, mine) for u in looped if u != v):
+            child = [row.copy() for row in mult]
+            child[v][v] += 1
+            yield genus[:v] + (g - 1,) + genus[v + 1:], child, marks
+    # a loop left by a split would outrank its new edge: a split is tried only
+    # at the one vertex with loops, if any, and all of them join the two halves
+    if n == bound or len(looped) > 1:
         return
-    labels = [l for l, _ in marks]
-    for v in range(n):
-        # the new vertex n takes a share of v's genus, markings, edges to each
-        # neighbour and loops; a loop kept by neither half joins the two
+    for v in looped or range(n):
+        # the new vertex n takes a share of v's genus, markings and edges to each neighbour
         links = [u for u in range(n) if u != v and mult[v][u]]
-        loops, degree = mult[v][v], sum(mult[v][u] for u in links)
-        for gw, places, shares, (stay, move) in itertools.product(
-                range(genus[v] + 1),
-                itertools.product(*((v, n) if u == v else (u,) for _, u in marks)),
-                itertools.product(*(range(mult[v][u] + 1) for u in links)),
-                [(a, b) for a in range(loops + 1) for b in range(loops + 1 - a)]):
-            join = 1 + loops - stay - move
-            # each half is stable: 2 * genus + valence + markings > 2
-            if min(2 * (genus[v] - gw + stay) + degree - sum(shares) + places.count(v),
-                   2 * (gw + move) + sum(shares) + places.count(n)) + join <= 2:
-                continue
-            split = [row + [0] for row in mult] + [[0] * (n + 1)]
-            for u, s in zip(links, shares):
-                split[v][u] = split[u][v] = mult[v][u] - s
-                split[n][u] = split[u][n] = s
-            split[v][v], split[n][n] = stay, move
-            split[v][n] = split[n][v] = join
-            yield (genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,),
-                   tuple(map(tuple, split)), tuple(zip(labels, places)))
+        join, degree = 1 + mult[v][v], sum(mult[v][u] for u in links)
+        untouched = max(((sorted((ends[a], ends[b])), mult[a][b]) for a in range(n)
+                         for b in range(a + 1, n) if v not in (a, b) and mult[a][b]), default=())
+        for places in itertools.product(*((v, n) if u == v else (u,) for _, u in marks)):
+            at_v, at_n = (tuple(i for i, p in enumerate(places) if p == w) for w in (v, n))
+            for gw, shares in itertools.product(range(genus[v] + 1), itertools.product(
+                    *(range(mult[v][u] + 1) for u in links))):
+                ev = (genus[v] - gw, degree - sum(shares) + join, 0, at_v)
+                en = (gw, sum(shares) + join, 0, at_n)
+                new = ([en, ev], join)
+                # one of a split and its swap; stable halves; no edge outranks the new one
+                if ev < en or min(2 * e[0] + e[1] + len(e[3]) for e in (ev, en)) <= 2 \
+                        or untouched > new or any(
+                            (sorted((e, ends[u])), m) > new for u, s in zip(links, shares)
+                            for e, m in ((ev, mult[v][u] - s), (en, s)) if m):
+                    continue
+                split = [row + [0] for row in mult] + [[0] * (n + 1)]
+                for u, s in zip(links, shares):
+                    split[v][u] = split[u][v] = mult[v][u] - s
+                    split[n][u] = split[u][n] = s
+                split[v][v], split[v][n], split[n][v] = 0, join, join
+                yield (genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,), split,
+                       tuple((l, p) for (l, _), p in zip(marks, places)))
 
 
 def generate_corpus(genus: int, marking_labels, max_vertices: int
@@ -148,12 +162,11 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
     if require_int(max_vertices, "max_vertices") < 1:
         raise ValidationError("max_vertices must be at least 1")
 
-    # one edge more per level, so keys never repeat across levels; encodings do within one
+    # one edge more per level, so keys never repeat across levels; they may within one
     keys, level = [], {_canonical_form([genus], [[0]], [(l, 0) for l in labels])}
     while level:
         keys += level
-        level = {_canonical_form(*encoding) for encoding in
-                 {encoding for key in level for encoding in _degenerations(key, max_vertices)}}
+        level = {_canonical_form(*e) for key in level for e in _degenerations(key, max_vertices)}
     return [graph_from_key(key) for key in sorted(keys)]
 
 

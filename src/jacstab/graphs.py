@@ -248,7 +248,7 @@ class NodeTypeLabel:
 
 
 def _vertex_ids(vertex_set) -> frozenset[str]:
-    ids = [str(v) for v in vertex_set]  # a repeated id is refused, not dropped
+    ids = [require_name(v, "vertex id") for v in vertex_set]  # a repeated id is refused
     for i, v in enumerate(ids):
         if v in ids[:i]:
             raise ValidationError(f"subcurve vertex {v} repeated")
@@ -561,7 +561,7 @@ def stabilize_forgetting(graph: MarkedDualGraph, marking: str
     attachment vertex in case (b)), and a contraction report.  The result
     is memoized per graph object; each call gets its own vertex map.
     """
-    marking = str(marking)
+    marking = require_name(marking, "marking label")
     if marking not in graph._forgettings:  # a refused call raises every time
         graph._forgettings[marking] = _stabilize_forgetting(graph, marking)
     new_graph, vmap, report = graph._forgettings[marking]

@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (PreconditionError, ValidationError, parse_rational,
-                     require_int_map, require_keys)
-from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel,
-                     admissible_labels, sorted_labels, stabilize_forgetting)
+                     require_int_map, require_keys, require_name)
+from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel, admissible_labels,
+                     require_genus, sorted_labels, stabilize_forgetting)
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            compile_polarization)
 from .sheaves import SheafType, require_simple, twist
@@ -43,7 +43,7 @@ def clutch_irr(graph: MarkedDualGraph, x: str, y: str, sheaf: SheafType
                ) -> tuple[MarkedDualGraph, SheafType]:
     """Glue markings x and y of one graph into a new non-free node."""
     require_simple(graph, sheaf)
-    x, y = str(x), str(y)
+    x, y = require_name(x, "marking label"), require_name(y, "marking label")
     for mark in (x, y):
         if mark not in graph.marking_map:
             raise ValidationError(f"marking {mark} not present")
@@ -64,6 +64,7 @@ def _unglued(*glued: tuple[ExplicitPolarization, tuple[str, ...]]
     Transport needs alpha = 0 (node types mutate under gluing), one s and r
     for all recipes, and a = s at every glued marking.
     """
+    glued = [(pol, [require_name(m, "marking label") for m in marks]) for pol, marks in glued]
     if any(pol.alpha for pol, _ in glued):
         raise PreconditionError(
             "clutching transport requires alpha = 0 (node types mutate)")
@@ -81,7 +82,7 @@ def _unglued(*glued: tuple[ExplicitPolarization, tuple[str, ...]]
 def clutch_irr_polarization(pol: ExplicitPolarization, x: str, y: str
                             ) -> ExplicitPolarization:
     """Transport a recipe through one-graph clutching: drop a_x and a_y."""
-    (rest,) = _unglued((pol, (str(x), str(y))))
+    (rest,) = _unglued((pol, (x, y)))
     return ExplicitPolarization.build(s=pol.s, r=pol.r, a=rest)
 
 
@@ -96,7 +97,7 @@ def clutch_sep(graph1: MarkedDualGraph, x: str, sheaf1: SheafType,
     """
     require_simple(graph1, sheaf1)
     require_simple(graph2, sheaf2)
-    x, y = str(x), str(y)
+    x, y = require_name(x, "marking label"), require_name(y, "marking label")
     if x not in graph1.marking_map:
         raise ValidationError(f"marking {x} not present in the first graph")
     if y not in graph2.marking_map:
@@ -127,7 +128,7 @@ def clutch_sep_polarization(pol1: ExplicitPolarization, x: str,
                             pol2: ExplicitPolarization, y: str
                             ) -> ExplicitPolarization:
     """Merge two recipes through two-graph clutching: drop a_x and a_y."""
-    rest1, rest2 = _unglued((pol1, (str(x),)), (pol2, (str(y),)))
+    rest1, rest2 = _unglued((pol1, (x,)), (pol2, (y,)))
     for l in rest2:
         if l in rest1:
             raise PreconditionError(f"marking coefficient {l} defined twice")
@@ -143,7 +144,7 @@ def check_star(pol, graph: MarkedDualGraph, x: str) -> bool:
     Vacuously true when forgetting x contracts nothing.  Otherwise requires
     a_x = 0 and compiled weight exactly 0 on the vertex to be contracted.
     """
-    x = str(x)
+    x = require_name(x, "marking label")
     _, _, report = stabilize_forgetting(graph, x)
     if report.case is None:
         return True
@@ -164,7 +165,7 @@ def forget_point(graph: MarkedDualGraph, x: str, sheaf: SheafType
     the equality subcurves meeting the contracted vertex).
     """
     require_simple(graph, sheaf)
-    new_graph, _, report = stabilize_forgetting(graph, str(x))
+    new_graph, _, report = stabilize_forgetting(graph, x)
     if report.case is None:
         return new_graph, SheafType(nonfree_edges=sheaf.nonfree_edges,
                                     degrees=sheaf.degrees), report
@@ -210,7 +211,8 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *, genus: int,
     coefficients x must not be the smallest label, or the canonical
     orientation of every label would flip.
     """
-    x, labels = str(x), sorted_labels(marking_labels)
+    x, labels = require_name(x, "marking label"), sorted_labels(marking_labels)
+    genus = require_genus(genus)
     if x not in labels:
         raise ValidationError(f"marking {x} not present")
     if pol.a_map.get(x, Fraction(0)) != 0:

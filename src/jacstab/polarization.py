@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (PreconditionError, ValidationError, parse_rational,
-                     require_int, require_int_map, require_keys)
+                     require_int, require_int_map, require_keys, require_name)
 from .graphs import (MarkedDualGraph, NodeTypeLabel, admissible_labels,
                      label_sort_key, mask_components, mask_vertices,
                      separating_ends, subcurve_sort_key, subcurve_table)
@@ -105,7 +105,7 @@ class QProfile:
         return dict(self.q)
 
     def q_of(self, vertex_set) -> Fraction:
-        Y = frozenset(str(v) for v in vertex_set)
+        Y = frozenset(require_name(v, "vertex id") for v in vertex_set)
         return sum((f for v, f in self.q if v in Y), Fraction(0))
 
     @cached_property

@@ -5,13 +5,14 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, ValidationError, are_isomorphic,
                      canonical_key, generate_corpus)
-from jacstab.corpus import graph_from_key
+from jacstab.corpus import _canonical_form, _degenerations, _ends, graph_from_key
 from jacstab.graphs import adjacency_masks, label_sort_key, mask_components
 
-from conftest import dumbbell, theta
+from conftest import dumbbell, multigraphs, theta
 
 
 def brute_force_isomorphic(g1: MarkedDualGraph, g2: MarkedDualGraph) -> bool:
@@ -158,10 +159,11 @@ def test_corpus_matches_brute_force_classes(genus, labels):
 
 
 def test_corpus_literature_counts():
-    # boundary strata of M_{0,5}, M_{1,2} and M_3
+    # boundary strata of M_{0,5}, M_{1,2}, M_3 and M_4
     assert len(generate_corpus(0, ["1", "2", "3", "4", "5"], 3)) == 26
     assert len(generate_corpus(1, ["1", "2"], 2)) == 5
     assert len(generate_corpus(3, [], 4)) == 42
+    assert len(generate_corpus(4, [], 6)) == 379
 
 
 def test_corpus_vertex_bound_is_2g_minus_2_plus_n():
@@ -263,6 +265,7 @@ def test_complete_corpus_m23():
     for graph in graphs:
         assert canonical_key(graph) == parent_canonical_form(*index_encoding(graph))
     assert_keys_build_their_graphs(graphs)
+    assert graphs == level_oracle(2, ("1", "2", "3"), 5)
 
 
 def test_key_survives_relabeling(small_corpora):
@@ -284,6 +287,8 @@ def test_corpus_counts_beyond_the_oracles():
         generate_corpus(1, ("1", "2", "3", "4"), 5)
     assert (len(m07), len(m14)) == (2752, 163)
     assert_keys_build_their_graphs(m07 + m14)
+    assert m07 == level_oracle(0, [str(i) for i in range(1, 8)], 5)
+    assert m14 == level_oracle(1, ("1", "2", "3", "4"), 5)
 
 
 def assert_keys_build_their_graphs(graphs) -> None:
@@ -309,6 +314,126 @@ def assert_keys_build_their_graphs(graphs) -> None:
 SPECS = [(0, ("1", "2", "3"), 1), (0, ("1", "2", "3", "4", "5"), 3), (0, SIX, 4),
          (1, ("1",), 3), (1, ("1", "2"), 3), (1, ("1", "2", "3"), 4), (2, (), 5),
          (2, ("1",), 3), (2, ("1", "2"), 4), (3, (), 5)]
+
+
+def parent_degenerations(key: tuple, bound: int):
+    """Reference: every degeneration, before the rank rule, copied verbatim."""
+    n, genus, marks, adj = key
+    mult = [[0] * n for _ in range(n)]
+    for (i, j), m in zip(itertools.combinations_with_replacement(range(n), 2), adj):
+        mult[i][j] = mult[j][i] = m
+    for v in range(n):
+        if genus[v]:
+            looped = [row.copy() for row in mult]
+            looped[v][v] += 1
+            yield genus[:v] + (genus[v] - 1,) + genus[v + 1:], tuple(map(tuple, looped)), marks
+    if n == bound:
+        return
+    labels = [l for l, _ in marks]
+    for v in range(n):
+        # the new vertex n takes a share of v's genus, markings, edges to each
+        # neighbour and loops; a loop kept by neither half joins the two
+        links = [u for u in range(n) if u != v and mult[v][u]]
+        loops, degree = mult[v][v], sum(mult[v][u] for u in links)
+        for gw, places, shares, (stay, move) in itertools.product(
+                range(genus[v] + 1),
+                itertools.product(*((v, n) if u == v else (u,) for _, u in marks)),
+                itertools.product(*(range(mult[v][u] + 1) for u in links)),
+                [(a, b) for a in range(loops + 1) for b in range(loops + 1 - a)]):
+            join = 1 + loops - stay - move
+            # each half is stable: 2 * genus + valence + markings > 2
+            if min(2 * (genus[v] - gw + stay) + degree - sum(shares) + places.count(v),
+                   2 * (gw + move) + sum(shares) + places.count(n)) + join <= 2:
+                continue
+            split = [row + [0] for row in mult] + [[0] * (n + 1)]
+            for u, s in zip(links, shares):
+                split[v][u] = split[u][v] = mult[v][u] - s
+                split[n][u] = split[u][n] = s
+            split[v][v], split[n][n] = stay, move
+            split[v][n] = split[n][v] = join
+            yield (genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,),
+                   tuple(map(tuple, split)), tuple(zip(labels, places)))
+
+
+def level_oracle(genus, marking_labels, max_vertices) -> list[MarkedDualGraph]:
+    """Reference: the level loop that put every distinct degeneration in
+    canonical form, as it stood before the rank rule, after the input checks."""
+    labels = tuple(sorted(marking_labels, key=label_sort_key))
+    keys, level = [], {_canonical_form([genus], [[0]], [(l, 0) for l in labels])}
+    while level:
+        keys += level
+        level = {_canonical_form(*encoding) for encoding in
+                 {encoding for key in level
+                  for encoding in parent_degenerations(key, max_vertices)}}
+    return [graph_from_key(key) for key in sorted(keys)]
+
+
+# SPECS and M_4; M_{2,3}, M_{0,7} and M_{1,4} in their own tests
+@pytest.mark.parametrize("spec", SPECS + [(4, (), 6)])
+def test_corpus_equals_level_oracle(spec):
+    """Keeping a degeneration only when its new edge ranks first loses no graph."""
+    assert generate_corpus(*spec) == level_oracle(*spec)
+
+
+def encoding(graph: MarkedDualGraph) -> tuple:
+    """Vertex genera, edge multiplicity rows and (label, vertex index) marks:
+    the input of ``_canonical_form`` and ``_ends``."""
+    index, n = graph.vertex_index, len(graph.vertices)
+    mult = [[0] * n for _ in range(n)]
+    for u, v in graph.edges:
+        mult[index[u]][index[v]] += 1
+        if u != v:
+            mult[index[v]][index[u]] += 1
+    return [g for _, g in graph.vertices], mult, [(l, index[v]) for l, v in graph.markings]
+
+
+def edge_ranks(genus, mult, marks) -> dict:
+    """{(u, w): rank} over the vertex pairs u <= w joined by an edge."""
+    ends = _ends(genus, mult, marks)
+    return {(u, w): (u == w, sorted((ends[u], ends[w])), mult[u][w])
+            for u in range(len(genus)) for w in range(u, len(genus)) if mult[u][w]}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(multigraphs(), st.randoms(use_true_random=False))
+def test_edge_ranks_survive_relabeling(graph, rng):
+    """The rank rule rests on this: isomorphic graphs have the same edge ranks."""
+    assert sorted(edge_ranks(*encoding(relabeled(graph, rng))).values()) \
+        == sorted(edge_ranks(*encoding(graph)).values())
+
+
+def contracted(genus, mult, marks, a: int, b: int) -> tuple:
+    """The canonical form of the encoding with one edge joining a <= b contracted."""
+    n = len(genus)
+    keep = [u for u in range(n) if u != b or a == b]
+    where = [keep.index(a if u == b else u) for u in range(n)]
+    new = [[0] * len(keep) for _ in keep]
+    for u in range(n):
+        for w in range(u, n):
+            x, y = where[u], where[w]
+            new[x][y] += mult[u][w]
+            if x != y:
+                new[y][x] += mult[u][w]
+    new[where[a]][where[a]] -= 1
+    merged = [genus[u] for u in keep]
+    merged[where[a]] += 1 if a == b else genus[b]
+    return _canonical_form(merged, new, [(l, where[w]) for l, w in marks])
+
+
+def test_kept_degenerations_have_a_top_edge_that_undoes_them():
+    """From each parent, the kept children are, up to isomorphism, the
+    degenerations with an edge of highest rank whose contraction gives the
+    parent back: the in-place rank comparisons agree with ``edge_ranks``."""
+    for genus, labels, bound in SPECS:
+        for graph in generate_corpus(genus, labels, bound):
+            key = canonical_key(graph)
+            want = set()
+            for child in parent_degenerations(key, bound):
+                ranks = edge_ranks(*child)
+                top = max(ranks.values())
+                if any(contracted(*child, *pair) == key for pair, r in ranks.items() if r == top):
+                    want.add(_canonical_form(*child))
+            assert {_canonical_form(*child) for child in _degenerations(key, bound)} == want
 
 
 def test_keys_build_their_graphs(small_corpora):

@@ -25,13 +25,15 @@ from hypothesis import given, settings, strategies as st
 from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      MarkedDualGraph, NodeTypeLabel, PreconditionError,
                      SheafType, ValidationError, abel_jacobi,
-                     admissible_labels, boundary_degree, check,
-                     compile_polarization, count_components,
-                     enumerate_sheaves, forget_polarization, generate_corpus,
-                     is_general, kp_translate, make_profile,
+                     admissible_labels, boundary_degree, check, check_star,
+                     clutch_irr, clutch_irr_polarization,
+                     clutch_sep_polarization, compile_polarization,
+                     count_components, enumerate_sheaves, forget_point,
+                     forget_polarization, generate_corpus, is_general,
+                     kp_translate, make_profile, maps,
                      multidegrees_equivalent, perturb_general,
-                     subcurve_invariants, twist, twist_profile,
-                     two_component_graph)
+                     stabilize_forgetting, subcurve_invariants, twist,
+                     twist_profile, two_component_graph)
 from jacstab.cli import main
 from jacstab.errors import parse_rational, require_int, require_keys
 from jacstab.io import polarization_document
@@ -229,6 +231,17 @@ def theta_profile():
     return compile_polarization(CanonicalPolarization.build(2), theta())
 
 
+def named() -> MarkedDualGraph:
+    """A vertex "None" and a marking "True": what ``str(None)`` and
+    ``str(True)`` would name."""
+    return MarkedDualGraph.build([("None", 1), ("a", 1)], [("None", "a")],
+                                 markings={"True": "a", "1": "None"})
+
+
+def named_sheaf():
+    return SheafType.build(named(), {"None": 0, "a": 0})
+
+
 CHAIN_LABEL = admissible_labels(2, ["1", "2", "x"])[0]
 CHAIN_ALPHA = ExplicitPolarization.build(s=0, r=1, alpha={CHAIN_LABEL: 1})
 
@@ -298,6 +311,42 @@ LIBRARY_REFUSALS = {
     "forget-marking-label-none": (lambda: forget_polarization(
         ExplicitPolarization.build(s=0, r=1), "x", genus=1, marking_labels=["x", None]),
         ValidationError, "marking label must be a string or an integer, got None"),
+    # a name argument that looks something up follows the same rule
+    "subcurve-vertex-none": (lambda: subcurve_invariants(named(), [None]), ValidationError,
+                             "vertex id must be a string or an integer, got None"),
+    "q-of-vertex-none": (lambda: make_profile(named(), {"None": 1, "a": 0}, 1).q_of([None]),
+                         ValidationError, "vertex id must be a string or an integer, got None"),
+    "stabilize-marking-bool": (lambda: stabilize_forgetting(named(), True), ValidationError,
+                               "marking label must be a string or an integer, got True"),
+    "forget-point-marking-bool": (lambda: forget_point(named(), True, named_sheaf()),
+                                  ValidationError,
+                                  "marking label must be a string or an integer, got True"),
+    "check-star-marking-bool": (lambda: check_star(CanonicalPolarization.build(1), named(), True),
+                                ValidationError,
+                                "marking label must be a string or an integer, got True"),
+    "forget-pol-marking-bool": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1), True, genus=2, marking_labels=["True", "1"]),
+        ValidationError, "marking label must be a string or an integer, got True"),
+    "clutch-irr-marking-bool": (lambda: clutch_irr(named(), True, "1", named_sheaf()),
+                                ValidationError,
+                                "marking label must be a string or an integer, got True"),
+    "clutch-sep-marking-bool": (lambda: maps.clutch_sep(
+        named(), True, named_sheaf(), named(), "1", named_sheaf()), ValidationError,
+        "marking label must be a string or an integer, got True"),
+    "clutch-irr-pol-marking-bool": (lambda: clutch_irr_polarization(
+        ExplicitPolarization.build(s=0, r=1, a={"True": 0, "1": 0}), True, "1"),
+        ValidationError, "marking label must be a string or an integer, got True"),
+    "clutch-sep-pol-marking-none": (lambda: clutch_sep_polarization(
+        ExplicitPolarization.build(s=0, r=1, a={"None": 0}), None,
+        ExplicitPolarization.build(s=0, r=1, a={"1": 0}), "1"), ValidationError,
+        "marking label must be a string or an integer, got None"),
+    # the genus is read whether or not the recipe has boundary coefficients
+    "forget-genus-junk": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1), "x", genus="junk", marking_labels=["x", "1"]),
+        ValidationError, "genus must be an integer, got 'junk'"),
+    "forget-genus-none": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1), "x", genus=None, marking_labels=["x", "1"]),
+        ValidationError, "genus must be an integer, got None"),
     # genus and vertex bounds
     "corpus-genus-bool": (lambda: generate_corpus(True, ["1"], 2), ValidationError,
                           "genus must be an integer, got True"),
