@@ -139,6 +139,8 @@ class MarkedDualGraph:
     def markings_by_vertex(self) -> dict[str, tuple[str, ...]]:
         return {v: tuple(l for l, w in self.markings if w == v) for v in self.vertex_ids}
 
+    _table = cached_property(lambda self: _subcurve_table(self.vertices, self.edges))
+
     @cached_property
     def _forgettings(self) -> dict[str, tuple]:
         """``stabilize_forgetting`` results of this graph, by marking."""
@@ -248,11 +250,11 @@ class NodeTypeLabel:
 
 
 def _vertex_ids(vertex_set) -> frozenset[str]:
-    ids = [require_name(v, "vertex id") for v in vertex_set]  # a repeated id is refused
-    for i, v in enumerate(ids):
-        if v in ids[:i]:
+    ids, seen = [require_name(v, "vertex id") for v in vertex_set], set()
+    for v in ids:  # one pass: the first repeat is refused
+        if v in seen or seen.add(v):
             raise ValidationError(f"subcurve vertex {v} repeated")
-    return frozenset(ids)
+    return frozenset(seen)
 
 
 def check_subcurve(graph: MarkedDualGraph, vertex_set) -> frozenset[str]:
@@ -312,14 +314,15 @@ SUBCURVE_TABLE_CACHE_SIZE = 128
 
 
 class Subcurve(NamedTuple):
-    """A connected proper subcurve; bit i of ``mask`` is the i-th vertex.
-    It is a wall when its complement is connected too."""
+    """A connected proper subcurve: bit i of ``mask`` is vertex i, bit e of
+    ``inner`` edge e when both its ends are in it; a wall if Yᶜ is connected."""
 
     vertices: frozenset[str]
     members: tuple[int, ...]
     mask: int
     k: int
     wall: bool
+    inner: int
 
 
 class SubcurveTable(NamedTuple):
@@ -367,8 +370,9 @@ def mask_components(adjacency, mask: int):
 
 
 def subcurve_table(graph: MarkedDualGraph) -> SubcurveTable:
-    """The subcurve table, shared by all graphs with the same structure."""
-    return _subcurve_table(graph.vertices, graph.edges)
+    """The subcurve table, shared by all graphs with the same structure and
+    kept by each graph object, so it is looked up once per graph."""
+    return graph._table
 
 
 @lru_cache(maxsize=SUBCURVE_TABLE_CACHE_SIZE)
@@ -387,7 +391,8 @@ def _subcurve_table(vertices, edges) -> SubcurveTable:
     masks.discard(full := (1 << n) - 1)
     subcurves = sorted(
         (Subcurve(mask_vertices(ids, m), _bits(m), m,
-                  sum(1 for e in edge_masks if e & m and e & ~m), full ^ m in masks)
+                  sum(1 for e in edge_masks if e & m and e & ~m), full ^ m in masks,
+                  sum(1 << i for i, e in enumerate(edge_masks) if e & m == e))
          for m in masks),
         key=lambda sub: subcurve_sort_key(sub.vertices))
     return SubcurveTable(adjacency, edge_masks, tuple(subcurves), walk_layout(

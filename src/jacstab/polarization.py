@@ -33,7 +33,8 @@ from .graphs import (MarkedDualGraph, NodeTypeLabel, admissible_labels,
 
 def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
     """A recipe's (label, rational coefficient) pairs in label order."""
-    return tuple(sorted(((str(l), parse_rational(c)) for l, c in dict(a or {}).items()),
+    return tuple(sorted(((require_name(l, "marking label"), parse_rational(c))
+                         for l, c in dict(a or {}).items()),
                         key=lambda p: label_sort_key(p[0])))
 
 
@@ -132,7 +133,7 @@ def make_profile(graph: MarkedDualGraph, q: dict[str, Fraction], d: int) -> QPro
 
 def require_profile(graph: MarkedDualGraph, profile: QProfile) -> QProfile:
     """``profile`` if it was compiled for ``graph``."""
-    if profile.graph != graph:
+    if profile.graph is not graph and profile.graph != graph:
         raise ValidationError("profile was compiled for a different graph")
     return profile
 

@@ -26,11 +26,11 @@ class SheafType:
     @classmethod
     def build(cls, graph: MarkedDualGraph, degrees, nonfree_edges=()) -> "SheafType":
         deg = require_int_map(graph.vertex_index, dict(degrees), "sheaf degrees")
-        edges = [require_int(e, "edge index") for e in nonfree_edges]
-        for i, e in enumerate(edges):
-            if e in edges[:i]:
+        edges, seen = [require_int(e, "edge index") for e in nonfree_edges], set()
+        for e in edges:  # one pass: the first repeat is refused
+            if e in seen or seen.add(e):
                 raise ValidationError(f"non-free edge index {e} repeated")
-        sheaf = cls(nonfree_edges=frozenset(edges), degrees=tuple(zip(graph.vertex_ids, deg)))
+        sheaf = cls(nonfree_edges=frozenset(seen), degrees=tuple(zip(graph.vertex_ids, deg)))
         return validate_sheaf(graph, sheaf)
 
     @property
@@ -43,7 +43,7 @@ class SheafType:
 
 
 def validate_sheaf(graph: MarkedDualGraph, sheaf: SheafType) -> SheafType:
-    if [v for v, _ in sheaf.degrees] != list(graph.vertex_ids):
+    if next(zip(*sheaf.degrees), ()) != graph.vertex_ids:  # the ids column
         raise ValidationError("sheaf degrees must cover the graph vertices in order")
     for e in sheaf.nonfree_edges:
         if not 0 <= e < len(graph.edges):

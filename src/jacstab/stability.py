@@ -6,16 +6,18 @@ A sheaf type of total degree d is semistable for a profile when
 
 stable when all inequalities are strict, and quasistable at a base vertex
 when it is semistable with strict inequality whenever the base lies in Y.
-Degrees, weights and cut counts are additive over connected components, so
-``check`` decides on the connected subcurves of the shared subcurve table,
-against integer thresholds; the all-subsets check in rationals is kept as
-an oracle.  Only the walls (connected, with connected complement) matter:
-another subcurve's inequality is the sum of those of the walls Zᶜ, Z a
-component of its complement.  Enumeration walks the degree box of the
-singletons and their complements in lexicographic order, testing the walls
-against degree sums carried down the walk, each node bounding its children.
-It hands runs of vectors equal but in their last two entries to one
-callback, non-free set by non-free set; ``count_components`` keeps none.
+deg_Y counts the non-free nodes inside Y: the popcount of the non-free edge
+mask and Y's ``inner`` mask.  Degrees, weights and cut counts are additive
+over connected components, so ``check`` decides on the connected subcurves
+of the shared subcurve table, against integer thresholds; the all-subsets
+check in rationals is the oracle.  Only the walls (connected, with connected
+complement) matter: another subcurve's inequality is the sum of those of the
+walls Zᶜ, Z a component of its complement.  Enumeration walks the degree box
+of the singletons and their complements in lexicographic order, testing the
+walls against degree sums carried down the walk, each node bounding its
+children, against bounds set once per call for the mode less each non-free
+set's popcounts.  Runs of vectors equal but in their last two entries go to
+one callback, non-free set by non-free set; ``count_components`` keeps none.
 """
 
 from __future__ import annotations
@@ -64,46 +66,34 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
     """Stability verdict of one sheaf type."""
     base = _base_of(graph, profile, base_vertex)
     require_simple(graph, sheaf)
-    if sheaf.total_degree != profile.d:
+    degrees = [d for _, d in sheaf.degrees]
+    if (total := sum(degrees) + len(sheaf.nonfree_edges)) != profile.d:
         raise PreconditionError(
-            f"degree mismatch: sheaf has total degree {sheaf.total_degree}, "
-            f"profile expects {profile.d}")
+            f"degree mismatch: sheaf has total degree {total}, profile expects {profile.d}")
 
     if all_subsets:  # the independent oracle, in rationals
         slacks = ((Y, deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)
                    + Fraction(subcurve_k(graph, Y), 2))
                   for Y in proper_subcurves(graph))
     else:
-        slacks = _slack_signs(graph, profile, sheaf)
+        slacks = _slack_signs(graph, profile, degrees, sheaf.nonfree_edges)
     first_equality: frozenset[str] | None = None
     quasi: bool | None = True if base is not None else None
     for Y, slack in slacks:
         if slack < 0:
-            return StabilityVerdict(
-                status="unstable",
-                quasistable_at_base=False if base is not None else None,
-                witness=tuple(sorted(Y)))
+            return StabilityVerdict("unstable", None if base is None else False, tuple(sorted(Y)))
         if slack == 0:
-            if first_equality is None:
-                first_equality = Y
-            if base is not None and base in Y:
-                quasi = False
-    if first_equality is None:
-        return StabilityVerdict(status="stable", quasistable_at_base=quasi)
-    return StabilityVerdict(status="strictly_semistable",
-                            quasistable_at_base=quasi,
-                            witness=tuple(sorted(first_equality)))
+            first_equality = first_equality or Y  # a subcurve is never empty
+            quasi = quasi and base not in Y
+    return StabilityVerdict("strictly_semistable" if first_equality else "stable", quasi,
+                            first_equality and tuple(sorted(first_equality)))
 
 
-def _slack_signs(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType):
+def _slack_signs(graph: MarkedDualGraph, profile: QProfile, degrees: list[int], nonfree):
     """(Y, sign of the slack) for every connected subcurve, in integers."""
-    table = subcurve_table(graph)
-    degrees = [d for _, d in sheaf.degrees]
-    nonfree = [table.edge_masks[e] for e in sheaf.nonfree_edges]
-    for sub, (need, exact) in zip(table.subcurves, profile.thresholds):
-        deg = sum(map(degrees.__getitem__, sub.members))
-        if nonfree:
-            deg += sum(1 for m in nonfree if m & sub.mask == m)
+    edges = sum(1 << e for e in nonfree)
+    for sub, (need, exact) in zip(subcurve_table(graph).subcurves, profile.thresholds):
+        deg = sum(map(degrees.__getitem__, sub.members)) + (edges & sub.inner).bit_count()
         yield sub.vertices, -1 if deg < need else int(deg > need or not exact)
 
 
@@ -175,33 +165,37 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
     if mode == "quasistable" and base is None:
         raise PreconditionError("quasistable enumeration needs a base vertex")
 
-    table = subcurve_table(graph)
-    n = len(graph.vertices)
+    table, thresholds, n = subcurve_table(graph), profile.thresholds, len(graph.vertices)
     base_mask = 1 << graph.vertex_index[base] if base is not None else 0
+
+    def least(j: int) -> tuple[int, int]:  # at S = {}, one more where an equality is rejected
+        sub, (need, exact) = table.subcurves[j], thresholds[j]
+        return need + (exact and (mode == "stable" or (
+            mode == "quasistable" and sub.mask & base_mask != 0))), sub.inner
+    # (bound at S = {}, edges it falls by) of what is read: the walk's tests and, in vertex
+    # order, the bounds at v from {v} (the table's first n) and Yᶜ, which falls by v's edges
+    tests = [[(slots, [*map(least, js)], parents, [*map(least, fresh)])
+              for slots, js, parents, fresh in level] for level in table.walk[0]]
+    singles = sorted((sub.members, least(j), (need - (not exact) + sub.k, sum(
+        1 << e for e, ends in enumerate(table.edge_masks) if ends & sub.mask)))
+        for j, (sub, (need, exact)) in enumerate(zip(table.subcurves[:n], thresholds)))
+
+    def fill(tests, box: int, later: int, end) -> tuple:  # (slots, ends, parents, ends)
+        return tests[0], [box, *map(end, tests[1])], tests[2], [-later, *map(end, tests[3])]
     for S in _nonfree_candidates(graph) if include_nonfree else [frozenset()]:
-        nonfree = [table.edge_masks[e] for e in S]
-        total = profile.d - len(S)
+        edges, total = sum(1 << e for e in S), profile.d - len(S)
 
-        def least(j: int) -> int:  # one more where an equality is rejected
-            mask, (need, exact) = table.subcurves[j].mask, profile.thresholds[j]
-            return need - sum(1 for m in nonfree if m & mask == m) + (exact and (
-                mode == "stable" or (mode == "quasistable" and mask & base_mask != 0)))
-
-        def fill(tests, box: int, later: int, end) -> tuple:  # (slots, ends, parents, ends)
-            return tests[0], [box, *map(end, tests[1])], tests[2], [-later, *map(end, tests[3])]
-        bounds = [(total, total)] * n  # kept only by a lone vertex
-        # the singletons lead the table; {v} and its complement bound the degree at v
-        for j, (sub, (need, exact)) in enumerate(zip(table.subcurves[:n], profile.thresholds)):
-            bounds[sub.members[0]] = (least(j), need - (not exact) + sub.k
-                                      - sum(1 for m in nonfree if m & sub.mask))
+        def low(pair: tuple[int, int]) -> int:  # the bound less S's edges among its edges
+            return pair[0] - (edges & pair[1]).bit_count()
+        bounds = [(low(lo), low(hi)) for _, lo, hi in singles] or [(total, total)]  # one vertex
         if all(lo <= hi for lo, hi in bounds):
             later_lo, later_hi = ([*accumulate(reversed(ends), initial=0)][-2::-1]
                                   for ends in zip(*bounds))
             # a complement's degree total - deg(Y) is at most total - least
-            levels = [(fill(lows, lo, after_hi, least),
-                       fill(highs, hi, after_lo, lambda j: total - least(j)))
+            levels = [(fill(lows, lo, after_hi, low),
+                       fill(highs, hi, after_lo, lambda pair: total - low(pair)))
                       for (lows, highs), (lo, hi), after_lo, after_hi
-                      in zip(table.walk[0], bounds, later_lo, later_hi)]
+                      in zip(tests, bounds, later_lo, later_hi)]
             _walk(levels, table.walk[1], total, partial(emit, S, total))
 
 

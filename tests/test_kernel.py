@@ -14,8 +14,12 @@ compared with the same walk placing every connected subcurve, and
 every base and at none.
 The walk's shortcuts (runs from the root or its child, leaf-heavy complete
 graphs, a box empty at the root) are compared with the scan of the box
-filtered by ``check``.  Inputs are the small corpora, chorded rings, K5,
-K6 and generated multigraphs with loops and parallel edges.
+filtered by ``check``.  The popcount of a non-free set against a
+subcurve's ``inner`` mask is compared with a set count, and ``check``,
+``enumerate_sheaves`` and ``count_components`` with verbatim copies of the
+kernel that counted non-free edges by their end masks.  Inputs are the
+small corpora, chorded rings, K5, K6 and generated multigraphs with loops
+and parallel edges.
 """
 
 from __future__ import annotations
@@ -24,22 +28,24 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacstab import (MarkedDualGraph, SheafType, StabilityVerdict, check,
-                     complexity, count_components, enumerate_sheaves,
-                     is_general, is_simple, make_profile, node_type,
-                     perturb_general, subcurve_invariants)
+from jacstab import (MarkedDualGraph, PreconditionError, SheafType,
+                     StabilityVerdict, ValidationError, check, complexity,
+                     count_components, enumerate_sheaves, is_general,
+                     is_simple, make_profile, node_type, perturb_general,
+                     subcurve_invariants)
 from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
                             subcurve_sort_key, subcurve_table, walk_layout)
-from jacstab.stability import _box_runs, _nonfree_candidates, _walk
+from jacstab.sheaves import require_simple
+from jacstab.stability import MODES, _base_of, _box_runs, _nonfree_candidates, _walk
 
 from conftest import chorded_ring, multigraphs, random_profile
-
-MODES = ("semistable", "stable", "quasistable")
 
 
 def complete_graph(n: int) -> MarkedDualGraph:
@@ -513,17 +519,161 @@ def test_walk_matches_box_scan_where_it_cuts_short():
     assert runs and all(lo <= hi and S != {0, 1} for S, lo, hi in runs)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def edge_subsets(graph):
+    """Any set of edge indices, simple or not."""
+    return st.lists(st.booleans(), min_size=len(graph.edges), max_size=len(graph.edges)).map(
+        lambda bits: frozenset(e for e, bit in enumerate(bits) if bit))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(multigraphs(max_vertices=6), st.data())
+def test_inner_masks_count_the_edges_inside(graph, data):
+    for _ in range(4):
+        S = data.draw(edge_subsets(graph))
+        mask = sum(1 << e for e in S)
+        for sub in subcurve_table(graph).subcurves:
+            inside = {e for e in S if set(graph.edges[e]) <= sub.vertices}
+            assert (mask & sub.inner).bit_count() == len(inside), (graph, S, sub.vertices)
+
+
+def end_mask_slack_signs(graph, profile, sheaf):
+    """(Y, sign of the slack) for every connected subcurve, in integers."""
+    table = subcurve_table(graph)
+    degrees = [d for _, d in sheaf.degrees]
+    nonfree = [table.edge_masks[e] for e in sheaf.nonfree_edges]
+    for sub, (need, exact) in zip(table.subcurves, profile.thresholds):
+        deg = sum(map(degrees.__getitem__, sub.members))
+        if nonfree:
+            deg += sum(1 for m in nonfree if m & sub.mask == m)
+        yield sub.vertices, -1 if deg < need else int(deg > need or not exact)
+
+
+def end_mask_check(graph, profile, sheaf, base_vertex=None):
+    """``check`` as it was when each non-free edge was tested against every
+    subcurve by its end mask: ``end_mask_slack_signs`` and its consumer,
+    copied verbatim."""
+    base = _base_of(graph, profile, base_vertex)
+    require_simple(graph, sheaf)
+    if sheaf.total_degree != profile.d:
+        raise PreconditionError(
+            f"degree mismatch: sheaf has total degree {sheaf.total_degree}, "
+            f"profile expects {profile.d}")
+    slacks = end_mask_slack_signs(graph, profile, sheaf)
+    first_equality: frozenset[str] | None = None
+    quasi: bool | None = True if base is not None else None
+    for Y, slack in slacks:
+        if slack < 0:
+            return StabilityVerdict(
+                status="unstable",
+                quasistable_at_base=False if base is not None else None,
+                witness=tuple(sorted(Y)))
+        if slack == 0:
+            if first_equality is None:
+                first_equality = Y
+            if base is not None and base in Y:
+                quasi = False
+    if first_equality is None:
+        return StabilityVerdict(status="stable", quasistable_at_base=quasi)
+    return StabilityVerdict(status="strictly_semistable",
+                            quasistable_at_base=quasi,
+                            witness=tuple(sorted(first_equality)))
+
+
+def refusal(call):
+    """(class, message) of what ``call`` raises, or None."""
+    try:
+        call()
+    except (PreconditionError, ValidationError) as error:
+        return type(error), str(error)
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(multigraphs(), st.randoms(use_true_random=False), st.data())
 def test_check_matches_all_subsets_check(graph, rng, data):
-    # the witnesses may differ: the oracle's first subset may be disconnected
+    # the all-subsets oracle's witness may differ (its first subset may be
+    # disconnected); the end-mask kernel's verdict is equal in full.  A set
+    # S that disconnects the graph is refused alike by all three.
     profile = random_profile(graph, rng, denominators=(1, 2, 3))
-    S = data.draw(st.sampled_from(_nonfree_candidates(graph)))
+    S = data.draw(st.one_of(st.sampled_from(_nonfree_candidates(graph)), edge_subsets(graph)))
     base = data.draw(st.sampled_from((None,) + graph.vertex_ids))
     degrees = [math.floor(f) + rng.randrange(-1, 2) for _, f in profile.q]
     degrees[-1] += profile.d - len(S) - sum(degrees)
     sheaf = SheafType(S, tuple(zip(graph.vertex_ids, degrees)))
-    fast = check(graph, profile, sheaf, base_vertex=base)
-    oracle = check(graph, profile, sheaf, base_vertex=base, all_subsets=True)
+    calls = [partial(check, graph, profile, sheaf, base_vertex=base),
+             partial(end_mask_check, graph, profile, sheaf, base_vertex=base),
+             partial(check, graph, profile, sheaf, base_vertex=base, all_subsets=True)]
+    if not is_simple(graph, sheaf):
+        message = (PreconditionError, f"sheaf type is not simple: removing non-free nodes "
+                   f"{sorted(S)} disconnects the graph")
+        assert [refusal(call) for call in calls] == [message] * 3
+        return
+    fast, listed, oracle = (call() for call in calls)
+    assert fast == listed
     assert (fast.status, fast.quasistable_at_base) == \
         (oracle.status, oracle.quasistable_at_base)
+
+
+def end_mask_box_runs(graph: MarkedDualGraph, profile, mode: str,
+                      base_vertex: str | None, include_nonfree: bool, emit) -> None:
+    """``_box_runs`` as it was when each non-free set recomputed ``least(j)``
+    from the end masks of its edges, copied verbatim."""
+    base = _base_of(graph, profile, base_vertex)
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "quasistable" and base is None:
+        raise PreconditionError("quasistable enumeration needs a base vertex")
+
+    table = subcurve_table(graph)
+    n = len(graph.vertices)
+    base_mask = 1 << graph.vertex_index[base] if base is not None else 0
+    for S in _nonfree_candidates(graph) if include_nonfree else [frozenset()]:
+        nonfree = [table.edge_masks[e] for e in S]
+        total = profile.d - len(S)
+
+        def least(j: int) -> int:  # one more where an equality is rejected
+            mask, (need, exact) = table.subcurves[j].mask, profile.thresholds[j]
+            return need - sum(1 for m in nonfree if m & mask == m) + (exact and (
+                mode == "stable" or (mode == "quasistable" and mask & base_mask != 0)))
+
+        def fill(tests, box: int, later: int, end) -> tuple:  # (slots, ends, parents, ends)
+            return tests[0], [box, *map(end, tests[1])], tests[2], [-later, *map(end, tests[3])]
+        bounds = [(total, total)] * n  # kept only by a lone vertex
+        # the singletons lead the table; {v} and its complement bound the degree at v
+        for j, (sub, (need, exact)) in enumerate(zip(table.subcurves[:n], profile.thresholds)):
+            bounds[sub.members[0]] = (least(j), need - (not exact) + sub.k
+                                      - sum(1 for m in nonfree if m & sub.mask))
+        if all(lo <= hi for lo, hi in bounds):
+            later_lo, later_hi = ([*accumulate(reversed(ends), initial=0)][-2::-1]
+                                  for ends in zip(*bounds))
+            # a complement's degree total - deg(Y) is at most total - least
+            levels = [(fill(lows, lo, after_hi, least),
+                       fill(highs, hi, after_lo, lambda j: total - least(j)))
+                      for (lows, highs), (lo, hi), after_lo, after_hi
+                      in zip(table.walk[0], bounds, later_lo, later_hi)]
+            _walk(levels, table.walk[1], total, partial(emit, S, total))
+
+
+def test_box_runs_match_end_mask_box_runs(small_corpora):
+    # profiles with halves and thirds put many walls on equalities, which the
+    # stable and quasistable thresholds reject; perturbed ones are counted
+    rng = random.Random(149)
+    compared = 0
+    for _, _, graphs in small_corpora:
+        for graph in graphs:
+            profile = random_profile(graph, rng, denominators=(1, 2, 3))
+            general = perturb_general(graph, profile, seed=rng.randrange(100))
+            base = rng.choice(graph.vertex_ids)
+
+            def results():
+                return [enumerate_sheaves(graph, q, mode, base_vertex=base,
+                                          include_nonfree=include_nonfree)
+                        for q in (profile, general) for mode in MODES
+                        for include_nonfree in (False, True)] + [
+                    count_components(graph, general, base_vertex=other)
+                    for other in (None, base)]
+            got = results()
+            with mock.patch("jacstab.stability._box_runs", end_mask_box_runs):
+                assert got == results(), graph
+            compared += any(any(sheaf.nonfree_edges for sheaf in found) for found in got[:-2])
+    assert compared >= 30, compared

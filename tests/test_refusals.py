@@ -143,6 +143,10 @@ CLI_REFUSALS = {
                              "sheaf degrees mismatch: missing [], unknown ['v3']"),
     "sheaf-nonfree-repeated": (theta_check({"degrees": {"v1": 1, "v2": 0}, "nonfree": [0, 0]}),
                                2, "non-free edge index 0 repeated"),
+    # distinct indices are told apart in one pass, so a long list is refused at once
+    "sheaf-nonfree-200000": (theta_check({"degrees": {"v1": 1, "v2": 0},
+                                          "nonfree": list(range(200_000))}),
+                             2, "non-free edge index 3 out of range"),
     "base-not-a-vertex": (theta_check(THETA_SHEAF, "--base", "zz"), 2,
                           "base vertex zz is not a vertex"),
     "clutch-irr-unknown-marking": (["clutch-irr", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF,
@@ -336,6 +340,15 @@ LIBRARY_REFUSALS = {
     "clutch-irr-pol-marking-bool": (lambda: clutch_irr_polarization(
         ExplicitPolarization.build(s=0, r=1, a={"True": 0, "1": 0}), True, "1"),
         ValidationError, "marking label must be a string or an integer, got True"),
+    "explicit-marking-label-none": (lambda: ExplicitPolarization.build(
+        s=0, r=1, a={None: 0, True: 1}), ValidationError,
+        "marking label must be a string or an integer, got None"),
+    "explicit-marking-label-bool": (lambda: ExplicitPolarization.build(s=0, r=1, a={True: 1}),
+                                    ValidationError,
+                                    "marking label must be a string or an integer, got True"),
+    "canonical-marking-label-none": (lambda: CanonicalPolarization.build(2, a={None: 1}),
+                                     ValidationError,
+                                     "marking label must be a string or an integer, got None"),
     "clutch-sep-pol-marking-none": (lambda: clutch_sep_polarization(
         ExplicitPolarization.build(s=0, r=1, a={"None": 0}), None,
         ExplicitPolarization.build(s=0, r=1, a={"1": 0}), "1"), ValidationError,
@@ -418,6 +431,9 @@ LIBRARY_REFUSALS = {
     # a repeated vertex is refused, not dropped
     "subcurve-repeated-vertex": (lambda: subcurve_invariants(theta(), ["v1", "v1"]),
                                  ValidationError, "subcurve vertex v1 repeated"),
+    "subcurve-repeated-after-200000": (lambda: subcurve_invariants(
+        theta(), [*map(str, range(200_000)), "7"]), ValidationError,
+        "subcurve vertex 7 repeated"),
     "boundary-degree-repeated-vertex": (lambda: boundary_degree(
         marked_chain(), ["v1", "v0", "v1"], CHAIN_LABEL), ValidationError,
         "subcurve vertex v1 repeated"),
