@@ -70,15 +70,16 @@ def parse_rational(value) -> Fraction:
 
 
 def require_keys(keys, values: dict, what: str, default=None) -> list:
-    """The values of ``values`` at ``keys``, in the order of ``keys``, when
-    its keys are exactly ``keys``; with a ``default``, a missing key takes it."""
+    """The values of ``values`` at ``keys``, in their order, when its keys are
+    exactly ``keys`` (a missing one takes a ``default``); a refusal names 10 of each at most."""
     if not isinstance(values, dict):
         raise ValidationError(f"{what} must be a map, got {values!r}")
     missing = [] if default is not None else [k for k in keys if k not in values]
     unknown = [k for k in values if k not in keys]
     if missing or unknown:
-        raise ValidationError(f"{what} mismatch: missing {sorted(missing)}, "
-                              f"unknown {sorted(unknown, key=str)}")
+        named = [str(ks) if len(ks) <= 10 else f"{len(ks)} keys, first 10 {ks[:10]}"
+                 for ks in (sorted(missing), sorted(unknown, key=str))]
+        raise ValidationError(f"{what} mismatch: missing {named[0]}, unknown {named[1]}")
     return [values.get(k, default) for k in keys]
 
 

@@ -147,6 +147,11 @@ class MarkedDualGraph:
         return {}
 
     @cached_property
+    def _simple(self) -> dict[frozenset[int], bool]:
+        """``is_simple`` answers of this graph, by non-free edge set."""
+        return {}
+
+    @cached_property
     def valence_map(self) -> dict[str, int]:
         """Valence with loops counted twice."""
         return {v: sum(e.count(v) for e in self.edges) for v in self.vertex_ids}

@@ -32,10 +32,12 @@ from .graphs import (MarkedDualGraph, NodeTypeLabel, admissible_labels,
 
 
 def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
-    """A recipe's (label, rational coefficient) pairs in label order."""
-    return tuple(sorted(((require_name(l, "marking label"), parse_rational(c))
-                         for l, c in dict(a or {}).items()),
-                        key=lambda p: label_sort_key(p[0])))
+    """A recipe's (label, rational coefficient) pairs in label order, each label once."""
+    pairs = tuple(sorted(((require_name(l, "marking label"), parse_rational(c))
+                          for l, c in dict(a or {}).items()), key=lambda p: label_sort_key(p[0])))
+    if len(dict(pairs)) != len(pairs):  # two keys read as one label, such as 1 and "1"
+        raise ValidationError("duplicate marking labels")
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,10 @@ def validate_sheaf(graph: MarkedDualGraph, sheaf: SheafType) -> SheafType:
 def is_simple(graph: MarkedDualGraph, sheaf: SheafType) -> bool:
     """A sheaf type is simple iff the graph minus its non-free nodes stays
     connected (equivalently no subcurve has every crossing node in S)."""
-    # a line bundle needs no search: every MarkedDualGraph is connected when built
-    return not sheaf.nonfree_edges or graph.is_connected(frozenset(sheaf.nonfree_edges))
+    memo, S = graph._simple, frozenset(sheaf.nonfree_edges)
+    if S not in memo:  # kept per graph object, false answers too
+        memo[S] = not S or graph.is_connected(S)  # a line bundle: every graph is connected
+    return memo[S]
 
 
 def require_simple(graph: MarkedDualGraph, sheaf: SheafType) -> SheafType:

@@ -6,8 +6,9 @@ enumeration in all three modes, the generality test and the witness of
 ``check``.  Connectivity (``is_connected``, ``is_simple``,
 ``subcurve_invariants`` and the sides of separating edges) is compared with
 a set-based search written here, which shares no code with the bitmask
-search of ``jacstab.graphs``.  The depth-first non-free search is compared
-with the filter over all edge subsets.  The walk's layout is checked
+search of ``jacstab.graphs``; the answers ``is_simple`` keeps per graph
+object are compared with the uncached ``is_connected``.  The depth-first
+non-free search is compared with the filter over all edge subsets.  The walk's layout is checked
 against the masks its slots hold; the walk that tests only walls is
 compared with the same walk placing every connected subcurve, and
 ``count_components`` with the enumeration and the spanning-tree count, at
@@ -312,6 +313,32 @@ def test_nonfree_search_matches_subset_filter(graphs):
     got = _nonfree_candidates(ring)
     assert len(got) == 339
     assert got == emitted_order(nonfree_filter(ring))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(multigraphs(), st.randoms(use_true_random=False))
+def test_simplicity_memo_matches_uncached_search(graph, rng):
+    """``is_simple`` keeps its answers per graph object, by non-free set.  Each
+    edge subset (a sample of 256 on larger graphs) is asked twice in shuffled
+    order, once as a frozenset and once as a tuple, on the graph and on a
+    ``replace`` copy with its own empty memo; every answer, false ones
+    included, equals the uncached ``is_connected``."""
+    m = len(graph.edges)
+    edge_sets = [frozenset(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
+    if len(edge_sets) > 256:
+        edge_sets = rng.sample(edge_sets, 256)
+    asked = edge_sets + [tuple(sorted(S)) for S in edge_sets]
+    zero = tuple((v, 0) for v in graph.vertex_ids)
+    copy = graph.replace()
+    assert copy == graph and copy._simple == {} and copy._simple is not graph._simple
+    for target in (graph, copy):
+        rng.shuffle(asked)
+        for S in asked:
+            assert is_simple(target, SheafType(S, zero)) \
+                == target.is_connected(skip_edges=frozenset(S)), (graph, S)
+        assert target._simple.keys() == set(edge_sets)
+        assert all(simple == target.is_connected(skip_edges=S)
+                   for S, simple in target._simple.items())
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

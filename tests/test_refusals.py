@@ -92,6 +92,7 @@ def forget_with_alpha(marking):
             "--pol", explicit(s="0", alpha=[{"b": 0, "B": ["2", "x"], "value": "1"}])]
 
 
+KEYS = [f"k{i:02}" for i in range(25)]  # ids whose text order is their list order
 INADMISSIBLE_ALPHA = ("boundary coefficients mismatch: missing [], "
                       "unknown [NodeTypeLabel(side_genus=0, side_markings=('2', 'x'))]")
 
@@ -197,6 +198,10 @@ CLI_REFUSALS = {
                                            {"b": 1, "B": ["1"], "value": "0"}])], 2,
         "phi table mismatch: missing [], "
         "unknown [NodeTypeLabel(side_genus=1, side_markings=('1',))]"),
+    # 19,999 labels are missing; the one line names the first ten
+    "phi-genus-10000": (["kp-translate", "--phi", {**phi_doc([]), "genus": 10000}], 2,
+                        "phi table mismatch: missing 19999 keys, first 10 "
+                        "[NodeTypeLabel(side_genus=0, side_markings=('1', '2')), "),
 }
 
 
@@ -213,7 +218,7 @@ def test_cli_refusal(tmp_path, capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     prefix = "error: " if code == 2 else "precondition failed: "
-    assert captured.err.count("\n") == 1
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 2000
     assert captured.err.startswith(prefix) and message in captured.err
 
 
@@ -409,6 +414,16 @@ LIBRARY_REFUSALS = {
                         "twist must be a map, got [('v1', 1)]"),
     "require-keys-mixed": (lambda: require_keys(("a",), {"a": 0, 1: 0, "b": 0}, "map"),
                            ValidationError, "map mismatch: missing [], unknown [1, 'b']"),
+    # ten keys or fewer are all named; past ten, their count and the first ten
+    "require-keys-ten-missing": (lambda: require_keys(KEYS[:10], {"z": 0}, "map"),
+                                 ValidationError, f"map mismatch: missing {KEYS[:10]}, "
+                                                  "unknown ['z']"),
+    "require-keys-25-missing": (lambda: require_keys(KEYS, {}, "map"), ValidationError,
+                                f"map mismatch: missing 25 keys, first 10 {KEYS[:10]}, "
+                                "unknown []"),
+    "require-keys-24-unknown": (
+        lambda: require_keys(KEYS[:1], dict.fromkeys(KEYS[::-1], 0), "map"), ValidationError,
+        f"map mismatch: missing [], unknown 24 keys, first 10 {KEYS[1:11]}"),
     # duplicate marking labels
     "admissible-duplicate-labels": (lambda: admissible_labels(0, ["1", "1", "2", "3"]),
                                     ValidationError, "duplicate marking labels"),
@@ -420,6 +435,11 @@ LIBRARY_REFUSALS = {
     "forget-duplicate-labels": (lambda: forget_polarization(CHAIN_ALPHA, "2", genus=2,
                                                             marking_labels=["1", "2", "2"]),
                                 ValidationError, "duplicate marking labels"),
+    # marking coefficients keyed 1 and "1": one label once read, so refused
+    "explicit-duplicate-coefficient-labels": (lambda: ExplicitPolarization.build(
+        s=0, r=1, a={1: 0, "1": 5}), ValidationError, "duplicate marking labels"),
+    "canonical-duplicate-coefficient-labels": (lambda: CanonicalPolarization.build(
+        2, a={1: 1, "1": 3}), ValidationError, "duplicate marking labels"),
     # the rest of the library refusals
     "two-component-inadmissible": (lambda: two_component_graph(
         1, ["1", "2"], NodeTypeLabel.of(0, ["2"])), ValidationError,

@@ -50,8 +50,10 @@ def test_is_simple():
     g = theta()
     assert is_simple(g, SheafType.build(g, {"v1": 0, "v2": 0}, [0, 1]))
     assert is_simple(g, SheafType.build(g, {"v1": 0, "v2": 2}))
-    with pytest.raises(PreconditionError, match="not simple"):
-        require_simple(bridge, SheafType.build(bridge, {"v1": 0, "v2": 0}, [0]))
+    for _ in range(2):  # the memoized false answer refuses the second call too
+        with pytest.raises(PreconditionError, match="not simple"):
+            require_simple(bridge, SheafType.build(bridge, {"v1": 0, "v2": 0}, [0]))
+    assert bridge._simple == {frozenset([0]): False}
 
 
 def test_d_of():
