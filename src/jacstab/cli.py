@@ -25,8 +25,8 @@ import sys
 from . import corpus as corpus_mod
 from . import io as docio
 from . import lattice, maps, polarization, stability
-from .errors import PreconditionError, ValidationError, require_int
-from .graphs import label_sort_key, subcurve_invariants
+from .errors import PreconditionError, ValidationError, parse_int, require_int
+from .graphs import label_sort_key, sorted_labels, subcurve_invariants
 from .polarization import ExplicitPolarization
 from .sheaves import is_simple
 
@@ -65,8 +65,8 @@ def _parse_markings(text: str | None) -> tuple[str, ...]:
     return tuple(part.strip() for part in (text or "").split(",") if part.strip())
 
 
-def _emit(result: dict) -> None:
-    sys.stdout.write(docio.dumps_document(result) + "\n")
+def _emit(result: dict | str) -> None:  # a str is a document its handler rendered
+    sys.stdout.write((result if isinstance(result, str) else docio.dumps_document(result)) + "\n")
 
 
 def _verdict_document(verdict) -> dict:
@@ -156,10 +156,11 @@ def _kp_translate(args) -> dict:
             "anchor": min(labels, key=label_sort_key)}
 
 
-def _corpus(args) -> dict:
-    graphs = corpus_mod.generate_corpus(
-        args.genus, _parse_markings(args.markings), args.max_vertices)
-    return {"count": len(graphs), "graphs": [docio.graph_document(g) for g in graphs]}
+def _corpus(args) -> str:
+    labels = sorted_labels(_parse_markings(args.markings))
+    keys = corpus_mod.corpus_keys(args.genus, labels, args.max_vertices)  # the root at least
+    graphs = ",\n    ".join(docio.key_graph_text(k, args.genus, labels, "\n    ") for k in keys)
+    return f'{{\n  "count": {len(keys)},\n  "graphs": [\n    {graphs}\n  ]\n}}'
 
 
 BASE = ("--base", {})
@@ -192,7 +193,7 @@ COMMANDS = {
     "is-general": ("generality of a profile, with witnesses", ["--graph", "--pol"],
                    _is_general),
     "perturb": ("nudge a profile off the integrality walls", [
-        "--graph", "--pol", ("--seed", {"type": int, "default": 0}),
+        "--graph", "--pol", ("--seed", {"type": parse_int, "default": 0}),
     ], lambda args: docio.profile_document(
         polarization.perturb_general(args.graph, args.pol, seed=args.seed))),
     "clutch-irr": ("glue two markings of one graph into a node", [
@@ -216,9 +217,9 @@ COMMANDS = {
     ], _abel_jacobi),
     "kp-translate": ("boundary coefficients from a phi table", ["--phi"], _kp_translate),
     "corpus": ("all stable graphs with bounded vertex count, up to iso", [
-        ("--genus", {"type": int, "required": True}),
+        ("--genus", {"type": parse_int, "required": True}),
         ("--markings", {"help": "comma-separated marking labels"}),
-        ("--max-vertices", {"type": int, "required": True}),
+        ("--max-vertices", {"type": parse_int, "required": True}),
     ], _corpus),
     "complexity": ("number of spanning trees", ["--graph"],
                    lambda args: {"complexity": lattice.complexity(args.graph)}),
@@ -251,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_threads_env() -> None:
     raw = os.environ.get("JACSTAB_THREADS")
     try:
-        if raw is None or int(raw) >= 1:
+        if raw is None or parse_int(raw) >= 1:
             return
-    except ValueError:
+    except ValidationError:
         pass
     raise ValidationError(f"JACSTAB_THREADS must be a positive integer, got {raw!r}")
 
@@ -275,15 +276,13 @@ def _run(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # parse_int refuses a flag with ValidationError
+        _check_threads_env()
+        result = _run(args)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the validation code
         return int(exc.code or 0)
-    try:
-        _check_threads_env()
-        result = _run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -149,12 +149,8 @@ def _degenerations(key: tuple, bound: int):
                        tuple((l, p) for (l, _), p in zip(marks, places)))
 
 
-def generate_corpus(genus: int, marking_labels, max_vertices: int
-                    ) -> list[MarkedDualGraph]:
-    """All stable marked dual graphs with the given invariants, up to iso.
-
-    Deterministic: results are sorted by canonical key.
-    """
+def corpus_keys(genus: int, marking_labels, max_vertices: int) -> list[tuple]:
+    """The canonical keys of ``generate_corpus``'s graphs, sorted: one per isomorphism class."""
     genus, labels = require_genus(genus), sorted_labels(marking_labels)
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
@@ -167,7 +163,13 @@ def generate_corpus(genus: int, marking_labels, max_vertices: int
     while level:
         keys += level
         level = {_canonical_form(*e) for key in level for e in _degenerations(key, max_vertices)}
-    return [graph_from_key(key) for key in sorted(keys)]
+    return sorted(keys)
+
+
+def generate_corpus(genus: int, marking_labels, max_vertices: int
+                    ) -> list[MarkedDualGraph]:
+    """All stable marked dual graphs with the given invariants, up to iso, by canonical key."""
+    return [graph_from_key(key) for key in corpus_keys(genus, marking_labels, max_vertices)]
 
 
 def are_isomorphic(g1: MarkedDualGraph, g2: MarkedDualGraph) -> bool:

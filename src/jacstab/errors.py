@@ -8,11 +8,12 @@ one is required, a clutching recipe without matching marking coefficients,
 a non-simple sheaf, a degree mismatch).
 
 Every builder and entry point reads caller values through one rule each:
-``require_int`` for integers, ``require_name`` for vertex ids and marking
-labels, ``parse_rational`` for exact rationals and ``require_keys`` for maps
-keyed by a fixed set of ids (``require_int_map`` when the values are
-integers).  A value they refuse is a ``ValidationError``; nothing is
-truncated, dropped or read as the text of another type.
+``require_int`` for integers, ``parse_int`` for integers written as text,
+``require_name`` for vertex ids and marking labels, ``parse_rational`` for
+exact rationals and ``require_keys`` for maps keyed by a fixed set of ids
+(``require_int_map`` when the values are integers).  A value they refuse is
+a ``ValidationError``; nothing is truncated, dropped or read as the text of
+another type.
 """
 
 from fractions import Fraction
@@ -37,6 +38,20 @@ def require_int(value, what: str) -> int:
     return value
 
 
+def parse_int(text) -> int:
+    """The integer that ``text`` writes in ASCII digits with an optional sign: the
+    integer flags of the CLI, JACSTAB_THREADS and each side of a rational.  int()
+    alone would also read "1_0", " 1" and non-ASCII digits."""
+    if isinstance(text, str):
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # more digits than int() reads
+                pass
+    raise ValidationError(f"malformed integer {text!r}: use ASCII digits with an optional sign")
+
+
 def require_name(value, what: str) -> str:
     """``value`` as a str if it is a str or an int (a bool is not)."""
     if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
@@ -56,17 +71,14 @@ def parse_rational(value) -> Fraction:
         raise ValidationError("floating point is not accepted; use p/q strings")
     if not isinstance(value, str):
         raise ValidationError(f"expected a rational string, got {value!r}")
-    text = value.strip()
+    num, slash, den = value.strip().partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            d = int(den)
-            if d == 0:
-                raise ValidationError(f"zero denominator in {value!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(text))
-    except ValueError as exc:
+        p, q = parse_int(num), parse_int(den) if slash else 1
+    except ValidationError as exc:
         raise ValidationError(f"malformed rational {value!r}") from exc
+    if q == 0:
+        raise ValidationError(f"zero denominator in {value!r}")
+    return Fraction(p, q) if slash else Fraction(p)  # an int skips the gcd
 
 
 def require_keys(keys, values: dict, what: str, default=None) -> list:

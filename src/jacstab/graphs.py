@@ -18,9 +18,10 @@ A graph is put in normal form and checked once, when it is built:
 ``MarkedDualGraph.__post_init__`` puts each edge's ends in vertex order and
 the markings in label order, then runs ``validate``.  So one structure is
 one value however it was reached, every graph object is connected and
-stable, and no function orders or re-checks its input.  ``validate`` is
-one pass over vertices, edges and markings by vertex position; it fills
-none of the cached lookups (``vertex_ids``, ``genus_map``, ``valence_map``,
+stable, and no function orders or re-checks its input.  ``validate`` reads
+names as vertex positions for ``check_positions``, the one validity rule,
+which ``corpus`` also runs on each key it writes; neither fills the cached
+lookups (``vertex_ids``, ``genus_map``, ``valence_map``,
 ``markings_by_vertex``, ``edge_ends``), which stay lazy for their readers.
 Connectivity is one bitmask search, ``mask_components``, over the
 adjacency masks of ``adjacency_masks``.
@@ -52,7 +53,9 @@ def label_sort_key(label: str) -> tuple:
 
 def sorted_labels(marking_labels) -> tuple[str, ...]:
     """Marking labels, each read by ``require_name``, in ``label_sort_key``
-    order, each once."""
+    order, each once, from a collection of them; a bare string is refused, not split."""
+    if isinstance(marking_labels, (str, bytes)) or not hasattr(marking_labels, "__iter__"):
+        raise ValidationError(f"marking labels must be a list of names, got {marking_labels!r}")
     labels = tuple(sorted((require_name(l, "marking label") for l in marking_labels),
                           key=label_sort_key))
     if len(set(labels)) != len(labels):
@@ -177,54 +180,53 @@ class MarkedDualGraph:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> "MarkedDualGraph":
-        """Return self iff every invariant holds; report all violations."""
-        problems: list[str] = []
-        index, n = self.vertex_index, len(self.vertices)
-        if not n:
-            problems.append("disconnected: graph has no vertices")
-        if len(index) != n:
-            problems.append("duplicate vertex ids")
-        margin, genus = [], len(self.edges) - n + 1  # 2g-2+valence+markings by position
-        for v, g in self.vertices:
-            if g < 0:
-                problems.append(f"vertex {v} has negative genus {g}")
-            margin.append(2 * g - 2)
-            genus += g
-        ends = []
-        for i, (u, v) in enumerate(self.edges):
-            if u in index and v in index:
-                ends.append((index[u], index[v]))
-                margin[index[u]] += 1
-                margin[index[v]] += 1
-            else:
-                problems.append(f"edge {i} references unknown vertex")
-        if len(dict(self.markings)) != len(self.markings):
-            problems.append("duplicate marking label")
-        for l, v in self.markings:
-            if v in index:
-                margin[index[v]] += 1
-            else:
-                problems.append(f"marking {l} placed on unknown vertex {v}")
+        """Return self iff every invariant holds (``check_positions``); report all violations."""
+        index, marks = self.vertex_index, self.markings
+        named = [] if len(dict(marks)) == len(marks) else ["duplicate marking label"]
+        named += [f"marking {l} placed on unknown vertex {v}" for l, v in marks if v not in index]
         if self.base_vertex is not None and self.base_vertex not in index:
-            problems.append(f"base vertex {self.base_vertex} is not a vertex")
-        if n and len(ends) == len(self.edges) and next(mask_components(
-                adjacency_masks(n, ends), self.vertex_bits), None) != self.vertex_bits:
-            problems.append("disconnected graph")
-        if n and genus < 0:
-            problems.append(f"total genus {genus} is negative")
-        if not problems:
-            for (v, _), m in zip(self.vertices, margin):
-                if m <= 0:
-                    problems.append(
-                        f"unstable vertex {v}: 2g-2+valence+markings = {m} <= 0")
-        if problems:
-            raise ValidationError("; ".join(problems))
+            named.append(f"base vertex {self.base_vertex} is not a vertex")
+        check_positions([v for v, _ in self.vertices], [g for _, g in self.vertices],
+                        [(index.get(u), index.get(v)) for u, v in self.edges],
+                        [index[v] for _, v in marks if v in index], named)
         return self
 
     # -- derived graphs --------------------------------------------------
 
     def replace(self, **changes) -> "MarkedDualGraph":
         return dataclasses.replace(self, **changes)
+
+
+def check_positions(ids, genera, ends, at, named=()) -> int:
+    """The arithmetic genus of the graph with vertex ``ids`` and ``genera``, edges
+    joining the positions ``ends`` (an end None is no vertex) and markings at the
+    positions ``at``, if it is connected and stable; else a ``ValidationError``
+    naming every violation, with ``named`` (those of names with no position) after
+    the vertices' and edges'."""
+    n, last = len(ids), {v: 1 << i for i, v in enumerate(ids)}  # a repeated id counts once
+    problems = [] if n else ["disconnected: graph has no vertices"]
+    problems += ["duplicate vertex ids"] if len(last) != n else []
+    problems += [f"vertex {v} has negative genus {g}" for v, g in zip(ids, genera) if g < 0]
+    unknown = [f"edge {i} references unknown vertex" for i, e in enumerate(ends) if None in e]
+    problems += [*unknown, *named]
+    genus, everyone = sum(genera) + len(ends) - n + 1, sum(last.values())
+    if n and not unknown and next(mask_components(
+            adjacency_masks(n, ends), everyone), None) != everyone:
+        problems.append("disconnected graph")
+    if n and genus < 0:
+        problems.append(f"total genus {genus} is negative")
+    if not problems:
+        margin = [2 * g - 2 for g in genera]  # 2g-2+valence+markings
+        for i, j in ends:
+            margin[i] += 1
+            margin[j] += 1
+        for i in at:
+            margin[i] += 1
+        problems = [f"unstable vertex {v}: 2g-2+valence+markings = {m} <= 0"
+                    for v, m in zip(ids, margin) if m <= 0]
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return genus
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ fixed order so output is byte-identical across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import ValidationError, parse_rational, require_int
-from .graphs import MarkedDualGraph, NodeTypeLabel, sorted_labels
+from .graphs import MarkedDualGraph, NodeTypeLabel, check_positions, sorted_labels
 from .maps import PhiTable
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            QProfile, make_profile)
@@ -111,6 +112,25 @@ def graph_document(graph: MarkedDualGraph) -> dict:
         doc["base_vertex"] = graph.base_vertex
     doc["expected_genus"] = graph.genus
     return doc
+
+
+def key_graph_text(key: tuple, genus: int, labels: tuple, newline: str) -> str:
+    """``dumps_document(graph_document(graph_from_key(key)))`` with ``newline`` for each
+    line break, once the graph passes ``check_positions`` with the genus and labels asked for."""
+    n, genera, marks, adj = key
+    ends = [pair for pair, m in zip(itertools.combinations_with_replacement(range(n), 2), adj)
+            if m for pair in (pair,) * m]
+    if check_positions([f"v{i}" for i in range(n)], genera, ends, [i for _, i in marks]) \
+            != genus or tuple(l for l, _ in marks) != labels:
+        raise ValidationError(f"corpus key {key} is not of genus {genus} with markings {labels}")
+    # a line holds a field of the graph at a, an item of a field at b, a field of an item at c
+    a, b, c = (newline + "  " * k for k in (1, 2, 3))
+    vertices = ",".join(f'{b}{{{c}"id": "v{i}",{c}"genus": {g}{b}}}' for i, g in enumerate(genera))
+    edges = ",".join(f'{b}[{c}"v{i}",{c}"v{j}"{b}]' for i, j in ends)
+    markings = ",".join(f'{b}{_quoted(l)}: "v{i}"' for l, i in marks)
+    return (f'{{{a}"vertices": [{vertices}{a}],{a}"edges": ' + (f"[{edges}{a}]" if ends else "[]")
+            + f',{a}"markings": ' + (f"{{{markings}{a}}}" if marks else "{}")
+            + f',{a}"expected_genus": {genus}{newline}}}')
 
 
 # -- node type labels --------------------------------------------------------

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from jacstab import corpus as corpus_mod
+from jacstab import generate_corpus
 from jacstab.cli import build_parser, main
+from jacstab.io import dumps_document, graph_document
 
 BRIDGE = {
     "vertices": [{"id": "v1", "genus": 1}, {"id": "v2", "genus": 2}],
@@ -519,6 +522,27 @@ def test_qprofile_malformed_polarization_fields_exit_2(files, capsys, pol, messa
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("genus, markings, bound", [
+    ("2", None, "2"), ("3", None, "1"), ("1", "\u00e9,a\"b,01", "3"), ("0", "1,2,3,4,5", "3"),
+    ("2", "p,s", "4"), ("1", "1,\\,01", "2")])
+def test_corpus_stdout_is_the_library_document(capsys, genus, markings, bound):
+    """The document written from keys is the one the graph objects give."""
+    argv = ["corpus", "--genus", genus, "--max-vertices", bound]
+    argv += ["--markings", markings] if markings else []
+    graphs = generate_corpus(int(genus), markings.split(",") if markings else (), int(bound))
+    want = dumps_document({"count": len(graphs), "graphs": [graph_document(g) for g in graphs]})
+    assert run_cli(capsys, *argv) == (0, want + "\n", "")
+
+
+def test_corpus_refuses_a_key_the_shared_rule_refuses(capsys, monkeypatch):
+    keys = corpus_mod.corpus_keys(2, (), 2)
+    unstable = (2, (0, 2), (), (0, 1, 0))  # v0 of genus 0 on one edge
+    monkeypatch.setattr(corpus_mod, "corpus_keys", lambda *args: keys + [unstable])
+    code, out, err = run_cli(capsys, "corpus", "--genus", "2", "--max-vertices", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unstable vertex v0: 2g-2+valence+markings = -1 <= 0")
 
 
 def test_corpus_negative_genus_exits_2(capsys):

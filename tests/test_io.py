@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacstab import NodeTypeLabel, ValidationError
-from jacstab.io import (dumps_document, format_rational, graph_document, loads_document,
-                        parse_graph_document, parse_polarization_document,
+from jacstab import MarkedDualGraph, NodeTypeLabel, ValidationError, canonical_key
+from jacstab.corpus import corpus_keys, graph_from_key
+from jacstab.graphs import sorted_labels
+from jacstab.io import (dumps_document, format_rational, graph_document, key_graph_text,
+                        loads_document, parse_graph_document, parse_polarization_document,
                         parse_phi_document, parse_rational,
                         parse_sheaf_document, polarization_document,
                         profile_document, sheaf_document)
@@ -157,3 +160,70 @@ def test_dumps_document_edge_cases():
 def test_dumps_document_refuses_other_values(value):
     with pytest.raises(TypeError):
         dumps_document(value)
+
+
+# -- graph documents written from canonical keys ------------------------------
+
+SIX = tuple(str(i) for i in range(1, 7))
+ESCAPED = ("\u00e9", 'a"b', "\\", "1", "01")  # é, a quote, a backslash, one number twice
+
+
+def assert_key_texts_match(genus, labels, keys) -> None:
+    """Each key's text is its graph's document as ``dumps_document`` writes it,
+    at the top level and nested in the corpus document's list."""
+    labels = sorted_labels(labels)
+    for key in keys:
+        want = dumps_document(graph_document(graph_from_key(key)))
+        assert key_graph_text(key, genus, labels, "\n") == want
+        assert key_graph_text(key, genus, labels, "\n    ") == want.replace("\n", "\n    ")
+
+
+def test_key_texts_of_the_small_corpora(small_corpora):
+    for genus, labels, graphs in small_corpora:
+        assert_key_texts_match(genus, labels, [canonical_key(g) for g in graphs])
+
+
+# M_{0,6} and M_{2,3}; edgeless roots with and without markings; labels to escape
+@pytest.mark.parametrize("genus,labels,bound", [
+    (0, SIX, 4), (2, ("1", "2", "3"), 5), (3, (), 1), (0, ("1", "2", "3"), 1),
+    (1, ESCAPED, 1), (1, ESCAPED, 3), (0, ESCAPED, 3)])
+def test_key_texts_equal_graph_documents(genus, labels, bound):
+    assert_key_texts_match(genus, labels, corpus_keys(genus, labels, bound))
+
+
+def test_escaped_labels_are_written_as_json_reads_them():
+    labels = sorted_labels(ESCAPED)
+    root = (1, (1,), tuple((l, 0) for l in labels), (0,))  # the smooth curve
+    assert root in corpus_keys(1, ESCAPED, 1)
+    assert json.loads(key_graph_text(root, 1, labels, "\n")) == {
+        "vertices": [{"id": "v0", "genus": 1}], "edges": [],
+        "markings": dict.fromkeys(labels, "v0"), "expected_genus": 1}
+
+
+# hand-made keys (vertex count, genera, marks, adjacency upper triangle) of
+# graphs that are not stable, or not of the genus and markings asked for
+BAD_GRAPH_KEYS = {
+    "unstable-vertex": ((2, (0, 1), (), (0, 1, 0)), "unstable vertex v0: 2g-2+valence+markings"),
+    "disconnected": ((2, (1, 1), (), (0, 0, 0)), "disconnected graph"),
+    "negative-genus": ((1, (-1,), (), (3,)), "vertex v0 has negative genus -1"),
+}
+
+
+@pytest.mark.parametrize("key, message", BAD_GRAPH_KEYS.values(), ids=BAD_GRAPH_KEYS)
+def test_bad_keys_are_refused_by_the_shared_rule(key, message):
+    genus = sum(key[1]) + sum(key[3]) - key[0] + 1
+    with pytest.raises(ValidationError, match=re.escape(message)) as caught:
+        key_graph_text(key, genus, (), "\n")
+    with pytest.raises(ValidationError) as built:  # validate says the same
+        graph_from_key(key)
+    assert str(built.value) == str(caught.value)
+
+
+def test_keys_not_asked_for_are_refused():
+    key = (1, (1,), (("1", 0),), (0,))
+    assert isinstance(graph_from_key(key), MarkedDualGraph)
+    with pytest.raises(ValidationError, match="is not of genus 2 with markings"):
+        key_graph_text(key, 2, ("1",), "\n")
+    with pytest.raises(ValidationError, match=re.escape("with markings ('2',)")):
+        key_graph_text(key, 1, ("2",), "\n")
+

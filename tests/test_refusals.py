@@ -1,9 +1,10 @@
 """Every refusal, from the CLI and from the library.
 
-Each input rule has one function: ``require_int`` and ``parse_rational``
-for numbers, ``require_name`` for vertex ids and marking labels and
-``require_keys`` for maps keyed by a fixed set of ids (all in
-``jacstab.errors``), and ``require_profile`` for a profile paired with
+Each input rule has one function: ``require_int``, ``parse_int`` and
+``parse_rational`` for numbers, ``require_name`` for vertex ids and marking
+labels and ``require_keys`` for maps keyed by a fixed set of ids (all in
+``jacstab.errors``), ``sorted_labels`` for a collection of marking labels
+(in ``jacstab.graphs``), and ``require_profile`` for a profile paired with
 its graph (in ``jacstab.polarization``).  The tables below run every
 ``raise`` the other tests leave alone.  A CLI case ends with exit 2 or 3,
 one ``error:`` or ``precondition failed:`` line and empty stdout; a library
@@ -35,7 +36,7 @@ from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      stabilize_forgetting, subcurve_invariants, twist,
                      twist_profile, two_component_graph)
 from jacstab.cli import main
-from jacstab.errors import parse_rational, require_int, require_keys
+from jacstab.errors import parse_int, parse_rational, require_int, require_keys
 from jacstab.io import polarization_document
 from jacstab.maps import PhiTable
 
@@ -202,6 +203,25 @@ CLI_REFUSALS = {
     "phi-genus-10000": (["kp-translate", "--phi", {**phi_doc([]), "genus": 10000}], 2,
                         "phi table mismatch: missing 19999 keys, first 10 "
                         "[NodeTypeLabel(side_genus=0, side_markings=('1', '2')), "),
+    # an integer flag is ASCII digits with an optional sign, nothing else int() reads
+    "corpus-genus-arabic-digit": (["corpus", "--genus", "\u0662", "--max-vertices", "3"], 2,
+                                  "malformed integer '\u0662'"),
+    "corpus-max-vertices-underscore": (["corpus", "--genus", "2", "--max-vertices", "1_0"], 2,
+                                       "malformed integer '1_0'"),
+    "corpus-genus-space": (["corpus", "--genus", " 2", "--max-vertices", "3"], 2,
+                           "malformed integer ' 2'"),
+    "perturb-seed-underscore": (["perturb", "--graph", THETA, "--pol", CANONICAL_D2,
+                                 "--seed", "1_0"], 2, "malformed integer '1_0'"),
+    "perturb-seed-fullwidth-digit": (["perturb", "--graph", THETA, "--pol", CANONICAL_D2,
+                                      "--seed", "\uff17"], 2, "malformed integer '\uff17'"),
+    # and so is each side of a rational
+    "profile-weight-underscore": (qprofile(THETA, {"kind": "profile", "d": 2,
+                                                   "q": {"v1": "1_0", "v2": "-8"}}), 2,
+                                  "malformed rational '1_0'"),
+    "recipe-s-arabic-digit": (qprofile(CHAIN, explicit(s="\u0663")), 2,
+                              "malformed rational '\u0663'"),
+    "recipe-r-denominator-underscore": (qprofile(CHAIN, explicit(r="1/1_0")), 2,
+                                        "malformed rational '1/1_0'"),
 }
 
 
@@ -424,6 +444,36 @@ LIBRARY_REFUSALS = {
     "require-keys-24-unknown": (
         lambda: require_keys(KEYS[:1], dict.fromkeys(KEYS[::-1], 0), "map"), ValidationError,
         f"map mismatch: missing [], unknown 24 keys, first 10 {KEYS[1:11]}"),
+    # marking labels come as a collection: a bare string is not split into its characters
+    "corpus-labels-string": (lambda: generate_corpus(1, "ab", 2), ValidationError,
+                             "marking labels must be a list of names, got 'ab'"),
+    "label-markings-string": (lambda: NodeTypeLabel.of(1, "pq"), ValidationError,
+                              "marking labels must be a list of names, got 'pq'"),
+    "forget-labels-string": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1), "x", genus=1, marking_labels="x1"),
+        ValidationError, "marking labels must be a list of names, got 'x1'"),
+    "admissible-labels-bytes": (lambda: admissible_labels(1, b"12"), ValidationError,
+                                "marking labels must be a list of names, got b'12'"),
+    "corpus-labels-int": (lambda: generate_corpus(1, 5, 2), ValidationError,
+                          "marking labels must be a list of names, got 5"),
+    "kp-translate-labels-none": (lambda: kp_translate(PhiTable.build({}), 1, None),
+                                 ValidationError,
+                                 "marking labels must be a list of names, got None"),
+    # integers written as text: ASCII digits with an optional sign
+    "parse-int-underscore": (lambda: parse_int("1_0"), ValidationError,
+                             "malformed integer '1_0'"),
+    "parse-int-arabic-digit": (lambda: parse_int("\u0663"), ValidationError,
+                               "malformed integer '\u0663'"),
+    "parse-int-space": (lambda: parse_int("3 "), ValidationError, "malformed integer '3 '"),
+    "parse-int-not-text": (lambda: parse_int(3), ValidationError, "malformed integer 3"),
+    "rational-underscore": (lambda: parse_rational("1_0"), ValidationError,
+                            "malformed rational '1_0'"),
+    "rational-arabic-digit": (lambda: parse_rational("\u0663"), ValidationError,
+                              "malformed rational '\u0663'"),
+    "rational-denominator-arabic-digit": (lambda: parse_rational("1/\u0663"), ValidationError,
+                                          "malformed rational '1/\u0663'"),
+    "explicit-s-underscore": (lambda: ExplicitPolarization.build(s="1_0", r=1),
+                              ValidationError, "malformed rational '1_0'"),
     # duplicate marking labels
     "admissible-duplicate-labels": (lambda: admissible_labels(0, ["1", "1", "2", "3"]),
                                     ValidationError, "duplicate marking labels"),
@@ -485,6 +535,22 @@ def test_library_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as caught:
         call()
     assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0662", " 2", "0x2", ""])
+def test_threads_env_refusal(capsys, monkeypatch, value):
+    monkeypatch.setenv("JACSTAB_THREADS", value)
+    assert main(["corpus", "--genus", "2", "--max-vertices", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: JACSTAB_THREADS must be a positive integer, got {value!r}\n"
+
+
+def test_integers_keep_their_value(capsys):
+    assert [parse_int(text) for text in ("0", "-7", "+7", "007")] == [0, -7, 7, 7]
+    assert parse_rational("+3/-6") == Fraction(-1, 2)
+    assert main(["corpus", "--genus", "+2", "--max-vertices", "02"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 7
 
 
 def test_rationals_keep_their_value():
