@@ -25,8 +25,8 @@ import sys
 from . import corpus as corpus_mod
 from . import io as docio
 from . import lattice, maps, polarization, stability
-from .errors import PreconditionError, ValidationError, parse_int, require_int
-from .graphs import label_sort_key, sorted_labels, subcurve_invariants
+from .errors import PreconditionError, ValidationError, clip, parse_int, require_int
+from .graphs import sorted_labels, subcurve_invariants
 from .polarization import ExplicitPolarization
 from .sheaves import is_simple
 
@@ -58,7 +58,7 @@ def _int_map(path: str, what: str) -> dict[str, int]:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} document must map keys to integers")
-    return {key: require_int(value, f"{what} entry {key!r}") for key, value in doc.items()}
+    return {key: require_int(value, f"{what} entry {clip(key)}") for key, value in doc.items()}
 
 
 def _parse_markings(text: str | None) -> tuple[str, ...]:
@@ -153,7 +153,7 @@ def _abel_jacobi(args) -> dict:
 def _kp_translate(args) -> dict:
     phi, genus, labels = docio.parse_phi_document(_read_json(args.phi))
     return {"pol": docio.polarization_document(maps.kp_translate(phi, genus, labels)),
-            "anchor": min(labels, key=label_sort_key)}
+            "anchor": labels[0]}
 
 
 def _corpus(args) -> str:
@@ -256,7 +256,7 @@ def _check_threads_env() -> None:
             return
     except ValidationError:
         pass
-    raise ValidationError(f"JACSTAB_THREADS must be a positive integer, got {raw!r}")
+    raise ValidationError(f"JACSTAB_THREADS must be a positive integer, got {clip(raw)}")
 
 
 def _run(args) -> dict:

@@ -31,10 +31,15 @@ class PreconditionError(JacstabError):
     """Valid data, unsatisfied operation precondition.  CLI exit code 3."""
 
 
+def clip(value) -> str:
+    """``repr(value)``, or its first 60 characters and its length when it is longer."""
+    return text if len(text := repr(value)) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def require_int(value, what: str) -> int:
     """``value`` if it is an int (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {clip(value)}")
     return value
 
 
@@ -49,14 +54,14 @@ def parse_int(text) -> int:
                 return int(text)
             except ValueError:  # more digits than int() reads
                 pass
-    raise ValidationError(f"malformed integer {text!r}: use ASCII digits with an optional sign")
+    raise ValidationError(f"malformed integer {clip(text)}: use ASCII digits with an optional sign")
 
 
 def require_name(value, what: str) -> str:
     """``value`` as a str if it is a str or an int (a bool is not)."""
     if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    raise ValidationError(f"{what} must be a string or an integer, got {value!r}")
+    raise ValidationError(f"{what} must be a string or an integer, got {clip(value)}")
 
 
 def parse_rational(value) -> Fraction:
@@ -64,20 +69,20 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValidationError(f"expected a rational string, got {value!r}")
+        raise ValidationError(f"expected a rational string, got {clip(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         raise ValidationError("floating point is not accepted; use p/q strings")
     if not isinstance(value, str):
-        raise ValidationError(f"expected a rational string, got {value!r}")
+        raise ValidationError(f"expected a rational string, got {clip(value)}")
     num, slash, den = value.strip().partition("/")
     try:
         p, q = parse_int(num), parse_int(den) if slash else 1
     except ValidationError as exc:
-        raise ValidationError(f"malformed rational {value!r}") from exc
+        raise ValidationError(f"malformed rational {clip(value)}") from exc
     if q == 0:
-        raise ValidationError(f"zero denominator in {value!r}")
+        raise ValidationError(f"zero denominator in {clip(value)}")
     return Fraction(p, q) if slash else Fraction(p)  # an int skips the gcd
 
 
@@ -85,7 +90,7 @@ def require_keys(keys, values: dict, what: str, default=None) -> list:
     """The values of ``values`` at ``keys``, in their order, when its keys are
     exactly ``keys`` (a missing one takes a ``default``); a refusal names 10 of each at most."""
     if not isinstance(values, dict):
-        raise ValidationError(f"{what} must be a map, got {values!r}")
+        raise ValidationError(f"{what} must be a map, got {clip(values)}")
     missing = [] if default is not None else [k for k in keys if k not in values]
     unknown = [k for k in values if k not in keys]
     if missing or unknown:

@@ -39,8 +39,8 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .errors import (PreconditionError, ValidationError, require_int, require_keys,
-                     require_name)
+from .errors import (PreconditionError, ValidationError, clip, require_int,
+                     require_keys, require_name)
 
 
 def label_sort_key(label: str) -> tuple:
@@ -55,7 +55,7 @@ def sorted_labels(marking_labels) -> tuple[str, ...]:
     """Marking labels, each read by ``require_name``, in ``label_sort_key``
     order, each once, from a collection of them; a bare string is refused, not split."""
     if isinstance(marking_labels, (str, bytes)) or not hasattr(marking_labels, "__iter__"):
-        raise ValidationError(f"marking labels must be a list of names, got {marking_labels!r}")
+        raise ValidationError(f"marking labels must be a list of names, got {clip(marking_labels)}")
     labels = tuple(sorted((require_name(l, "marking label") for l in marking_labels),
                           key=label_sort_key))
     if len(set(labels)) != len(labels):
@@ -117,11 +117,6 @@ class MarkedDualGraph:
         return {v: i for i, (v, _) in enumerate(self.vertices)}
 
     @cached_property
-    def vertex_bits(self) -> int:
-        """One bit per distinct vertex id, at its position."""
-        return sum(1 << i for i in self.vertex_index.values())
-
-    @cached_property
     def edge_ends(self) -> tuple[tuple[int, int], ...]:
         index = self.vertex_index
         return tuple((index[u], index[v]) for u, v in self.edges)
@@ -175,7 +170,8 @@ class MarkedDualGraph:
 
     def is_connected(self, skip_edges: frozenset[int] = frozenset()) -> bool:
         adjacency = adjacency_masks(len(self.vertices), self.edge_ends, skip_edges)
-        return next(mask_components(adjacency, self.vertex_bits), None) == self.vertex_bits
+        full = sum(1 << i for i in self.vertex_index.values())  # an id repeats before validate
+        return next(mask_components(adjacency, full), None) == full
 
     # -- validation -----------------------------------------------------
 
@@ -492,26 +488,27 @@ def _edge_type(graph: MarkedDualGraph, edge_index: int
 def require_genus(genus) -> int:
     """``genus`` if it is a nonnegative integer."""
     if require_int(genus, "genus") < 0:
-        raise ValidationError(f"genus must be nonnegative, got {genus}")
+        raise ValidationError(f"genus must be nonnegative, got {clip(genus)}")
     return genus
 
 
-def admissible_labels(genus: int, marking_labels) -> tuple[NodeTypeLabel, ...]:
-    """All canonical separating-node labels admissible for (g, A).
+def is_admissible(genus: int, labels: tuple[str, ...], label) -> bool:
+    """Whether ``label`` is in ``admissible_labels(genus, labels)``, the genus and labels as
+    that reads them: B is a run of the labels, each once, on the canonical side, and both
+    sides stay stable with the node as a point (b >= 1 or |B| >= 2, and so for the rest)."""
+    b, B = (label.side_genus, label.side_markings) if type(label) is NodeTypeLabel else (-1, ())
+    return (isinstance(B, tuple) and b in range(genus + 1) and (b >= 1 or len(B) >= 2)
+            and (genus - b >= 1 or len(labels) - len(B) >= 2)
+            and (labels[0] in B if labels else b < genus - b)
+            and B == tuple(l for l in labels if l in B))
 
-    Both sides must support a stable pointed configuration once the node is
-    added as an extra point: side genus >= 1 or at least two of its points
-    (markings plus the node) beyond the node, i.e. b >= 1 or |B| >= 2, and
-    symmetrically for the complement.  The self-symmetric label is excluded.
-    """
-    genus = require_genus(genus)
-    labels_a = sorted_labels(marking_labels)
-    n = len(labels_a)
-    return tuple(sorted(
-        NodeTypeLabel.of(b, B) for b in range(genus + 1) for size in range(n + 1)
-        for B in itertools.combinations(labels_a, size)
-        if (b >= 1 or size >= 2) and (genus - b >= 1 or n - size >= 2)
-        and (labels_a[0] in B if labels_a else b < genus - b)))
+
+def admissible_labels(genus: int, marking_labels) -> tuple[NodeTypeLabel, ...]:
+    """All canonical separating-node labels admissible for (g, A), in label order."""
+    genus, labels = require_genus(genus), sorted_labels(marking_labels)
+    candidates = (NodeTypeLabel(b, B) for b in range(genus + 1)
+                  for size in range(len(labels) + 1) for B in itertools.combinations(labels, size))
+    return tuple(sorted(l for l in candidates if is_admissible(genus, labels, l)))
 
 
 def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) -> int:
@@ -521,8 +518,8 @@ def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) ->
     type contributes +1 when it lies on the canonical side, -1 otherwise.
     Summed over every vertex of the graph the result is 0.
     """
-    require_keys(admissible_labels(graph.genus, graph.marking_labels), {label: 0},
-                 "node type label", default=0)
+    require_keys([label] if is_admissible(graph.genus, graph.marking_labels, label) else [],
+                 {label: 0}, "node type label", default=0)
     Y = _vertex_ids(vertex_set)
     known = set(graph.vertex_ids)
     if not Y or not Y <= known:

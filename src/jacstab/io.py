@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .errors import ValidationError, parse_rational, require_int
+from .errors import ValidationError, clip, parse_rational, require_int
 from .graphs import MarkedDualGraph, NodeTypeLabel, check_positions, sorted_labels
 from .maps import PhiTable
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
@@ -65,7 +65,7 @@ def _rational_map(doc: dict, key: str) -> dict:
     """The JSON object doc[key] (empty when absent); its builder parses the values."""
     value = doc.get(key, {})
     if not isinstance(value, dict):
-        raise ValidationError(f'"{key}" must be a JSON object of rationals, got {value!r}')
+        raise ValidationError(f'"{key}" must be a JSON object of rationals, got {clip(value)}')
     return value
 
 
@@ -88,7 +88,7 @@ def parse_graph_document(doc: dict) -> MarkedDualGraph:
         raise ValidationError('"edges" must be an array of id pairs')
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 2:
-            raise ValidationError(f"edge {entry!r} must be a pair of vertex ids")
+            raise ValidationError(f"edge {clip(entry)} must be a pair of vertex ids")
     markings = doc.get("markings", {})
     if not isinstance(markings, dict):
         raise ValidationError('"markings" must map labels to vertex ids')
@@ -182,7 +182,7 @@ def parse_polarization_document(doc: dict, graph: MarkedDualGraph | None = None)
         if graph is None:
             raise ValidationError("profile documents need a graph")
         return make_profile(graph, _rational_map(doc, "q"), doc.get("d"))
-    raise ValidationError(f'unknown polarization kind {kind!r}')
+    raise ValidationError(f'unknown polarization kind {clip(kind)}')
 
 
 def polarization_document(pol) -> dict:

@@ -29,7 +29,7 @@ from functools import cached_property
 from .errors import (PreconditionError, ValidationError, parse_rational,
                      require_int_map, require_keys, require_name)
 from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel, admissible_labels,
-                     require_genus, sorted_labels, stabilize_forgetting)
+                     is_admissible, require_genus, sorted_labels, stabilize_forgetting)
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            compile_polarization)
 from .sheaves import SheafType, require_simple, twist
@@ -167,8 +167,7 @@ def forget_point(graph: MarkedDualGraph, x: str, sheaf: SheafType
     require_simple(graph, sheaf)
     new_graph, _, report = stabilize_forgetting(graph, x)
     if report.case is None:
-        return new_graph, SheafType(nonfree_edges=sheaf.nonfree_edges,
-                                    degrees=sheaf.degrees), report
+        return new_graph, sheaf, report
 
     # no raise for a non-free tail or two non-free edges: require_simple refused them
     edge_map = dict(report.edge_map)
@@ -219,32 +218,29 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *, genus: int,
         raise PreconditionError(f"forgetting {x} needs a_{x} = 0, got {pol.a_map[x]}")
     new_alpha: dict[NodeTypeLabel, Fraction] = {}
     if pol.alpha:
-        upstairs = admissible_labels(genus, labels)
-        values = dict(zip(upstairs, require_keys(
-            upstairs, pol.alpha_map, "boundary coefficients", default=Fraction(0))))
-        if labels[:1] == (x,):
+        require_keys([k for k in pol.alpha_map if is_admissible(genus, labels, k)], pol.alpha_map,
+                     "boundary coefficients", default=0)
+        if labels[0] == x:
             raise PreconditionError(
                 f"cannot transport boundary coefficients: {x} is the "
                 f"smallest label, so canonical sides would flip")
         remaining = tuple(l for l in labels if l != x)
-        paired: set[NodeTypeLabel] = set()
-        for label in admissible_labels(genus, remaining):
-            with_x = NodeTypeLabel.of(label.side_genus,
-                                      label.side_markings + (x,))
-            paired |= {label, with_x}
-            plain_c = values[label]
-            with_x_c = values[with_x]
-            if plain_c != with_x_c:
+        for label, coefficient in pol.alpha:  # each equal to an admissible label
+            b, B = int(label.side_genus), [l for l in labels if l in label.side_markings]
+            down = NodeTypeLabel(b, tuple(l for l in B if l != x))
+            if is_admissible(genus, remaining, down):
+                with_x = NodeTypeLabel(b, tuple(l for l in labels if l in B or l == x))
+                plain_c, with_x_c = pol.alpha_map.get(down, 0), pol.alpha_map.get(with_x, 0)
+                if plain_c != with_x_c:
+                    raise PreconditionError(
+                        f"boundary coefficients must agree on the pair "
+                        f"{down} / {with_x}: got {plain_c} and {with_x_c}")
+                if plain_c:
+                    new_alpha[down] = plain_c
+            elif coefficient:
                 raise PreconditionError(
-                    f"boundary coefficients must agree on the pair "
-                    f"{label} / {with_x}: got {plain_c} and {with_x_c}")
-            if plain_c:
-                new_alpha[label] = plain_c
-        for label, coefficient in values.items():
-            if label not in paired and coefficient != 0:
-                raise PreconditionError(
-                    f"node type {label} vanishes under the contraction; "
-                    f"its coefficient must be 0, got {coefficient}")
+                    f"node type {NodeTypeLabel(b, tuple(B))} vanishes under the "
+                    f"contraction; its coefficient must be 0, got {coefficient}")
     return ExplicitPolarization.build(
         s=pol.s, r=pol.r,
         a={l: c for l, c in pol.a if l != x},
@@ -319,10 +315,10 @@ def two_component_graph(genus: int, marking_labels, label: NodeTypeLabel
     Vertex "side" carries the label's genus and markings, "rest" their
     complements.
     """
-    labels_a = sorted_labels(marking_labels)
-    require_keys(admissible_labels(genus, labels_a), {label: 0}, "node type label", default=0)
-    side_marks = set(label.side_markings)
-    markings = {l: ("side" if l in side_marks else "rest") for l in labels_a}
+    labels_a, genus = sorted_labels(marking_labels), require_genus(genus)
+    require_keys([label] if is_admissible(genus, labels_a, label) else [], {label: 0},
+                 "node type label", default=0)
+    markings = {l: ("side" if l in label.side_markings else "rest") for l in labels_a}
     return MarkedDualGraph.build(
         vertices=[("side", label.side_genus), ("rest", genus - label.side_genus)],
         edges=[("side", "rest")],

@@ -26,9 +26,9 @@ from functools import cached_property
 
 from .errors import (PreconditionError, ValidationError, parse_rational,
                      require_int, require_int_map, require_keys, require_name)
-from .graphs import (MarkedDualGraph, NodeTypeLabel, admissible_labels,
-                     label_sort_key, mask_components, mask_vertices,
-                     separating_ends, subcurve_sort_key, subcurve_table)
+from .graphs import (MarkedDualGraph, NodeTypeLabel, is_admissible, label_sort_key,
+                     mask_components, mask_vertices, separating_ends, subcurve_sort_key,
+                     subcurve_table)
 
 
 def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
@@ -156,8 +156,9 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
             f"target degree {d_frac} is not an integer for genus {g}")
     d = int(d_frac)
 
-    labels = admissible_labels(g, graph.marking_labels) if pol.alpha else ()
-    alpha = dict(zip(labels, require_keys(labels, pol.alpha_map, "boundary coefficients", 0)))
+    if alpha := pol.alpha_map:
+        require_keys([k for k in alpha if is_admissible(g, graph.marking_labels, k)], alpha,
+                     "boundary coefficients", 0)
     a = require_keys(graph.marking_labels, pol.a_map, "marking coefficients", default=0)
 
     # per vertex: its marking coefficients and its signed boundary terms
@@ -165,7 +166,7 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
     for (_, v), c in zip(graph.markings, a):
         extra[v] += c
     for endpoint, label, sign in separating_ends(graph) if alpha else ():
-        extra[endpoint] += sign * alpha[label]
+        extra[endpoint] += sign * alpha.get(label, 0)
     q = {v: (pol.s * graph.w_of(v) + extra[v]) / pol.r + Fraction(graph.w_of(v), 2)
          for v in graph.vertex_ids}
     return make_profile(graph, q, d)

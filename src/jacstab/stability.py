@@ -28,7 +28,7 @@ from functools import partial
 from itertools import accumulate, repeat
 from operator import add, sub as minus
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, clip
 from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k, subcurve_table
 from .polarization import QProfile, _on_a_wall, require_profile
 from .sheaves import SheafType, deg_subcurve, require_simple
@@ -161,7 +161,7 @@ def _box_runs(graph: MarkedDualGraph, profile: QProfile, mode: str,
     ``check``."""
     base = _base_of(graph, profile, base_vertex)
     if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+        raise ValidationError(f"unknown mode {clip(mode)}; expected one of {MODES}")
     if mode == "quasistable" and base is None:
         raise PreconditionError("quasistable enumeration needs a base vertex")
 

@@ -13,8 +13,8 @@ from jacstab import (ContractionReport, MarkedDualGraph, NodeTypeLabel, Precondi
                      boundary_degree, canonical_key, clutch_irr, clutch_sep, generate_corpus,
                      is_simple, node_type, stabilize_forgetting, subcurve_invariants)
 from jacstab.corpus import graph_from_key
-from jacstab.graphs import (_stabilize_forgetting, designated_side, label_sort_key,
-                            proper_subcurves, sorted_labels)
+from jacstab.graphs import (_stabilize_forgetting, designated_side, is_admissible,
+                            label_sort_key, proper_subcurves, sorted_labels)
 from jacstab.io import graph_document, parse_graph_document
 
 from conftest import bridge_g3, chain_111, marked_chain, multigraphs, theta
@@ -260,6 +260,30 @@ def test_admissible_labels_exclude_unstable_and_symmetric():
         NodeTypeLabel.of(1, ["1"]),
         NodeTypeLabel.of(1, ["1", "2"]),
     )
+
+
+class LabelSubclass(NodeTypeLabel):
+    """Equal fields, another class: never equal to a label."""
+
+
+def test_is_admissible_is_membership():
+    """The one-label rule says what membership in the full list says, for
+    every (b, B) candidate with genus <= 4 and |A| <= 5 and for keys a caller
+    can build: unsorted, repeated or foreign side markings, a bool, negative,
+    too large or non-int side genus, the self-symmetric label, a list of
+    markings, another class and keys that are not labels."""
+    for genus, n in itertools.product(range(5), range(6)):
+        labels = sorted_labels(["1", "2", "10", "x", "b"][:n])
+        listed = admissible_labels(genus, labels)
+        keys = [(1, labels[:1]), None, "1", LabelSubclass(1, labels[:1]),
+                NodeTypeLabel(genus // 2, ()), NodeTypeLabel(1, list(labels[:1]))]
+        for b in (-1, *range(genus + 2), True, False, 1.0, "1"):
+            for size in range(n + 2):
+                for B in itertools.combinations(labels + ("z",), size):
+                    keys += [NodeTypeLabel(b, B), NodeTypeLabel(b, B[::-1]),
+                             NodeTypeLabel(b, B + B[-1:])]
+        for key in keys:
+            assert is_admissible(genus, labels, key) == (key in listed), (genus, labels, key)
 
 
 # -- boundary degrees ----------------------------------------------------------

@@ -4,17 +4,22 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacstab import (ContractionReport, ExplicitPolarization, MarkedDualGraph,
                      NodeTypeLabel, PhiTable, PreconditionError, SheafType,
-                     ValidationError, abel_jacobi, admissible_labels, check,
+                     ValidationError, abel_jacobi, admissible_labels, boundary_degree, check,
                      check_star, clutch_irr, clutch_irr_polarization,
                      clutch_sep, clutch_sep_polarization, compile_polarization,
                      forget_point, forget_polarization, generate_corpus,
                      is_simple, kp_translate, stabilize_forgetting,
                      two_component_graph)
+from jacstab.errors import require_keys, require_name
+from jacstab.graphs import require_genus, sorted_labels
+from jacstab.io import dumps_document, polarization_document
 from jacstab.sheaves import require_simple
 
 from conftest import check_forget_degree_law, marked_chain
@@ -468,6 +473,137 @@ def test_forget_polarization_alpha_q_identity():
                                   marking_labels=("1", "2", "x"))
     prof_bar = compile_polarization(pol_bar, out)
     assert prof_bar.q_map == {v: prof.q_map[v] for v in out.vertex_ids}
+
+
+def parent_forget_polarization(pol: ExplicitPolarization, x: str, *, genus: int,
+                               marking_labels) -> ExplicitPolarization:
+    """Reference: ``forget_polarization`` when it listed the admissible labels
+    upstairs and downstairs, copied verbatim."""
+    x, labels = require_name(x, "marking label"), sorted_labels(marking_labels)
+    genus = require_genus(genus)
+    if x not in labels:
+        raise ValidationError(f"marking {x} not present")
+    if pol.a_map.get(x, Fraction(0)) != 0:
+        raise PreconditionError(f"forgetting {x} needs a_{x} = 0, got {pol.a_map[x]}")
+    new_alpha: dict[NodeTypeLabel, Fraction] = {}
+    if pol.alpha:
+        upstairs = admissible_labels(genus, labels)
+        values = dict(zip(upstairs, require_keys(
+            upstairs, pol.alpha_map, "boundary coefficients", default=Fraction(0))))
+        if labels[:1] == (x,):
+            raise PreconditionError(
+                f"cannot transport boundary coefficients: {x} is the "
+                f"smallest label, so canonical sides would flip")
+        remaining = tuple(l for l in labels if l != x)
+        paired: set[NodeTypeLabel] = set()
+        for label in admissible_labels(genus, remaining):
+            with_x = NodeTypeLabel.of(label.side_genus,
+                                      label.side_markings + (x,))
+            paired |= {label, with_x}
+            plain_c = values[label]
+            with_x_c = values[with_x]
+            if plain_c != with_x_c:
+                raise PreconditionError(
+                    f"boundary coefficients must agree on the pair "
+                    f"{label} / {with_x}: got {plain_c} and {with_x_c}")
+            if plain_c:
+                new_alpha[label] = plain_c
+        for label, coefficient in values.items():
+            if label not in paired and coefficient != 0:
+                raise PreconditionError(
+                    f"node type {label} vanishes under the contraction; "
+                    f"its coefficient must be 0, got {coefficient}")
+    return ExplicitPolarization.build(
+        s=pol.s, r=pol.r,
+        a={l: c for l, c in pol.a if l != x},
+        alpha=new_alpha)
+
+
+def with_marking(label: NodeTypeLabel, x: str) -> NodeTypeLabel:
+    return NodeTypeLabel.of(label.side_genus, label.side_markings + (x,))
+
+
+@st.composite
+def forget_tables(draw):
+    """(genus, labels, x, alpha): a marking x of (g, A) with g <= 3 and
+    |A| <= 4, and boundary coefficients that often give (b, B) and
+    (b, B + {x}) one value, at times on a label that vanishes, is not
+    admissible or has a bool side genus."""
+    genus = draw(st.integers(0, 3))
+    labels = ("1", "2", "3", "x")[:draw(st.integers(max(1, 4 - 2 * genus), 4))]
+    x = draw(st.sampled_from(labels[:1] + labels[1:] * 3))  # the smallest flips every side
+    values = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-1)))
+    alpha, down = {}, admissible_labels(genus, [l for l in labels if l != x])
+    for label in draw(st.lists(st.sampled_from(down), max_size=3)) if down and x > "1" else ():
+        alpha[label] = alpha[with_marking(label, x)] = draw(values)
+    upstairs = admissible_labels(genus, labels)
+    alpha.update(draw(st.dictionaries(st.sampled_from(upstairs), values, max_size=2)))
+    if draw(st.integers(0, 5)) == 0:  # a label of any genus and markings, seldom admissible
+        alpha[draw(st.builds(NodeTypeLabel.of, st.integers(0, genus + 1), st.lists(
+            st.sampled_from(labels), unique=True)))] = draw(values)
+    flip = draw(st.booleans())  # a side genus 1 given as True names the same label
+    return genus, labels, x, {NodeTypeLabel(True, k.side_markings)
+                              if flip and k.side_genus == 1 else k: c for k, c in alpha.items()}
+
+
+def transport_faults(genus, labels, x, alpha) -> int:
+    """Pairs that disagree plus vanishing labels with a coefficient."""
+    pairs = [(label, with_marking(label, x))
+             for label in admissible_labels(genus, [l for l in labels if l != x])]
+    paired = {label for pair in pairs for label in pair}
+    return (sum(alpha.get(a, 0) != alpha.get(b, 0) for a, b in pairs)
+            + sum(1 for l in admissible_labels(genus, labels) if l not in paired and alpha.get(l)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(forget_tables())
+def test_forget_polarization_matches_parent(case):
+    """Walking the given coefficients transports what listing both label
+    sets did, byte for byte, and refuses what it refused with the same
+    class; with one fault, in the same words."""
+    genus, labels, x, alpha = case
+    pol = ExplicitPolarization.build(s=0, r=1, alpha=alpha)
+    outcomes = []
+    for forget in (forget_polarization, parent_forget_polarization):
+        try:
+            outcomes.append(dumps_document(polarization_document(
+                forget(pol, x, genus=genus, marking_labels=labels))))
+        except (ValidationError, PreconditionError) as error:
+            outcomes.append(error)
+    new, old = outcomes
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert type(new) is type(old)
+        if transport_faults(genus, labels, x, alpha) <= 1 or type(old) is ValidationError:
+            assert str(new) == str(old)
+
+
+def test_label_readers_list_no_labels():
+    """compile_polarization, forget_polarization, boundary_degree and
+    two_component_graph test only the labels they are given: on a genus-2
+    two-vertex graph with 19 markings the full list has 2^19 labels."""
+    marks = [str(i) for i in range(1, 19)]
+    graph = MarkedDualGraph.build([("v0", 1), ("v1", 1)], [("v0", "v1")],
+                                  {**dict.fromkeys(marks, "v0"), "x": "v1"})
+    label = NodeTypeLabel.of(1, marks)
+    pol = ExplicitPolarization.build(s=0, r=1, alpha={label: Fraction(1, 3)})
+    paired = ExplicitPolarization.build(
+        s=0, r=1, alpha={label: Fraction(1, 3), with_marking(label, "x"): Fraction(1, 3)})
+    listing = AssertionError("a reader listed every admissible label")
+    with mock.patch("jacstab.graphs.admissible_labels", side_effect=listing), \
+            mock.patch("jacstab.maps.admissible_labels", side_effect=listing), \
+            mock.patch("jacstab.polarization.admissible_labels", side_effect=listing,
+                       create=True):
+        assert compile_polarization(pol, graph).q == (("v0", Fraction(5, 6)),
+                                                      ("v1", Fraction(1, 6)))
+        assert boundary_degree(graph, {"v0"}, label) == 1
+        assert two_component_graph(2, graph.marking_labels, label).markings_by_vertex \
+            == {"side": tuple(marks), "rest": ("x",)}
+        with pytest.raises(PreconditionError, match="agree on the pair"):
+            forget_polarization(pol, "x", genus=2, marking_labels=graph.marking_labels)
+        assert forget_polarization(paired, "x", genus=2, marking_labels=graph.marking_labels
+                                   ).alpha_map == {label: Fraction(1, 3)}
 
 
 def test_forget_verdict_transport_instance():

@@ -222,6 +222,19 @@ CLI_REFUSALS = {
                               "malformed rational '\u0663'"),
     "recipe-r-denominator-underscore": (qprofile(CHAIN, explicit(r="1/1_0")), 2,
                                         "malformed rational '1/1_0'"),
+    # a refusal quotes a long value by its first 60 characters and its length
+    "profile-weight-5000-digits": (qprofile(THETA, {"kind": "profile", "d": 2,
+                                                    "q": {"v1": "9" * 5000, "v2": "1"}}), 2,
+                                   f"malformed rational '{'9' * 59}... (5002 characters)"),
+    "corpus-genus-5000-digits": (["corpus", "--genus", "9" * 5000, "--max-vertices", "1"], 2,
+                                 f"malformed integer '{'9' * 59}... (5002 characters): use"),
+    # 4,000 digits parse: a negative genus is refused before any graph is built
+    "corpus-genus-4000-digits-negative": (["corpus", "--genus", "-" + "9" * 4000,
+                                           "--max-vertices", "1"], 2,
+                                          f"genus must be nonnegative, got -{'9' * 59}... "
+                                          "(4001 characters)"),
+    "graph-edge-long": (["validate", "--graph", graph_doc(edges=[["a"] * 1000])], 2,
+                        f"edge {str(['a'] * 1000)[:60]}... (5000 characters) must be a pair"),
 }
 
 
@@ -491,6 +504,22 @@ LIBRARY_REFUSALS = {
     "canonical-duplicate-coefficient-labels": (lambda: CanonicalPolarization.build(
         2, a={1: 1, "1": 3}), ValidationError, "duplicate marking labels"),
     # the rest of the library refusals
+    # side markings out of order or repeated name no label, so are refused
+    "alpha-unsorted-side-markings": (lambda: compile_polarization(ExplicitPolarization.build(
+        s=0, r=1, alpha={NodeTypeLabel(1, ("x", "1")): 1}), marked_chain()), ValidationError,
+        "boundary coefficients mismatch: missing [], "
+        "unknown [NodeTypeLabel(side_genus=1, side_markings=('x', '1'))]"),
+    "alpha-repeated-side-markings": (lambda: compile_polarization(ExplicitPolarization.build(
+        s=0, r=1, alpha={NodeTypeLabel(1, ("1", "1")): 1}), marked_chain()), ValidationError,
+        "boundary coefficients mismatch: missing [], "
+        "unknown [NodeTypeLabel(side_genus=1, side_markings=('1', '1'))]"),
+    "forget-unsorted-side-markings": (lambda: forget_polarization(ExplicitPolarization.build(
+        s=0, r=1, alpha={NodeTypeLabel(1, ("x", "1")): 1}), "2", genus=2,
+        marking_labels=["1", "2", "x"]), ValidationError,
+        "unknown [NodeTypeLabel(side_genus=1, side_markings=('x', '1'))]"),
+    "labels-long-bytes": (lambda: generate_corpus(1, b"1" * 5000, 2), ValidationError,
+                          f"marking labels must be a list of names, got b'{'1' * 58}... "
+                          "(5003 characters)"),
     "two-component-inadmissible": (lambda: two_component_graph(
         1, ["1", "2"], NodeTypeLabel.of(0, ["2"])), ValidationError,
         "node type label mismatch: missing [], "
