@@ -15,7 +15,7 @@ set of invariants computed here:
   the vertex carrying it stops being stable.
 
 A graph is put in normal form and checked once, when it is built:
-``MarkedDualGraph.__post_init__`` puts each edge's ends in vertex order and
+``MarkedDualGraph.__init__`` puts each edge's ends in vertex order and
 the markings in label order, then runs ``validate``.  So one structure is
 one value however it was reached, every graph object is connected and
 stable, and no function orders or re-checks its input.  ``validate`` reads
@@ -26,17 +26,16 @@ lookups (``vertex_ids``, ``genus_map``, ``valence_map``,
 Connectivity is one bitmask search, ``mask_components``, over the
 adjacency masks of ``adjacency_masks``.
 
-All values are immutable; every function is pure.
+All values are immutable ``Record``s; every function is pure.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from operator import or_
+from operator import attrgetter, eq, ge, gt, le, lt, or_
 from typing import NamedTuple
 
 from .errors import (PreconditionError, ValidationError, clip, require_int,
@@ -63,8 +62,44 @@ def sorted_labels(marking_labels) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
-class MarkedDualGraph:
+def _compare(order):
+    """A comparison of two records of one class that applies ``order`` to their fields."""
+    return lambda self, other: order(self._values, other._values) \
+        if other.__class__ is self.__class__ else NotImplemented
+
+
+class Record:
+    """An immutable value.  Its fields are the parameters of its class's own
+    ``__init__``, which sets them with ``object.__setattr__``.  Records of one
+    class with equal fields are equal; the hash, the ``repr`` and ``replace``
+    are those of ``@dataclass(frozen=True)``, and so is assignment, refused."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = fields = code.co_varnames[1:code.co_argcount]
+        get = attrgetter(*fields)  # the tuple of two fields or more, the value of one
+        cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
+
+    __eq__ = _compare(eq)
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A record of this class with the fields in ``changes`` changed."""
+        return type(self)(**{**dict(zip(self._fields, self._values)), **changes})
+
+
+class MarkedDualGraph(Record):
     """Dual graph of a marked nodal curve.
 
     ``vertices`` is an ordered tuple of ``(vertex id, genus)`` pairs; the
@@ -77,10 +112,17 @@ class MarkedDualGraph:
     passes.
     """
 
-    vertices: tuple[tuple[str, int], ...]
-    edges: tuple[tuple[str, str], ...]
-    markings: tuple[tuple[str, str], ...] = ()
-    base_vertex: str | None = None
+    def __init__(self, vertices: tuple[tuple[str, int], ...], edges: tuple[tuple[str, str], ...],
+                 markings: tuple[tuple[str, str], ...] = (), base_vertex: str | None = None):
+        object.__setattr__(self, "vertices", vertices)
+        order = self.vertex_index  # an end that is not a vertex is left for validate
+        object.__setattr__(self, "edges", tuple(
+            (v, u) if u in order and v in order and order[v] < order[u] else (u, v)
+            for u, v in edges))
+        object.__setattr__(self, "markings", tuple(
+            sorted(markings, key=lambda p: label_sort_key(p[0]))))
+        object.__setattr__(self, "base_vertex", base_vertex)
+        self.validate()
 
     @classmethod
     def build(cls, vertices, edges, markings=None, base_vertex=None
@@ -96,15 +138,6 @@ class MarkedDualGraph:
             markings=tuple((require_name(l, "marking label"), require_name(v, "marking vertex"))
                            for l, v in items),
             base_vertex=None if base_vertex is None else require_name(base_vertex, "base vertex"))
-
-    def __post_init__(self) -> None:
-        order = self.vertex_index  # an end that is not a vertex is left for validate
-        object.__setattr__(self, "edges", tuple(
-            (v, u) if u in order and v in order and order[v] < order[u] else (u, v)
-            for u, v in self.edges))
-        object.__setattr__(self, "markings", tuple(
-            sorted(self.markings, key=lambda p: label_sort_key(p[0]))))
-        self.validate()
 
     # -- basic lookups -------------------------------------------------
 
@@ -177,75 +210,86 @@ class MarkedDualGraph:
 
     def validate(self) -> "MarkedDualGraph":
         """Return self iff every invariant holds (``check_positions``); report all violations."""
-        index, marks = self.vertex_index, self.markings
+        get, marks = self.vertex_index.get, self.markings
+        at = [get(v) for _, v in marks]
         named = [] if len(dict(marks)) == len(marks) else ["duplicate marking label"]
-        named += [f"marking {l} placed on unknown vertex {v}" for l, v in marks if v not in index]
-        if self.base_vertex is not None and self.base_vertex not in index:
+        if None in at:
+            named += [f"marking {l} placed on unknown vertex {v}"
+                      for (l, v), i in zip(marks, at) if i is None]
+        if self.base_vertex is not None and get(self.base_vertex) is None:
             named.append(f"base vertex {self.base_vertex} is not a vertex")
-        check_positions([v for v, _ in self.vertices], [g for _, g in self.vertices],
-                        [(index.get(u), index.get(v)) for u, v in self.edges],
-                        [index[v] for _, v in marks if v in index], named)
+        check_positions(self.vertices, [(get(u), get(v)) for u, v in self.edges], at, named)
         return self
 
-    # -- derived graphs --------------------------------------------------
 
-    def replace(self, **changes) -> "MarkedDualGraph":
-        return dataclasses.replace(self, **changes)
-
-
-def check_positions(ids, genera, ends, at, named=()) -> int:
-    """The arithmetic genus of the graph with vertex ``ids`` and ``genera``, edges
-    joining the positions ``ends`` (an end None is no vertex) and markings at the
-    positions ``at``, if it is connected and stable; else a ``ValidationError``
+def check_positions(vertices, ends, at, named=()) -> int:
+    """The arithmetic genus of the graph with ``vertices`` (id, genus), edges
+    joining the positions ``ends`` and markings at the positions ``at`` (a position
+    None is no vertex), if it is connected and stable; else a ``ValidationError``
     naming every violation, with ``named`` (those of names with no position) after
-    the vertices' and edges'."""
-    n, last = len(ids), {v: 1 << i for i, v in enumerate(ids)}  # a repeated id counts once
+    the vertices' and edges'.  It makes one pass over each of its arguments."""
+    n, distinct = len(vertices), len(dict(vertices))
     problems = [] if n else ["disconnected: graph has no vertices"]
-    problems += ["duplicate vertex ids"] if len(last) != n else []
-    problems += [f"vertex {v} has negative genus {g}" for v, g in zip(ids, genera) if g < 0]
-    unknown = [f"edge {i} references unknown vertex" for i, e in enumerate(ends) if None in e]
-    problems += [*unknown, *named]
-    genus, everyone = sum(genera) + len(ends) - n + 1, sum(last.values())
-    if n and not unknown and next(mask_components(
-            adjacency_masks(n, ends), everyone), None) != everyone:
+    problems += ["duplicate vertex ids"] if distinct != n else []
+    margin, adjacency, genus = [], [], len(ends) - n + 1  # 2g-2+valence+markings by position
+    for v, g in vertices:
+        if g < 0:
+            problems.append(f"vertex {v} has negative genus {g}")
+        margin.append(2 * g - 2)
+        adjacency.append(1 << len(adjacency))
+        genus += g
+    known = True
+    for e, (i, j) in enumerate(ends):
+        if i is None or j is None:
+            problems.append(f"edge {e} references unknown vertex")
+            known = False
+        else:
+            margin[i] += 1
+            margin[j] += 1
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    for i in at:
+        if i is not None:
+            margin[i] += 1
+    problems += named
+    everyone = (1 << n) - 1 if distinct == n else \
+        sum({v: 1 << i for i, (v, _) in enumerate(vertices)}.values())  # a repeated id counts once
+    if n and known and next(mask_components(adjacency, everyone), None) != everyone:
         problems.append("disconnected graph")
     if n and genus < 0:
         problems.append(f"total genus {genus} is negative")
-    if not problems:
-        margin = [2 * g - 2 for g in genera]  # 2g-2+valence+markings
-        for i, j in ends:
-            margin[i] += 1
-            margin[j] += 1
-        for i in at:
-            margin[i] += 1
+    if not problems and min(margin) <= 0:
         problems = [f"unstable vertex {v}: 2g-2+valence+markings = {m} <= 0"
-                    for v, m in zip(ids, margin) if m <= 0]
+                    for (v, _), m in zip(vertices, margin) if m <= 0]
     if problems:
         raise ValidationError("; ".join(problems))
     return genus
 
 
-@dataclass(frozen=True)
-class SubcurveInvariants:
+class SubcurveInvariants(Record):
     """Boundary count, dualizing degree, genus and components of a subcurve."""
 
-    k: int
-    w: int
-    genus: int
-    components: tuple[frozenset[str], ...]
+    def __init__(self, k: int, w: int, genus: int, components: tuple[frozenset[str], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "components", components)
 
 
-@dataclass(frozen=True, order=True)
-class NodeTypeLabel:
+class NodeTypeLabel(Record):
     """Oriented type of a separating node.
 
     Names the canonical side of the node by its genus and the sorted tuple
     of marking labels it carries.  The label of the complementary side is
-    ``(g - side_genus, complement markings)``.
+    ``(g - side_genus, complement markings)``.  Labels are ordered by
+    ``(side_genus, side_markings)``.
     """
 
-    side_genus: int
-    side_markings: tuple[str, ...]
+    def __init__(self, side_genus: int, side_markings: tuple[str, ...]):
+        object.__setattr__(self, "side_genus", side_genus)
+        object.__setattr__(self, "side_markings", side_markings)
+
+    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
 
     @classmethod
     def of(cls, genus: int, markings) -> "NodeTypeLabel":
@@ -494,10 +538,12 @@ def require_genus(genus) -> int:
 
 def is_admissible(genus: int, labels: tuple[str, ...], label) -> bool:
     """Whether ``label`` is in ``admissible_labels(genus, labels)``, the genus and labels as
-    that reads them: B is a run of the labels, each once, on the canonical side, and both
-    sides stay stable with the node as a point (b >= 1 or |B| >= 2, and so for the rest)."""
+    that reads them: b is an int, float or Fraction equal to one of 0, ..., genus, B is a run
+    of the labels, each once, on the canonical side, and both sides stay stable with the
+    node as a point (b >= 1 or |B| >= 2, and so for the rest)."""
     b, B = (label.side_genus, label.side_markings) if type(label) is NodeTypeLabel else (-1, ())
-    return (isinstance(B, tuple) and b in range(genus + 1) and (b >= 1 or len(B) >= 2)
+    return (isinstance(B, tuple) and isinstance(b, (int, float, Fraction)) and 0 <= b <= genus
+            and b == int(b) and (b >= 1 or len(B) >= 2)
             and (genus - b >= 1 or len(labels) - len(B) >= 2)
             and (labels[0] in B if labels else b < genus - b)
             and B == tuple(l for l in labels if l in B))
@@ -541,8 +587,7 @@ def separating_ends(graph: MarkedDualGraph):
 # -- forgetting a marked point --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(Record):
     """What happened when a marking was forgotten.
 
     ``case`` is "a" (two-edge rational vertex fused into one new edge),
@@ -552,13 +597,18 @@ class ContractionReport:
     surviving endpoint of the new edge.
     """
 
-    case: str | None
-    removed_vertex: str | None = None
-    removed_edges: tuple[int, ...] = ()
-    new_edge_index: int | None = None
-    transferred_marking: str | None = None
-    edge_map: tuple[tuple[int, int], ...] = ()
-    fused_ends: tuple[tuple[int, str], ...] = ()
+    def __init__(self, case: str | None, removed_vertex: str | None = None,
+                 removed_edges: tuple[int, ...] = (), new_edge_index: int | None = None,
+                 transferred_marking: str | None = None,
+                 edge_map: tuple[tuple[int, int], ...] = (),
+                 fused_ends: tuple[tuple[int, str], ...] = ()):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "removed_vertex", removed_vertex)
+        object.__setattr__(self, "removed_edges", removed_edges)
+        object.__setattr__(self, "new_edge_index", new_edge_index)
+        object.__setattr__(self, "transferred_marking", transferred_marking)
+        object.__setattr__(self, "edge_map", edge_map)
+        object.__setattr__(self, "fused_ends", fused_ends)
 
 
 def stabilize_forgetting(graph: MarkedDualGraph, marking: str

@@ -120,7 +120,7 @@ def key_graph_text(key: tuple, genus: int, labels: tuple, newline: str) -> str:
     n, genera, marks, adj = key
     ends = [pair for pair, m in zip(itertools.combinations_with_replacement(range(n), 2), adj)
             if m for pair in (pair,) * m]
-    if check_positions([f"v{i}" for i in range(n)], genera, ends, [i for _, i in marks]) \
+    if check_positions([(f"v{i}", g) for i, g in enumerate(genera)], ends, [i for _, i in marks]) \
             != genus or tuple(l for l, _ in marks) != labels:
         raise ValidationError(f"corpus key {key} is not of genus {genus} with markings {labels}")
     # a line holds a field of the graph at a, an item of a field at b, a field of an item at c

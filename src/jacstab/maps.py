@@ -22,13 +22,12 @@ pushforward would not preserve the total degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (PreconditionError, ValidationError, parse_rational,
                      require_int_map, require_keys, require_name)
-from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel, admissible_labels,
+from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel, Record, admissible_labels,
                      is_admissible, require_genus, sorted_labels, stabilize_forgetting)
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
                            compile_polarization)
@@ -272,11 +271,11 @@ def abel_jacobi(graph: MarkedDualGraph, dtuple: dict[str, int]
     return pol, sheaf, verdict
 
 
-@dataclass(frozen=True)
-class PhiTable:
+class PhiTable(Record):
     """Rational vertex weight per separating-node type, target degree g-1."""
 
-    values: tuple[tuple[NodeTypeLabel, Fraction], ...]
+    def __init__(self, values: tuple[tuple[NodeTypeLabel, Fraction], ...]):
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def build(cls, values) -> "PhiTable":

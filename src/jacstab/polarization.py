@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (PreconditionError, ValidationError, parse_rational,
+from .errors import (PreconditionError, ValidationError, clip, parse_rational,
                      require_int, require_int_map, require_keys, require_name)
-from .graphs import (MarkedDualGraph, NodeTypeLabel, is_admissible, label_sort_key,
+from .graphs import (MarkedDualGraph, NodeTypeLabel, Record, is_admissible, label_sort_key,
                      mask_components, mask_vertices, separating_ends, subcurve_sort_key,
                      subcurve_table)
 
@@ -40,20 +39,21 @@ def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
     return pairs
 
 
-@dataclass(frozen=True)
-class ExplicitPolarization:
+class ExplicitPolarization(Record):
     """Family-level coefficient recipe (s, a_i, alpha_(b,B), r)."""
 
-    s: Fraction
-    r: Fraction
-    a: tuple[tuple[str, Fraction], ...] = ()
-    alpha: tuple[tuple[NodeTypeLabel, Fraction], ...] = ()
+    def __init__(self, s: Fraction, r: Fraction, a: tuple[tuple[str, Fraction], ...] = (),
+                 alpha: tuple[tuple[NodeTypeLabel, Fraction], ...] = ()):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "alpha", alpha)
 
     @classmethod
     def build(cls, s, r, a=None, alpha=None) -> "ExplicitPolarization":
         r = parse_rational(r)
         if r <= 0:
-            raise ValidationError(f"rank coefficient r must be positive, got {r}")
+            raise ValidationError(f"rank coefficient r must be positive, got {clip(r, str)}")
         alpha_items = tuple(sorted(
             (label, parse_rational(c)) for label, c in dict(alpha or {}).items()))
         return cls(s=parse_rational(s), r=r, a=_marking_coefficients(a), alpha=alpha_items)
@@ -70,12 +70,12 @@ class ExplicitPolarization:
         return (self.s * (2 * genus - 2) + sum(self.a_map.values())) / self.r + genus - 1
 
 
-@dataclass(frozen=True)
-class CanonicalPolarization:
+class CanonicalPolarization(Record):
     """Degree-d canonical recipe with marking weights a (basic inequality)."""
 
-    d: int
-    a: tuple[tuple[str, Fraction], ...] = ()
+    def __init__(self, d: int, a: tuple[tuple[str, Fraction], ...] = ()):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a", a)
 
     @classmethod
     def build(cls, d, a=None) -> "CanonicalPolarization":
@@ -95,13 +95,13 @@ class CanonicalPolarization:
             s=lead, r=weight_total, a={l: lead * c for l, c in self.a})
 
 
-@dataclass(frozen=True)
-class QProfile:
+class QProfile(Record):
     """Compiled rational vertex weights for one graph; sum(q) = d."""
 
-    graph: MarkedDualGraph
-    q: tuple[tuple[str, Fraction], ...]
-    d: int
+    def __init__(self, graph: MarkedDualGraph, q: tuple[tuple[str, Fraction], ...], d: int):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d)
 
     @cached_property
     def q_map(self) -> dict[str, Fraction]:

@@ -10,18 +10,16 @@ scalar endomorphisms: deleting S must not disconnect the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError, ValidationError, require_int, require_int_map
-from .graphs import MarkedDualGraph, check_subcurve
+from .graphs import MarkedDualGraph, Record, check_subcurve
 
 
-@dataclass(frozen=True)
-class SheafType:
+class SheafType(Record):
     """(non-free edge set, vertex multidegree), degrees in vertex order."""
 
-    nonfree_edges: frozenset[int]
-    degrees: tuple[tuple[str, int], ...]
+    def __init__(self, nonfree_edges: frozenset[int], degrees: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "nonfree_edges", nonfree_edges)
+        object.__setattr__(self, "degrees", degrees)
 
     @classmethod
     def build(cls, graph: MarkedDualGraph, degrees, nonfree_edges=()) -> "SheafType":

@@ -22,31 +22,31 @@ one callback, non-free set by non-free set; ``count_components`` keeps none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat
 from operator import add, sub as minus
 
 from .errors import PreconditionError, ValidationError, clip
-from .graphs import MarkedDualGraph, proper_subcurves, subcurve_k, subcurve_table
+from .graphs import MarkedDualGraph, Record, proper_subcurves, subcurve_k, subcurve_table
 from .polarization import QProfile, _on_a_wall, require_profile
 from .sheaves import SheafType, deg_subcurve, require_simple
 
 MODES = ("semistable", "stable", "quasistable")
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     """stable / strictly_semistable / unstable, plus a witness subcurve.
 
     The witness is the first violated subcurve (unstable) or the first
     equality subcurve (strictly semistable) in canonical order.
     """
 
-    status: str
-    quasistable_at_base: bool | None = None
-    witness: tuple[str, ...] | None = None
+    def __init__(self, status: str, quasistable_at_base: bool | None = None,
+                 witness: tuple[str, ...] | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "quasistable_at_base", quasistable_at_base)
+        object.__setattr__(self, "witness", witness)
 
 
 def _base_of(graph: MarkedDualGraph, profile: QProfile, base_vertex: str | None

@@ -295,13 +295,13 @@ def assert_keys_build_their_graphs(graphs) -> None:
     """Each graph's key k gives it back, ``canonical_key(graph_from_key(k)) == k``,
     and construction keeps the edges and markings that ``graph_from_key``
     passes it, so the normal form changes nothing on corpus output."""
-    passed, normalize = [], MarkedDualGraph.__post_init__
+    passed, construct = [], MarkedDualGraph.__init__
 
-    def recording(graph):
-        passed.append((graph.edges, graph.markings))
-        normalize(graph)
+    def recording(graph, vertices, edges, markings=(), base_vertex=None):
+        passed.append((edges, markings))
+        construct(graph, vertices, edges, markings, base_vertex)
 
-    with mock.patch.object(MarkedDualGraph, "__post_init__", recording):
+    with mock.patch.object(MarkedDualGraph, "__init__", recording):
         for graph in graphs:
             key = canonical_key(graph)
             built = graph_from_key(key)

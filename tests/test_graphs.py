@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from jacstab import (ContractionReport, MarkedDualGraph, NodeTypeLabel, PreconditionError,
                      SheafType, ValidationError, admissible_labels, are_isomorphic,
                      boundary_degree, canonical_key, clutch_irr, clutch_sep, generate_corpus,
-                     is_simple, node_type, stabilize_forgetting, subcurve_invariants)
+                     is_simple, node_type, stabilize_forgetting, subcurve_invariants,
+                     two_component_graph)
 from jacstab.corpus import graph_from_key
 from jacstab.graphs import (_stabilize_forgetting, designated_side, is_admissible,
                             label_sort_key, proper_subcurves, sorted_labels)
@@ -270,20 +272,46 @@ def test_is_admissible_is_membership():
     """The one-label rule says what membership in the full list says, for
     every (b, B) candidate with genus <= 4 and |A| <= 5 and for keys a caller
     can build: unsorted, repeated or foreign side markings, a bool, negative,
-    too large or non-int side genus, the self-symmetric label, a list of
+    too large or non-int side genus (a float, a Fraction, NaN), the self-symmetric label, a list of
     markings, another class and keys that are not labels."""
     for genus, n in itertools.product(range(5), range(6)):
         labels = sorted_labels(["1", "2", "10", "x", "b"][:n])
         listed = admissible_labels(genus, labels)
         keys = [(1, labels[:1]), None, "1", LabelSubclass(1, labels[:1]),
                 NodeTypeLabel(genus // 2, ()), NodeTypeLabel(1, list(labels[:1]))]
-        for b in (-1, *range(genus + 2), True, False, 1.0, "1"):
+        for b in (-1, *range(genus + 2), True, False, 1.0, Fraction(1), 0.5, float("nan"), "1"):
             for size in range(n + 2):
                 for B in itertools.combinations(labels + ("z",), size):
                     keys += [NodeTypeLabel(b, B), NodeTypeLabel(b, B[::-1]),
                              NodeTypeLabel(b, B + B[-1:])]
         for key in keys:
             assert is_admissible(genus, labels, key) == (key in listed), (genus, labels, key)
+
+
+class CountingFloat(float):
+    """A float that counts the calls of its ``__eq__``."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        CountingFloat.calls += 1
+        return float.__eq__(self, other)
+
+    __hash__ = float.__hash__
+
+
+def test_is_admissible_compares_the_side_genus_once():
+    """The side genus is compared with one integer at most, whatever the genus: a
+    genus of 10**7 does not make it scan ``range(genus + 1)``."""
+    labels = ("1", "2")
+    for genus, b in itertools.product((2, 10**7), (0.5, 1.0, -1.0, 1e300, float("inf"))):
+        CountingFloat.calls = 0
+        answer = is_admissible(genus, labels, NodeTypeLabel(CountingFloat(b), labels))
+        assert CountingFloat.calls <= 1 and answer == (b == 1.0), (genus, b)
+    CountingFloat.calls = 0
+    with pytest.raises(ValidationError, match="^node type label mismatch"):
+        two_component_graph(10**7, labels, NodeTypeLabel(CountingFloat(0.5), labels))
+    assert CountingFloat.calls <= 1
 
 
 # -- boundary degrees ----------------------------------------------------------

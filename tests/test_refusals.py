@@ -235,6 +235,13 @@ CLI_REFUSALS = {
                                           "(4001 characters)"),
     "graph-edge-long": (["validate", "--graph", graph_doc(edges=[["a"] * 1000])], 2,
                         f"edge {str(['a'] * 1000)[:60]}... (5000 characters) must be a pair"),
+    # a refusal that shows a value's text, or names a key, cuts it the same way
+    "recipe-r-4000-digits-negative": (qprofile(CHAIN, explicit(r="-" + "9" * 4000)), 2,
+                                      f"rank coefficient r must be positive, got -{'9' * 59}... "
+                                      "(4001 characters)"),
+    "profile-unknown-5000-character-id": (
+        qprofile(THETA, {"kind": "profile", "d": 2, "q": {"v1": "1", "v2": "1", "x" * 5000: "0"}}),
+        2, f"profile weights mismatch: missing [], unknown ['{'x' * 59}... (5002 characters)]"),
 }
 
 
@@ -555,6 +562,20 @@ LIBRARY_REFUSALS = {
     "forget-unknown-marking": (lambda: forget_polarization(
         ExplicitPolarization.build(s=0, r=1), "z", genus=2, marking_labels=["1", "2"]),
         ValidationError, "marking z not present"),
+    # a number's text and a name key are cut like a repr: 60 characters and the length
+    "recipe-r-4000-digits-negative": (
+        lambda: ExplicitPolarization.build(s=0, r="-" + "9" * 4000), ValidationError,
+        f"rank coefficient r must be positive, got -{'9' * 59}... (4001 characters)"),
+    "profile-unknown-5000-character-id": (
+        lambda: make_profile(theta(), {"v1": 1, "v2": 1, "x" * 5000: 0}, 2), ValidationError,
+        f"profile weights mismatch: missing [], unknown ['{'x' * 59}... (5002 characters)]"),
+    "profile-missing-5000-character-id": (
+        lambda: make_profile(MarkedDualGraph.build([("y" * 5000, 2)], []), {}, 0),
+        ValidationError,
+        f"profile weights mismatch: missing ['{'y' * 59}... (5002 characters)], unknown []"),
+    "profile-unknown-81-digit-key": (
+        lambda: make_profile(theta(), {"v1": 1, "v2": 1, "v9": 0, 10**80: 0}, 2),
+        ValidationError, f"unknown [{str(10**80)[:60]}... (81 characters), 'v9']"),
 }
 
 
