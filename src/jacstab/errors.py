@@ -31,9 +31,9 @@ class PreconditionError(JacstabError):
     """Valid data, unsatisfied operation precondition.  CLI exit code 3."""
 
 
-def clip(value, show=repr) -> str:
-    """``show(value)``, or its first 60 characters and its length when it is longer."""
-    return text if len(text := show(value)) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+def clip(value, show=repr, cut=60) -> str:
+    """``show(value)``, or its first ``cut`` characters and its length when it is longer."""
+    return text if len(text := show(value)) <= cut else f"{text[:cut]}... ({len(text)} characters)"
 
 
 def require_int(value, what: str) -> int:
@@ -88,15 +88,16 @@ def parse_rational(value) -> Fraction:
 
 def require_keys(keys, values: dict, what: str, default=None) -> list:
     """The values of ``values`` at ``keys``, in their order, when its keys are exactly ``keys``
-    (a missing one takes a ``default``); a refusal names 10 of each, str and int by ``clip``."""
+    (a missing one takes a ``default``); a refusal names 10 of each by ``clip``: a str or int
+    key cut at 60 characters, another key at 120, and each list at 900, which 10 names fit."""
     if not isinstance(values, dict):
         raise ValidationError(f"{what} must be a map, got {clip(values)}")
     missing = [] if default is not None else [k for k in keys if k not in values]
-    unknown = [k for k in values if k not in keys]
+    unknown = [k for known in [set(keys)] for k in values if k not in known]  # linear in both
     if missing or unknown:
-        named = [("" if len(ks) <= 10 else f"{len(ks)} keys, first 10 ") + "[" + ", ".join(
-            clip(k) if isinstance(k, (str, int)) else repr(k) for k in ks[:10]) + "]"
-            for ks in (sorted(missing), sorted(unknown, key=str))]
+        named = [("" if len(ks) <= 10 else f"{len(ks)} keys, first 10 ") + clip("[" + ", ".join(
+            clip(k, repr, 60 if isinstance(k, (str, int)) else 120) for k in ks[:10]) + "]",
+            str, 900) for ks in (sorted(missing), sorted(unknown, key=str))]
         raise ValidationError(f"{what} mismatch: missing {named[0]}, unknown {named[1]}")
     return [values.get(k, default) for k in keys]
 

@@ -170,7 +170,7 @@ class MarkedDualGraph(Record):
     def markings_by_vertex(self) -> dict[str, tuple[str, ...]]:
         return {v: tuple(l for l, w in self.markings if w == v) for v in self.vertex_ids}
 
-    _table = cached_property(lambda self: _subcurve_table(self.vertices, self.edges))
+    _table = cached_property(lambda self: _subcurve_table(self.vertex_ids, self.edges))
 
     @cached_property
     def _forgettings(self) -> dict[str, tuple]:
@@ -214,10 +214,10 @@ class MarkedDualGraph(Record):
         at = [get(v) for _, v in marks]
         named = [] if len(dict(marks)) == len(marks) else ["duplicate marking label"]
         if None in at:
-            named += [f"marking {l} placed on unknown vertex {v}"
+            named += [f"marking {clip(l, str)} placed on unknown vertex {clip(v, str)}"
                       for (l, v), i in zip(marks, at) if i is None]
         if self.base_vertex is not None and get(self.base_vertex) is None:
-            named.append(f"base vertex {self.base_vertex} is not a vertex")
+            named.append(f"base vertex {clip(self.base_vertex, str)} is not a vertex")
         check_positions(self.vertices, [(get(u), get(v)) for u, v in self.edges], at, named)
         return self
 
@@ -234,7 +234,7 @@ def check_positions(vertices, ends, at, named=()) -> int:
     margin, adjacency, genus = [], [], len(ends) - n + 1  # 2g-2+valence+markings by position
     for v, g in vertices:
         if g < 0:
-            problems.append(f"vertex {v} has negative genus {g}")
+            problems.append(f"vertex {clip(v, str)} has negative genus {clip(g, str)}")
         margin.append(2 * g - 2)
         adjacency.append(1 << len(adjacency))
         genus += g
@@ -257,9 +257,9 @@ def check_positions(vertices, ends, at, named=()) -> int:
     if n and known and next(mask_components(adjacency, everyone), None) != everyone:
         problems.append("disconnected graph")
     if n and genus < 0:
-        problems.append(f"total genus {genus} is negative")
+        problems.append(f"total genus {clip(genus, str)} is negative")
     if not problems and min(margin) <= 0:
-        problems = [f"unstable vertex {v}: 2g-2+valence+markings = {m} <= 0"
+        problems = [f"unstable vertex {clip(v, str)}: 2g-2+valence+markings = {m} <= 0"
                     for (v, _), m in zip(vertices, margin) if m <= 0]
     if problems:
         raise ValidationError("; ".join(problems))
@@ -361,10 +361,10 @@ SUBCURVE_TABLE_CACHE_SIZE = 128
 
 
 class Subcurve(NamedTuple):
-    """A connected proper subcurve: bit i of ``mask`` is vertex i, bit e of
-    ``inner`` edge e when both its ends are in it; a wall if Yᶜ is connected."""
+    """A connected proper subcurve: ``names`` its sorted vertex ids, bit i of ``mask``
+    vertex i, bit e of ``inner`` edge e when both ends are in it; a wall if Yᶜ is connected."""
 
-    vertices: frozenset[str]
+    names: tuple[str, ...]
     members: tuple[int, ...]
     mask: int
     k: int
@@ -417,14 +417,13 @@ def mask_components(adjacency, mask: int):
 
 
 def subcurve_table(graph: MarkedDualGraph) -> SubcurveTable:
-    """The subcurve table, shared by all graphs with the same structure and
-    kept by each graph object, so it is looked up once per graph."""
+    """The subcurve table, shared by all graphs with the same vertex ids and edges
+    (it reads no genus or marking) and kept by each graph object, looked up once."""
     return graph._table
 
 
 @lru_cache(maxsize=SUBCURVE_TABLE_CACHE_SIZE)
-def _subcurve_table(vertices, edges) -> SubcurveTable:
-    ids = [v for v, _ in vertices]
+def _subcurve_table(ids, edges) -> SubcurveTable:
     n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
     ends = [(index[u], index[v]) for u, v in edges]
@@ -437,11 +436,11 @@ def _subcurve_table(vertices, edges) -> SubcurveTable:
             reduce(or_, (adjacency[i] for i in _bits(m))))} - masks
     masks.discard(full := (1 << n) - 1)
     subcurves = sorted(
-        (Subcurve(mask_vertices(ids, m), _bits(m), m,
+        (Subcurve(tuple(sorted(map(ids.__getitem__, members))), members, m,
                   sum(1 for e in edge_masks if e & m and e & ~m), full ^ m in masks,
                   sum(1 << i for i, e in enumerate(edge_masks) if e & m == e))
-         for m in masks),
-        key=lambda sub: subcurve_sort_key(sub.vertices))
+         for m in masks for members in [_bits(m)]),
+        key=lambda sub: (len(sub.names), sub.names))  # subcurve_sort_key
     return SubcurveTable(adjacency, edge_masks, tuple(subcurves), walk_layout(
         n, subcurves, [j for j, sub in enumerate(subcurves) if sub.wall and len(sub.members) > 1]))
 
@@ -552,9 +551,9 @@ def is_admissible(genus: int, labels: tuple[str, ...], label) -> bool:
 def admissible_labels(genus: int, marking_labels) -> tuple[NodeTypeLabel, ...]:
     """All canonical separating-node labels admissible for (g, A), in label order."""
     genus, labels = require_genus(genus), sorted_labels(marking_labels)
-    candidates = (NodeTypeLabel(b, B) for b in range(genus + 1)
-                  for size in range(len(labels) + 1) for B in itertools.combinations(labels, size))
-    return tuple(sorted(l for l in candidates if is_admissible(genus, labels, l)))
+    sides = sorted(B for n in range(len(labels) + 1) for B in itertools.combinations(labels, n))
+    candidates = (NodeTypeLabel(b, B) for b in range(genus + 1) for B in sides)  # in label order
+    return tuple(l for l in candidates if is_admissible(genus, labels, l))
 
 
 def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) -> int:

@@ -98,7 +98,7 @@ def parse_graph_document(doc: dict) -> MarkedDualGraph:
     expected = doc.get("expected_genus")
     if expected is not None and graph.genus != require_int(expected, "expected_genus"):
         raise ValidationError(
-            f"expected_genus {expected} does not match computed genus {graph.genus}")
+            f"expected_genus {clip(expected, str)} does not match computed genus {graph.genus}")
     return graph
 
 

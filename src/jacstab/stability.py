@@ -56,7 +56,7 @@ def _base_of(graph: MarkedDualGraph, profile: QProfile, base_vertex: str | None
     require_profile(graph, profile)
     base = base_vertex if base_vertex is not None else graph.base_vertex
     if base is not None and base not in graph.vertex_index:
-        raise ValidationError(f"base vertex {base} is not a vertex")
+        raise ValidationError(f"base vertex {clip(base, str)} is not a vertex")
     return base
 
 
@@ -72,29 +72,28 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
             f"degree mismatch: sheaf has total degree {total}, profile expects {profile.d}")
 
     if all_subsets:  # the independent oracle, in rationals
-        slacks = ((Y, deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)
+        slacks = ((tuple(sorted(Y)), deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)
                    + Fraction(subcurve_k(graph, Y), 2))
                   for Y in proper_subcurves(graph))
     else:
         slacks = _slack_signs(graph, profile, degrees, sheaf.nonfree_edges)
-    first_equality: frozenset[str] | None = None
+    witness: tuple[str, ...] | None = None  # the sorted ids of the first equality
     quasi: bool | None = True if base is not None else None
-    for Y, slack in slacks:
+    for names, slack in slacks:
         if slack < 0:
-            return StabilityVerdict("unstable", None if base is None else False, tuple(sorted(Y)))
+            return StabilityVerdict("unstable", None if base is None else False, names)
         if slack == 0:
-            first_equality = first_equality or Y  # a subcurve is never empty
-            quasi = quasi and base not in Y
-    return StabilityVerdict("strictly_semistable" if first_equality else "stable", quasi,
-                            first_equality and tuple(sorted(first_equality)))
+            witness = witness or names  # a subcurve is never empty
+            quasi = quasi and base not in names
+    return StabilityVerdict("strictly_semistable" if witness else "stable", quasi, witness)
 
 
 def _slack_signs(graph: MarkedDualGraph, profile: QProfile, degrees: list[int], nonfree):
-    """(Y, sign of the slack) for every connected subcurve, in integers."""
+    """(sorted ids, sign of the slack) for every connected subcurve, in integers."""
     edges = sum(1 << e for e in nonfree)
     for sub, (need, exact) in zip(subcurve_table(graph).subcurves, profile.thresholds):
         deg = sum(map(degrees.__getitem__, sub.members)) + (edges & sub.inner).bit_count()
-        yield sub.vertices, -1 if deg < need else int(deg > need or not exact)
+        yield sub.names, -1 if deg < need else int(deg > need or not exact)
 
 
 def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:

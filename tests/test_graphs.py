@@ -264,6 +264,17 @@ def test_admissible_labels_exclude_unstable_and_symmetric():
     )
 
 
+def test_admissible_labels_come_in_label_order():
+    """The labels are generated in order: they equal the admissible candidates sorted
+    as records, for genus <= 4 and |A| <= 5, labels of one number included."""
+    for genus, n in itertools.product(range(5), range(6)):
+        labels = sorted_labels(["1", "2", "10", "x", "b"][:n])
+        candidates = (NodeTypeLabel(b, B) for b in range(genus + 1)
+                      for size in range(n + 1) for B in itertools.combinations(labels, size))
+        assert admissible_labels(genus, labels) == tuple(sorted(
+            l for l in candidates if is_admissible(genus, labels, l))), (genus, labels)
+
+
 class LabelSubclass(NodeTypeLabel):
     """Equal fields, another class: never equal to a label."""
 

@@ -41,7 +41,7 @@ from jacstab import (MarkedDualGraph, PreconditionError, SheafType,
                      count_components, enumerate_sheaves, is_general,
                      is_simple, make_profile, node_type, perturb_general,
                      subcurve_invariants)
-from jacstab.graphs import (designated_side, proper_subcurves, subcurve_k,
+from jacstab.graphs import (designated_side, mask_vertices, proper_subcurves, subcurve_k,
                             subcurve_sort_key, subcurve_table, walk_layout)
 from jacstab.sheaves import require_simple
 from jacstab.stability import MODES, _base_of, _box_runs, _nonfree_candidates, _walk
@@ -220,7 +220,7 @@ def test_connectivity_matches_set_search(graphs):
 
 def test_connected_subcurves_match_filtered_subsets(graphs):
     for graph in graphs:
-        assert [s.vertices for s in subcurve_table(graph).subcurves] \
+        assert [set(s.names) for s in subcurve_table(graph).subcurves] \
             == connected_oracle(graph)
 
 
@@ -404,15 +404,15 @@ def test_walk_tests_exactly_the_walls(graphs):
     for graph in graphs:  # the small corpora and the ten-vertex ring
         table = subcurve_table(graph)
         everything = frozenset(graph.vertex_ids)
-        connected_rest = [len(components(graph, everything - sub.vertices)) == 1
+        connected_rest = [len(components(graph, everything - set(sub.names))) == 1
                           for sub in table.subcurves]
         assert [sub.wall for sub in table.subcurves] == connected_rest, graph
         tested = sorted(j for level in table.walk[0] for _, js, _, parent_js in level
                         for j in js + parent_js)
         walls = [j for j, sub in enumerate(table.subcurves)
-                 if len(sub.vertices) > 1 and connected_rest[j]]
+                 if len(sub.names) > 1 and connected_rest[j]]
         assert tested == walls, graph
-        dropped += sum(len(sub.vertices) > 1 for sub in table.subcurves) - len(walls)
+        dropped += sum(len(sub.names) > 1 for sub in table.subcurves) - len(walls)
     assert dropped > 50, dropped
 
 
@@ -462,8 +462,24 @@ def test_singletons_lead_the_table(graphs):
         n = len(graph.vertex_ids)
         table = subcurve_table(graph)
         singletons = sorted((frozenset([v]) for v in graph.vertex_ids), key=subcurve_sort_key)
-        assert [sub.vertices for sub in table.subcurves[:n]] == singletons[:len(table.subcurves)]
+        assert [set(sub.names) for sub in table.subcurves[:n]] == singletons[:len(table.subcurves)]
         assert all(len(sub.members) > 1 for sub in table.subcurves[n:]), graph
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(multigraphs(max_vertices=7), st.data())
+def test_table_names_and_shared_tables(graph, data):
+    # each subcurve's names are its mask's ids, sorted; the table reads no genus
+    # or marking, so a graph that differs only in those gets the same table object
+    table = subcurve_table(graph)
+    for sub in table.subcurves:
+        assert sub.names == tuple(sorted(mask_vertices(graph.vertex_ids, sub.mask))), graph
+    genera = data.draw(st.lists(st.integers(2, 4), min_size=len(graph.vertices),
+                                max_size=len(graph.vertices)))
+    marks = data.draw(st.dictionaries(st.sampled_from(["p", "q", "r"]),
+                                      st.sampled_from(graph.vertex_ids)))
+    other = MarkedDualGraph.build(zip(graph.vertex_ids, genera), graph.edges, marks)
+    assert subcurve_table(other) is table, (graph, other)
 
 
 def assert_walls_walk_matches_full_walk(graph, profile, base):
@@ -559,8 +575,8 @@ def test_inner_masks_count_the_edges_inside(graph, data):
         S = data.draw(edge_subsets(graph))
         mask = sum(1 << e for e in S)
         for sub in subcurve_table(graph).subcurves:
-            inside = {e for e in S if set(graph.edges[e]) <= sub.vertices}
-            assert (mask & sub.inner).bit_count() == len(inside), (graph, S, sub.vertices)
+            inside = {e for e in S if set(graph.edges[e]) <= set(sub.names)}
+            assert (mask & sub.inner).bit_count() == len(inside), (graph, S, sub.names)
 
 
 def end_mask_slack_signs(graph, profile, sheaf):
@@ -572,7 +588,7 @@ def end_mask_slack_signs(graph, profile, sheaf):
         deg = sum(map(degrees.__getitem__, sub.members))
         if nonfree:
             deg += sum(1 for m in nonfree if m & sub.mask == m)
-        yield sub.vertices, -1 if deg < need else int(deg > need or not exact)
+        yield sub.names, -1 if deg < need else int(deg > need or not exact)
 
 
 def end_mask_check(graph, profile, sheaf, base_vertex=None):

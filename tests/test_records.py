@@ -117,7 +117,7 @@ class MarkedDualGraph:
     def markings_by_vertex(self) -> dict[str, tuple[str, ...]]:
         return {v: tuple(l for l, w in self.markings if w == v) for v in self.vertex_ids}
 
-    _table = cached_property(lambda self: _subcurve_table(self.vertices, self.edges))
+    _table = cached_property(lambda self: _subcurve_table(self.vertex_ids, self.edges))
 
     @cached_property
     def _forgettings(self) -> dict[str, tuple]:

@@ -37,6 +37,7 @@ from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      twist_profile, two_component_graph)
 from jacstab.cli import main
 from jacstab.errors import parse_int, parse_rational, require_int, require_keys
+from jacstab import io as docio
 from jacstab.io import polarization_document
 from jacstab.maps import PhiTable
 
@@ -242,6 +243,31 @@ CLI_REFUSALS = {
     "profile-unknown-5000-character-id": (
         qprofile(THETA, {"kind": "profile", "d": 2, "q": {"v1": "1", "v2": "1", "x" * 5000: "0"}}),
         2, f"profile weights mismatch: missing [], unknown ['{'x' * 59}... (5002 characters)]"),
+    # a graph refusal quotes a vertex id or a marking label the same way, without quotes
+    "graph-5000-character-id-unstable": (
+        ["validate", "--graph", {"vertices": [{"id": "y" * 5000, "genus": 0}], "edges": []}], 2,
+        f"unstable vertex {'y' * 60}... (5000 characters): 2g-2+valence+markings = -2 <= 0"),
+    "graph-5000-character-id-negative-genus": (
+        ["validate", "--graph", {"vertices": [{"id": "y" * 5000, "genus": -1}]}], 2,
+        f"vertex {'y' * 60}... (5000 characters) has negative genus -1"),
+    "graph-4000-digit-negative-genus": (
+        ["validate", "--graph", {"vertices": [{"id": "a", "genus": -10**3999}]}], 2,
+        f"vertex a has negative genus -1{'0' * 58}... (4001 characters); total genus "
+        f"-1{'0' * 58}... (4001 characters) is negative"),
+    "graph-marking-on-5000-character-vertex": (
+        ["validate", "--graph", graph_doc(markings={"m" * 5000: "z" * 5000})], 2,
+        f"marking {'m' * 60}... (5000 characters) placed on unknown vertex "
+        f"{'z' * 60}... (5000 characters)"),
+    "graph-5000-character-base-vertex": (
+        ["validate", "--graph", graph_doc(base_vertex="b" * 5000)], 2,
+        f"base vertex {'b' * 60}... (5000 characters) is not a vertex"),
+    "check-5000-character-base": (theta_check(THETA_SHEAF, "--base", "b" * 5000), 2,
+                                  f"base vertex {'b' * 60}... (5000 characters) is not a vertex"),
+    # a key that is not a name is cut at 120 characters
+    "alpha-5000-character-marking": (
+        qprofile(CHAIN, explicit(s="0", alpha=[{"b": 0, "B": ["1", "x" * 5000], "value": "1"}])),
+        2, "boundary coefficients mismatch: missing [], unknown [NodeTypeLabel(side_genus=0, "
+        "side_markings=('1', 'xxxx"),
 }
 
 
@@ -576,6 +602,41 @@ LIBRARY_REFUSALS = {
     "profile-unknown-81-digit-key": (
         lambda: make_profile(theta(), {"v1": 1, "v2": 1, "v9": 0, 10**80: 0}, 2),
         ValidationError, f"unknown [{str(10**80)[:60]}... (81 characters), 'v9']"),
+    # a long vertex id or marking label in a graph refusal: 60 characters and the length
+    "graph-5000-character-id-unstable": (
+        lambda: MarkedDualGraph.build([("y" * 5000, 1)], []), ValidationError,
+        f"unstable vertex {'y' * 60}... (5000 characters): 2g-2+valence+markings = 0 <= 0"),
+    "graph-5000-character-id-negative-genus": (
+        lambda: MarkedDualGraph.build([("y" * 5000, -1), ("a", 3)], [("y" * 5000, "a")]),
+        ValidationError, f"vertex {'y' * 60}... (5000 characters) has negative genus -1"),
+    "graph-marking-on-5000-character-vertex": (
+        lambda: MarkedDualGraph.build([("a", 2)], [], {"1": "z" * 5000}), ValidationError,
+        f"marking 1 placed on unknown vertex {'z' * 60}... (5000 characters)"),
+    "graph-5000-character-marking-on-unknown-vertex": (
+        lambda: MarkedDualGraph.build([("a", 2)], [], {"m" * 5000: "z"}), ValidationError,
+        f"marking {'m' * 60}... (5000 characters) placed on unknown vertex z"),
+    "graph-5000-character-base-vertex": (
+        lambda: MarkedDualGraph.build([("a", 2)], [], base_vertex="b" * 5000), ValidationError,
+        f"base vertex {'b' * 60}... (5000 characters) is not a vertex"),
+    "check-5000-character-base": (
+        lambda: check(theta(), theta_profile(), theta_line_bundle(), base_vertex="b" * 5000),
+        ValidationError, f"base vertex {'b' * 60}... (5000 characters) is not a vertex"),
+    "graph-4000-digit-expected-genus": (
+        lambda: docio.parse_graph_document({"vertices": [{"id": "a", "genus": 2}],
+                                            "expected_genus": 10**3999}), ValidationError,
+        f"expected_genus {'1' + '0' * 59}... (4000 characters) does not match computed genus 2"),
+    # a key that is not a name is cut at 120 characters, each list at 900
+    "compile-alpha-5000-character-marking": (
+        lambda: compile_polarization(ExplicitPolarization.build(
+            s=0, r=1, alpha={NodeTypeLabel.of(0, ["1", "x" * 5000]): 1}), chain_111()),
+        ValidationError, "boundary coefficients mismatch: missing [], unknown [NodeTypeLabel("
+        f"side_genus=0, side_markings=('1', '{'x' * 71}... (5052 characters)]"),
+    "phi-table-20-long-labels": (
+        lambda: require_keys([NodeTypeLabel(0, (str(i) * 200,)) for i in range(10, 30)],
+                             {NodeTypeLabel(1, (str(i) * 200,)): 0 for i in range(10, 30)},
+                             "phi table"),
+        ValidationError, "phi table mismatch: missing 20 keys, first 10 [NodeTypeLabel("
+        f"side_genus=0, side_markings=('{'10' * 38}... (448 characters), "),
 }
 
 
@@ -584,7 +645,28 @@ LIBRARY_REFUSALS = {
 def test_library_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as caught:
         call()
-    assert type(caught.value) is error
+    assert type(caught.value) is error and len(str(caught.value)) < 2000
+
+
+class CountingName(str):
+    """A name that counts the calls of its ``__eq__``."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        CountingName.calls += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_require_keys_compares_no_two_keys():
+    # each key is looked up in a set, not in the list: 2,000 keys made about
+    # 2,000,000 comparisons when the list was searched for each of them
+    keys = [CountingName(f"k{i}") for i in range(2000)]
+    CountingName.calls = 0
+    assert require_keys(keys, dict.fromkeys(keys, 0), "map") == [0] * 2000
+    assert CountingName.calls == 0
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0662", " 2", "0x2", ""])
