@@ -33,7 +33,12 @@ class PreconditionError(JacstabError):
 
 def clip(value, show=repr, cut=60) -> str:
     """``show(value)``, or its first ``cut`` characters and its length when it is longer."""
-    return text if len(text := show(value)) <= cut else f"{text[:cut]}... ({len(text)} characters)"
+    try:
+        text = show(value)
+    except ValueError:  # an int of more digits than str writes: its first digits, padded
+        n = (k := abs(value).bit_length() * 30103 // 100000) + (abs(value) >= 10 ** k)  # digits
+        text = ("-" * (value < 0) + str(abs(value) // 10 ** (n - cut))).ljust(n + (value < 0), "0")
+    return text if len(text) <= cut else f"{text[:cut]}... ({len(text)} characters)"
 
 
 def require_int(value, what: str) -> int:
@@ -43,10 +48,10 @@ def require_int(value, what: str) -> int:
     return value
 
 
-def parse_int(text) -> int:
-    """The integer that ``text`` writes in ASCII digits with an optional sign: the
-    integer flags of the CLI, JACSTAB_THREADS and each side of a rational.  int()
-    alone would also read "1_0", " 1" and non-ASCII digits."""
+def parse_int(text, refuse=True) -> int | None:
+    """The integer that ``text`` writes in ASCII digits with an optional sign (the CLI's integer
+    flags, JACSTAB_THREADS, each side of a rational; with ``refuse=False`` the label order, which
+    gets None for other text), where int() would also read "1_0", " 1" and non-ASCII digits."""
     if isinstance(text, str):
         digits = text[1:] if text[:1] in ("+", "-") else text
         if digits.isascii() and digits.isdigit():
@@ -54,7 +59,9 @@ def parse_int(text) -> int:
                 return int(text)
             except ValueError:  # more digits than int() reads
                 pass
-    raise ValidationError(f"malformed integer {clip(text)}: use ASCII digits with an optional sign")
+    if refuse:
+        raise ValidationError(
+            f"malformed integer {clip(text)}: use ASCII digits with an optional sign")
 
 
 def require_name(value, what: str) -> str:

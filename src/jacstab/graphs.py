@@ -38,16 +38,14 @@ from functools import cached_property, lru_cache, reduce
 from operator import attrgetter, eq, ge, gt, le, lt, or_
 from typing import NamedTuple
 
-from .errors import (PreconditionError, ValidationError, clip, require_int,
+from .errors import (PreconditionError, ValidationError, clip, parse_int, require_int,
                      require_keys, require_name)
 
 
 def label_sort_key(label: str) -> tuple:
-    """Sort key for marking labels: numbers first, numerically, then by text."""
-    try:
-        return (0, int(label), str(label))
-    except (TypeError, ValueError):
-        return (1, 0, str(label))
+    """Sort key for marking labels: those ``parse_int`` reads first, by number, then by text."""
+    number = parse_int(label, refuse=False)
+    return (1, 0, str(label)) if number is None else (0, number, label)
 
 
 def sorted_labels(marking_labels) -> tuple[str, ...]:
@@ -296,22 +294,29 @@ class NodeTypeLabel(Record):
         return cls(require_int(genus, "side genus"), sorted_labels(markings))
 
 
-def _vertex_ids(vertex_set) -> frozenset[str]:
+def require_marking(labels, marking, where="") -> str:
+    """``marking`` read by ``require_name``, if it is one of ``labels``."""
+    if (marking := require_name(marking, "marking label")) not in labels:
+        raise ValidationError(f"marking {clip(marking, str)} not present{where}")
+    return marking
+
+
+def vertex_subset(graph: MarkedDualGraph, vertex_set) -> frozenset[str]:
+    """The ids in ``vertex_set``, each read by ``require_name``, named once and a vertex."""
     ids, seen = [require_name(v, "vertex id") for v in vertex_set], set()
     for v in ids:  # one pass: the first repeat is refused
         if v in seen or seen.add(v):
-            raise ValidationError(f"subcurve vertex {v} repeated")
+            raise ValidationError(f"subcurve vertex {clip(v, str)} repeated")
+    if unknown := seen - graph.vertex_index.keys():
+        raise ValidationError("subcurve references unknown vertices: "
+                              f"[{', '.join(clip(v) for v in sorted(unknown))}]")
     return frozenset(seen)
 
 
 def check_subcurve(graph: MarkedDualGraph, vertex_set) -> frozenset[str]:
-    Y = _vertex_ids(vertex_set)
-    if not Y:
+    if not (Y := vertex_subset(graph, vertex_set)):
         raise ValidationError("empty subcurve")
-    known = set(graph.vertex_ids)
-    if not Y <= known:
-        raise ValidationError(f"subcurve references unknown vertices: {sorted(Y - known)}")
-    if Y == known:
+    if len(Y) == len(graph.vertices):
         raise ValidationError("subcurve must be proper (not all vertices)")
     return Y
 
@@ -509,7 +514,7 @@ def _edge_type(graph: MarkedDualGraph, edge_index: int
                ) -> tuple[NodeTypeLabel, frozenset[str] | None] | None:
     """(canonical label, designated side) of a separating edge, or None."""
     if not 0 <= edge_index < len(graph.edges):
-        raise ValidationError(f"unknown edge index {edge_index}")
+        raise ValidationError(f"unknown edge index {clip(edge_index, str)}")
     u, v = graph.edges[edge_index]
     if u == v:
         return None
@@ -565,10 +570,8 @@ def boundary_degree(graph: MarkedDualGraph, vertex_set, label: NodeTypeLabel) ->
     """
     require_keys([label] if is_admissible(graph.genus, graph.marking_labels, label) else [],
                  {label: 0}, "node type label", default=0)
-    Y = _vertex_ids(vertex_set)
-    known = set(graph.vertex_ids)
-    if not Y or not Y <= known:
-        raise ValidationError("invalid subcurve for boundary degree")
+    if not (Y := vertex_subset(graph, vertex_set)):
+        raise ValidationError("empty subcurve")
     return sum(sign for endpoint, edge_label, sign in separating_ends(graph)
                if edge_label == label and endpoint in Y)
 
@@ -632,8 +635,7 @@ def _stabilize_forgetting(graph: MarkedDualGraph, marking: str) -> tuple:
     markings = 0.  It is not the only vertex (the 2g - 2 + n check refuses
     that), so it has one of two shapes: rational with two edges and no other
     marking (case a), or with one edge and one other marking (case b)."""
-    if marking not in graph.marking_map:
-        raise ValidationError(f"marking {marking} not present")
+    require_marking(graph.marking_map, marking)
     rest = [(l, v) for l, v in graph.markings if l != marking]
     if 2 * graph.genus - 2 + len(rest) <= 0:
         raise PreconditionError(

@@ -152,7 +152,7 @@ def _label_values(entries, what: str) -> dict:
     for entry in entries:
         label = parse_label(entry)
         if label in values:
-            raise ValidationError(f"duplicate {what} label {label}")
+            raise ValidationError(f"duplicate {what} label {clip(label, repr, 120)}")
         values[label] = entry.get("value")
     return values
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import PreconditionError, require_int_map
+from .errors import PreconditionError, clip, require_int_map
 from .graphs import MarkedDualGraph
 
 
@@ -75,8 +75,8 @@ def multidegrees_equivalent(graph: MarkedDualGraph,
     integral by Cramer's rule, so every division is exact.
     """
     first, second = (require_int_map(graph.vertex_index, d, "multidegree") for d in (d1, d2))
-    if sum(first) != sum(second):
-        raise PreconditionError(f"total degrees differ: {sum(first)} vs {sum(second)}")
+    if (total := sum(first)) != (other := sum(second)):
+        raise PreconditionError(f"total degrees differ: {clip(total, str)} vs {clip(other, str)}")
     diff = [a - b for a, b in zip(first, second)]
     L = laplacian(graph)
     kappa, rows = _bareiss([row[:-1] + [b] for row, b in zip(L[:-1], diff)])

@@ -25,12 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (PreconditionError, ValidationError, parse_rational,
-                     require_int_map, require_keys, require_name)
+from .errors import PreconditionError, ValidationError, require_int_map, require_keys, require_name
 from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel, Record, admissible_labels,
-                     is_admissible, require_genus, sorted_labels, stabilize_forgetting)
+                     is_admissible, require_genus, require_marking, sorted_labels,
+                     stabilize_forgetting)
 from .polarization import (CanonicalPolarization, ExplicitPolarization,
-                           compile_polarization)
+                           compile_polarization, label_coefficients)
 from .sheaves import SheafType, require_simple, twist
 from .stability import StabilityVerdict, check
 
@@ -42,10 +42,7 @@ def clutch_irr(graph: MarkedDualGraph, x: str, y: str, sheaf: SheafType
                ) -> tuple[MarkedDualGraph, SheafType]:
     """Glue markings x and y of one graph into a new non-free node."""
     require_simple(graph, sheaf)
-    x, y = require_name(x, "marking label"), require_name(y, "marking label")
-    for mark in (x, y):
-        if mark not in graph.marking_map:
-            raise ValidationError(f"marking {mark} not present")
+    x, y = (require_marking(graph.marking_map, mark) for mark in (x, y))
     if x == y:
         raise ValidationError("clutching needs two distinct markings")
     new_graph = graph.replace(
@@ -96,11 +93,8 @@ def clutch_sep(graph1: MarkedDualGraph, x: str, sheaf1: SheafType,
     """
     require_simple(graph1, sheaf1)
     require_simple(graph2, sheaf2)
-    x, y = require_name(x, "marking label"), require_name(y, "marking label")
-    if x not in graph1.marking_map:
-        raise ValidationError(f"marking {x} not present in the first graph")
-    if y not in graph2.marking_map:
-        raise ValidationError(f"marking {y} not present in the second graph")
+    x = require_marking(graph1.marking_map, x, " in the first graph")
+    y = require_marking(graph2.marking_map, y, " in the second graph")
     keep1 = [l for l, _ in graph1.markings if l != x]
     keep2 = [l for l, _ in graph2.markings if l != y]
     if set(keep1) & set(keep2):
@@ -209,10 +203,8 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *, genus: int,
     coefficients x must not be the smallest label, or the canonical
     orientation of every label would flip.
     """
-    x, labels = require_name(x, "marking label"), sorted_labels(marking_labels)
-    genus = require_genus(genus)
-    if x not in labels:
-        raise ValidationError(f"marking {x} not present")
+    labels = sorted_labels(marking_labels)
+    x, genus = require_marking(labels, x), require_genus(genus)
     if pol.a_map.get(x, Fraction(0)) != 0:
         raise PreconditionError(f"forgetting {x} needs a_{x} = 0, got {pol.a_map[x]}")
     new_alpha: dict[NodeTypeLabel, Fraction] = {}
@@ -279,9 +271,7 @@ class PhiTable(Record):
 
     @classmethod
     def build(cls, values) -> "PhiTable":
-        items = tuple(sorted(
-            (label, parse_rational(c)) for label, c in dict(values).items()))
-        return cls(values=items)
+        return cls(values=label_coefficients(values, "phi table"))
 
     @cached_property
     def value_map(self) -> dict[NodeTypeLabel, Fraction]:

@@ -27,7 +27,7 @@ from .errors import (PreconditionError, ValidationError, clip, parse_rational,
                      require_int, require_int_map, require_keys, require_name)
 from .graphs import (MarkedDualGraph, NodeTypeLabel, Record, is_admissible, label_sort_key,
                      mask_components, mask_vertices, separating_ends, subcurve_sort_key,
-                     subcurve_table)
+                     subcurve_table, vertex_subset)
 
 
 def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
@@ -37,6 +37,13 @@ def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
     if len(dict(pairs)) != len(pairs):  # two keys read as one label, such as 1 and "1"
         raise ValidationError("duplicate marking labels")
     return pairs
+
+
+def label_coefficients(values, what: str) -> tuple[tuple[NodeTypeLabel, Fraction], ...]:
+    """A map's (label, rational) pairs in label order, when every key is a ``NodeTypeLabel``."""
+    values = dict(values or {})
+    require_keys([k for k in values if type(k) is NodeTypeLabel], values, what, default=0)
+    return tuple(sorted((label, parse_rational(c)) for label, c in values.items()))
 
 
 class ExplicitPolarization(Record):
@@ -54,9 +61,8 @@ class ExplicitPolarization(Record):
         r = parse_rational(r)
         if r <= 0:
             raise ValidationError(f"rank coefficient r must be positive, got {clip(r, str)}")
-        alpha_items = tuple(sorted(
-            (label, parse_rational(c)) for label, c in dict(alpha or {}).items()))
-        return cls(s=parse_rational(s), r=r, a=_marking_coefficients(a), alpha=alpha_items)
+        return cls(s=parse_rational(s), r=r, a=_marking_coefficients(a),
+                   alpha=label_coefficients(alpha, "boundary coefficients"))
 
     @cached_property
     def a_map(self) -> dict[str, Fraction]:
@@ -89,7 +95,7 @@ class CanonicalPolarization(Record):
         weight_total = 2 * genus - 2 + sum(self.a_map.values())
         if weight_total <= 0:
             raise ValidationError(
-                f"canonical recipe needs 2g-2+sum(a) > 0, got {weight_total}")
+                f"canonical recipe needs 2g-2+sum(a) > 0, got {clip(weight_total, str)}")
         lead = Fraction(self.d - genus + 1)
         return ExplicitPolarization.build(
             s=lead, r=weight_total, a={l: lead * c for l, c in self.a})
@@ -108,7 +114,7 @@ class QProfile(Record):
         return dict(self.q)
 
     def q_of(self, vertex_set) -> Fraction:
-        Y = frozenset(require_name(v, "vertex id") for v in vertex_set)
+        Y = vertex_subset(self.graph, vertex_set)
         return sum((f for v, f in self.q if v in Y), Fraction(0))
 
     @cached_property
@@ -127,9 +133,9 @@ class QProfile(Record):
 def make_profile(graph: MarkedDualGraph, q: dict[str, Fraction], d: int) -> QProfile:
     weights = require_keys(graph.vertex_index, q, "profile weights")
     qs = tuple(zip(graph.vertex_ids, map(parse_rational, weights)))
-    total = sum((f for _, f in qs), Fraction(0))
-    if total != require_int(d, "d"):
-        raise ValidationError(f"profile weights sum to {total}, expected d = {d}")
+    if (total := sum((f for _, f in qs), Fraction(0))) != require_int(d, "d"):
+        raise ValidationError(
+            f"profile weights sum to {clip(total, str)}, expected d = {clip(d, str)}")
     return QProfile(graph=graph, q=qs, d=d)
 
 
@@ -153,7 +159,7 @@ def compile_polarization(pol, graph: MarkedDualGraph) -> QProfile:
     d_frac = pol.target_degree(g)
     if d_frac.denominator != 1:
         raise ValidationError(
-            f"target degree {d_frac} is not an integer for genus {g}")
+            f"target degree {clip(d_frac, str)} is not an integer for genus {clip(g, str)}")
     d = int(d_frac)
 
     if alpha := pol.alpha_map:

@@ -10,7 +10,7 @@ scalar endomorphisms: deleting S must not disconnect the graph.
 
 from __future__ import annotations
 
-from .errors import PreconditionError, ValidationError, require_int, require_int_map
+from .errors import PreconditionError, ValidationError, clip, require_int, require_int_map
 from .graphs import MarkedDualGraph, Record, check_subcurve
 
 
@@ -27,7 +27,7 @@ class SheafType(Record):
         edges, seen = [require_int(e, "edge index") for e in nonfree_edges], set()
         for e in edges:  # one pass: the first repeat is refused
             if e in seen or seen.add(e):
-                raise ValidationError(f"non-free edge index {e} repeated")
+                raise ValidationError(f"non-free edge index {clip(e, str)} repeated")
         sheaf = cls(nonfree_edges=frozenset(seen), degrees=tuple(zip(graph.vertex_ids, deg)))
         return validate_sheaf(graph, sheaf)
 
@@ -45,7 +45,7 @@ def validate_sheaf(graph: MarkedDualGraph, sheaf: SheafType) -> SheafType:
         raise ValidationError("sheaf degrees must cover the graph vertices in order")
     for e in sheaf.nonfree_edges:
         if not 0 <= e < len(graph.edges):
-            raise ValidationError(f"non-free edge index {e} out of range")
+            raise ValidationError(f"non-free edge index {clip(e, str)} out of range")
     return sheaf
 
 
@@ -83,9 +83,8 @@ def deg_subcurve(graph: MarkedDualGraph, sheaf: SheafType, vertex_set) -> int:
 def d_of(graph: MarkedDualGraph, sheaf: SheafType, vertex_set) -> int:
     """Subcurve degree plus the number of crossing non-free nodes."""
     Y = check_subcurve(graph, vertex_set)
-    crossing = sum(1 for e in sheaf.nonfree_edges
-                   if (graph.edges[e][0] in Y) != (graph.edges[e][1] in Y))
-    return deg_subcurve(graph, sheaf, Y) + crossing
+    return sum(d for v, d in sheaf.degrees if v in Y) + sum(  # non-free nodes inside or crossing
+        1 for e in sheaf.nonfree_edges if not Y.isdisjoint(graph.edges[e]))
 
 
 def twist(sheaf: SheafType, bundle: dict[str, int]) -> SheafType:

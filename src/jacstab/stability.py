@@ -69,7 +69,8 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
     degrees = [d for _, d in sheaf.degrees]
     if (total := sum(degrees) + len(sheaf.nonfree_edges)) != profile.d:
         raise PreconditionError(
-            f"degree mismatch: sheaf has total degree {total}, profile expects {profile.d}")
+            f"degree mismatch: sheaf has total degree {clip(total, str)}, "
+            f"profile expects {clip(profile.d, str)}")
 
     if all_subsets:  # the independent oracle, in rationals
         slacks = ((tuple(sorted(Y)), deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)

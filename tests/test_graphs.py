@@ -15,6 +15,7 @@ from jacstab import (ContractionReport, MarkedDualGraph, NodeTypeLabel, Precondi
                      is_simple, node_type, stabilize_forgetting, subcurve_invariants,
                      two_component_graph)
 from jacstab.corpus import graph_from_key
+from jacstab.errors import parse_int
 from jacstab.graphs import (_stabilize_forgetting, designated_side, is_admissible,
                             label_sort_key, proper_subcurves, sorted_labels)
 from jacstab.io import graph_document, parse_graph_document
@@ -587,9 +588,11 @@ def test_construction_puts_the_graph_in_normal_form(scrambled_corpora):
 
 
 def test_labels_of_one_number_sort_by_their_text():
-    # int() reads "1", "01", "+1" and " 1" as 1, and "1_0" and "10" as 10
+    # parse_int reads "1", "01" and "+1" as 1 and "10" as 10; " 1" and "1_0" are text
     assert sorted_labels(["1", "01", "+1", " 1", "1_0", "10"]) \
-        == (" 1", "+1", "01", "1", "10", "1_0")
+        == ("+1", "01", "1", "10", " 1", "1_0")
+    # int() reads "\u0663" as 3; parse_int does not
+    assert sorted_labels(["2", "1_0", "\u0663", "9"]) == ("2", "9", "1_0", "\u0663")
     vertices, edges = [("v0", 1), ("v1", 1)], [("v0", "v1")]
     for labels in (["1", "01"], ["1_0", "10"]):
         markings = list(zip(labels, ("v0", "v1")))
@@ -598,6 +601,25 @@ def test_labels_of_one_number_sort_by_their_text():
         assert first == second and are_isomorphic(first, second)
         assert node_type(first, 0) == node_type(second, 0)
         assert generate_corpus(1, labels, 2) == generate_corpus(1, labels[::-1], 2)
+
+
+# signs, digits (ASCII, Arabic-Indic, fullwidth), an underscore, a space and a letter
+LABEL_TEXT = st.text(st.sampled_from("+-019\u0663\uff17_ a"), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(LABEL_TEXT, unique=True, max_size=8))
+def test_labels_parse_int_reads_come_first_in_numeric_order(labels):
+    def number(label):
+        try:
+            return parse_int(label)
+        except ValidationError:
+            return None
+
+    out = sorted_labels(labels)
+    read = [l for l in out if number(l) is not None]
+    assert out[:len(read)] == tuple(sorted(read, key=lambda l: (number(l), l)))
+    assert out[len(read):] == tuple(sorted(l for l in labels if number(l) is None))
 
 
 def test_forgetting_output_is_in_normal_form(scrambled_corpora):

@@ -67,6 +67,7 @@ def test_q_subcurve_additive():
     assert prof.q_of({"v1"}) == Fraction(1, 2)
     total = sum(prof.q_map.values())
     assert total == prof.d
+    assert prof.q_of(["v1", "v2"]) == prof.d and prof.q_of([]) == 0  # any set of vertices
 
 
 def test_scaling_invariance(small_corpora):

@@ -3,9 +3,11 @@
 Each input rule has one function: ``require_int``, ``parse_int`` and
 ``parse_rational`` for numbers, ``require_name`` for vertex ids and marking
 labels and ``require_keys`` for maps keyed by a fixed set of ids (all in
-``jacstab.errors``), ``sorted_labels`` for a collection of marking labels
-(in ``jacstab.graphs``), and ``require_profile`` for a profile paired with
-its graph (in ``jacstab.polarization``).  The tables below run every
+``jacstab.errors``), ``sorted_labels`` for a collection of marking labels,
+``require_marking`` for a marking looked up and ``vertex_subset`` for a set
+of vertex ids (in ``jacstab.graphs``), and ``require_profile`` for a profile
+paired with its graph and ``label_coefficients`` for a map keyed by node
+type labels (in ``jacstab.polarization``).  The tables below run every
 ``raise`` the other tests leave alone.  A CLI case ends with exit 2 or 3,
 one ``error:`` or ``precondition failed:`` line and empty stdout; a library
 case raises the named class with the named message.  A property test
@@ -32,11 +34,12 @@ from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      count_components, enumerate_sheaves, forget_point,
                      forget_polarization, generate_corpus, is_general,
                      kp_translate, make_profile, maps,
-                     multidegrees_equivalent, perturb_general,
+                     multidegrees_equivalent, node_type, perturb_general,
                      stabilize_forgetting, subcurve_invariants, twist,
                      twist_profile, two_component_graph)
 from jacstab.cli import main
 from jacstab.errors import parse_int, parse_rational, require_int, require_keys
+from jacstab.graphs import require_genus
 from jacstab import io as docio
 from jacstab.io import polarization_document
 from jacstab.maps import PhiTable
@@ -268,6 +271,35 @@ CLI_REFUSALS = {
         qprofile(CHAIN, explicit(s="0", alpha=[{"b": 0, "B": ["1", "x" * 5000], "value": "1"}])),
         2, "boundary coefficients mismatch: missing [], unknown [NodeTypeLabel(side_genus=0, "
         "side_markings=('1', 'xxxx"),
+    # a number that a refusal computes from the caller's, a looked-up name and a repeated
+    # label are cut the same way
+    "check-4000-digit-degree": (
+        theta_check({"degrees": {"v1": 10**3999, "v2": 1}}), 3,
+        f"degree mismatch: sheaf has total degree 1{'0' * 59}... (4000 characters), "
+        "profile expects 2"),
+    "profile-sum-4000-digit-weight": (
+        qprofile(THETA, {"kind": "profile", "d": 2, "q": {"v1": "9" * 4000, "v2": "1"}}), 2,
+        f"profile weights sum to 1{'0' * 59}... (4001 characters), expected d = 2"),
+    "target-degree-4000-digit-s": (
+        qprofile(CHAIN, explicit(s="1" + "0" * 3999, r="3")), 2,
+        f"target degree 2{'0' * 59}... (4002 characters) is not an integer for genus 2"),
+    "canonical-weight-total-4000-digit-weight": (
+        qprofile(THREE_POINTED_LINE, {"kind": "canonical", "d": 0, "a": {"1": "-" + "9" * 4000}}),
+        2, f"canonical recipe needs 2g-2+sum(a) > 0, got -1{'0' * 58}... (4002 characters)"),
+    "equiv-4000-digit-entry": (
+        ["equiv", "--graph", THETA, "--d1", {"v1": 10**3999, "v2": 0},
+         "--d2", {"v1": 1, "v2": 0}], 3,
+        f"total degrees differ: 1{'0' * 59}... (4000 characters) vs 1"),
+    "phi-repeated-label-5000-character-marking": (
+        ["kp-translate", "--phi", phi_doc([{"b": 0, "B": ["1", "x" * 5000], "value": "0"}] * 2)],
+        2, "duplicate phi label NodeTypeLabel(side_genus=0, side_markings=('1', "
+        f"'{'x' * 71}... (5052 characters)"),
+    "subcurve-unknown-5000-character-id": (
+        ["invariants", "--graph", THETA, "--subcurve", "z" * 5000], 2,
+        f"subcurve references unknown vertices: ['{'z' * 59}... (5002 characters)]"),
+    "forget-unknown-5000-character-marking": (
+        ["forget", "--graph", CHAIN, "--sheaf", CHAIN_SHEAF, "--marking", "m" * 5000], 2,
+        f"marking {'m' * 60}... (5000 characters) not present"),
 }
 
 
@@ -557,9 +589,16 @@ LIBRARY_REFUSALS = {
         1, ["1", "2"], NodeTypeLabel.of(0, ["2"])), ValidationError,
         "node type label mismatch: missing [], "
         "unknown [NodeTypeLabel(side_genus=0, side_markings=('2',))]"),
+    # boundary_degree, q_of and check_subcurve read a vertex set by one rule
     "boundary-degree-unknown-vertex": (lambda: boundary_degree(
         marked_chain(), ["zz"], CHAIN_LABEL), ValidationError,
-        "invalid subcurve for boundary degree"),
+        "subcurve references unknown vertices: ['zz']"),
+    "boundary-degree-empty": (lambda: boundary_degree(marked_chain(), [], CHAIN_LABEL),
+                              ValidationError, "empty subcurve"),
+    "q-of-unknown-vertex": (lambda: make_profile(named(), {"None": 1, "a": 0}, 1).q_of(
+        ["a", "zz"]), ValidationError, "subcurve references unknown vertices: ['zz']"),
+    "q-of-repeated-vertex": (lambda: make_profile(named(), {"None": 1, "a": 0}, 1).q_of(
+        ["a", "a"]), ValidationError, "subcurve vertex a repeated"),
     # a repeated vertex is refused, not dropped
     "subcurve-repeated-vertex": (lambda: subcurve_invariants(theta(), ["v1", "v1"]),
                                  ValidationError, "subcurve vertex v1 repeated"),
@@ -637,6 +676,25 @@ LIBRARY_REFUSALS = {
                              "phi table"),
         ValidationError, "phi table mismatch: missing 20 keys, first 10 [NodeTypeLabel("
         f"side_genus=0, side_markings=('{'10' * 38}... (448 characters), "),
+    # an int past str's 4,300 digits is quoted by its first 60 characters and its length
+    "graph-genus-minus-10-to-5000": (
+        lambda: MarkedDualGraph.build([("a", -10**5000)], []), ValidationError,
+        f"vertex a has negative genus -1{'0' * 58}... (5002 characters); total genus "
+        f"-1{'0' * 58}... (5002 characters) is negative"),
+    "require-genus-minus-10-to-5000": (
+        lambda: require_genus(-10**5000), ValidationError,
+        f"genus must be nonnegative, got -1{'0' * 58}... (5002 characters)"),
+    "sheaf-edge-10-to-5000": (
+        lambda: SheafType.build(theta(), {"v1": 1, "v2": 0}, [10**5000]), ValidationError,
+        f"non-free edge index 1{'0' * 59}... (5001 characters) out of range"),
+    "node-type-edge-10-to-5000": (lambda: node_type(theta(), 10**5000), ValidationError,
+                                  f"unknown edge index 1{'0' * 59}... (5001 characters)"),
+    # a label-keyed map with a key that is not a NodeTypeLabel: refused before any sort
+    "explicit-alpha-string-key": (lambda: ExplicitPolarization.build(
+        s=0, r=1, alpha={"x": 1, NodeTypeLabel.of(0, ["1"]): 1}), ValidationError,
+        "boundary coefficients mismatch: missing [], unknown ['x']"),
+    "phi-string-key": (lambda: PhiTable.build({"x": 1, CHAIN_LABEL: 1}), ValidationError,
+                       "phi table mismatch: missing [], unknown ['x']"),
 }
 
 
