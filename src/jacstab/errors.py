@@ -35,10 +35,17 @@ def clip(value, show=repr, cut=60) -> str:
     """``show(value)``, or its first ``cut`` characters and its length when it is longer."""
     try:
         text = show(value)
-    except ValueError:  # an int of more digits than str writes: its first digits, padded
-        n = (k := abs(value).bit_length() * 30103 // 100000) + (abs(value) >= 10 ** k)  # digits
-        text = ("-" * (value < 0) + str(abs(value) // 10 ** (n - cut))).ljust(n + (value < 0), "0")
+    except ValueError:  # an int, or a fraction's terms, of more digits than str writes
+        terms = [value.numerator] + [value.denominator] * (value.denominator != 1)
+        text = "/".join(_lead_digits(term, cut) for term in terms)
     return text if len(text) <= cut else f"{text[:cut]}... ({len(text)} characters)"
+
+
+def _lead_digits(value: int, cut: int) -> str:
+    """``str(value)`` with every digit after the first ``cut`` written as 0, for any size."""
+    size = abs(value)
+    n = (k := size.bit_length() * 30103 // 100000) + (size >= 10 ** k)  # digits
+    return ("-" * (value < 0) + str(size // 10 ** max(n - cut, 0))).ljust(n + (value < 0), "0")
 
 
 def require_int(value, what: str) -> int:
@@ -95,18 +102,23 @@ def parse_rational(value) -> Fraction:
 
 def require_keys(keys, values: dict, what: str, default=None) -> list:
     """The values of ``values`` at ``keys``, in their order, when its keys are exactly ``keys``
-    (a missing one takes a ``default``); a refusal names 10 of each by ``clip``: a str or int
-    key cut at 60 characters, another key at 120, and each list at 900, which 10 names fit."""
+    (a missing one takes a ``default``); a refusal names them by ``clip_keys``."""
     if not isinstance(values, dict):
         raise ValidationError(f"{what} must be a map, got {clip(values)}")
     missing = [] if default is not None else [k for k in keys if k not in values]
     unknown = [k for known in [set(keys)] for k in values if k not in known]  # linear in both
     if missing or unknown:
-        named = [("" if len(ks) <= 10 else f"{len(ks)} keys, first 10 ") + clip("[" + ", ".join(
-            clip(k, repr, 60 if isinstance(k, (str, int)) else 120) for k in ks[:10]) + "]",
-            str, 900) for ks in (sorted(missing), sorted(unknown, key=str))]
-        raise ValidationError(f"{what} mismatch: missing {named[0]}, unknown {named[1]}")
+        raise ValidationError(f"{what} mismatch: missing {clip_keys(sorted(missing))}, "
+                              f"unknown {clip_keys(sorted(unknown, key=str))}")
     return [values.get(k, default) for k in keys]
+
+
+def clip_keys(keys: list) -> str:
+    """The first 10 ``keys`` as a list by ``clip``, after their count when there are more: a
+    str or int key cut at 60 characters, another at 120, and the list at 900, which 10 fit."""
+    return ("" if len(keys) <= 10 else f"{len(keys)} keys, first 10 ") + clip("[" + ", ".join(
+        clip(k, repr, 60 if isinstance(k, (str, int)) else 120) for k in keys[:10]) + "]",
+        str, 900)
 
 
 def require_int_map(keys, values: dict, what: str, default=None) -> list[int]:

@@ -38,8 +38,8 @@ from functools import cached_property, lru_cache, reduce
 from operator import attrgetter, eq, ge, gt, le, lt, or_
 from typing import NamedTuple
 
-from .errors import (PreconditionError, ValidationError, clip, parse_int, require_int,
-                     require_keys, require_name)
+from .errors import (PreconditionError, ValidationError, clip, clip_keys, parse_int,
+                     require_int, require_keys, require_name)
 
 
 def label_sort_key(label: str) -> tuple:
@@ -308,8 +308,7 @@ def vertex_subset(graph: MarkedDualGraph, vertex_set) -> frozenset[str]:
         if v in seen or seen.add(v):
             raise ValidationError(f"subcurve vertex {clip(v, str)} repeated")
     if unknown := seen - graph.vertex_index.keys():
-        raise ValidationError("subcurve references unknown vertices: "
-                              f"[{', '.join(clip(v) for v in sorted(unknown))}]")
+        raise ValidationError(f"subcurve references unknown vertices: {clip_keys(sorted(unknown))}")
     return frozenset(seen)
 
 
@@ -367,24 +366,25 @@ SUBCURVE_TABLE_CACHE_SIZE = 128
 
 class Subcurve(NamedTuple):
     """A connected proper subcurve: ``names`` its sorted vertex ids, bit i of ``mask``
-    vertex i, bit e of ``inner`` edge e when both ends are in it; a wall if Yᶜ is connected."""
+    vertex i, bit e of ``inner`` edge e when both ends are in it."""
 
     names: tuple[str, ...]
     members: tuple[int, ...]
     mask: int
     k: int
-    wall: bool
     inner: int
 
 
 class SubcurveTable(NamedTuple):
-    """``adjacency[i]`` masks vertex i and its neighbours, ``edge_masks[e]``
-    the ends of edge e; ``subcurves`` are the connected proper subcurves in
-    canonical order (``subcurve_sort_key``); ``walk`` is the walls' ``walk_layout``."""
+    """``adjacency[i]`` masks vertex i and its neighbours, ``edge_masks[e]`` the ends of edge e;
+    ``subcurves`` are the connected proper subcurves in canonical order, ``walls`` the indices
+    of those with connected complement, ``others`` the rest; ``walk`` the walls' ``walk_layout``."""
 
     adjacency: tuple[int, ...]
     edge_masks: tuple[int, ...]
     subcurves: tuple[Subcurve, ...]
+    walls: tuple[int, ...]
+    others: tuple[int, ...]
     walk: tuple[tuple, tuple]
 
 
@@ -442,12 +442,14 @@ def _subcurve_table(ids, edges) -> SubcurveTable:
     masks.discard(full := (1 << n) - 1)
     subcurves = sorted(
         (Subcurve(tuple(sorted(map(ids.__getitem__, members))), members, m,
-                  sum(1 for e in edge_masks if e & m and e & ~m), full ^ m in masks,
+                  sum(1 for e in edge_masks if e & m and e & ~m),
                   sum(1 << i for i, e in enumerate(edge_masks) if e & m == e))
          for m in masks for members in [_bits(m)]),
         key=lambda sub: (len(sub.names), sub.names))  # subcurve_sort_key
-    return SubcurveTable(adjacency, edge_masks, tuple(subcurves), walk_layout(
-        n, subcurves, [j for j, sub in enumerate(subcurves) if sub.wall and len(sub.members) > 1]))
+    walls = [j for j, sub in enumerate(subcurves) if full ^ sub.mask in masks]
+    others = [j for j, sub in enumerate(subcurves) if full ^ sub.mask not in masks]
+    return SubcurveTable(adjacency, edge_masks, tuple(subcurves), tuple(walls), tuple(others),
+                         walk_layout(n, subcurves, [j for j in walls if j >= n]))  # not {v}
 
 
 def walk_layout(n: int, subcurves, placed) -> tuple[tuple, tuple]:
@@ -513,7 +515,7 @@ def designated_side(graph: MarkedDualGraph, edge_index: int) -> frozenset[str] |
 def _edge_type(graph: MarkedDualGraph, edge_index: int
                ) -> tuple[NodeTypeLabel, frozenset[str] | None] | None:
     """(canonical label, designated side) of a separating edge, or None."""
-    if not 0 <= edge_index < len(graph.edges):
+    if not 0 <= require_int(edge_index, "edge index") < len(graph.edges):
         raise ValidationError(f"unknown edge index {clip(edge_index, str)}")
     u, v = graph.edges[edge_index]
     if u == v:

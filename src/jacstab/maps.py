@@ -25,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError, ValidationError, require_int_map, require_keys, require_name
+from .errors import (PreconditionError, ValidationError, clip, require_int_map, require_keys,
+                     require_name)
 from .graphs import (ContractionReport, MarkedDualGraph, NodeTypeLabel, Record, admissible_labels,
                      is_admissible, require_genus, require_marking, sorted_labels,
                      stabilize_forgetting)
@@ -70,8 +71,8 @@ def _unglued(*glued: tuple[ExplicitPolarization, tuple[str, ...]]
         for mark in marks:
             if pol.a_map.get(mark) != pol.s:
                 raise PreconditionError(
-                    f"clutching transport needs a_{mark} = s = {pol.s}, "
-                    f"got {pol.a_map.get(mark)}")
+                    f"clutching transport needs a_{clip(mark, str)} = s = {clip(pol.s, str)}, "
+                    f"got {clip(pol.a_map.get(mark), str)}")
     return [{l: c for l, c in pol.a if l not in marks} for pol, marks in glued]
 
 
@@ -170,14 +171,14 @@ def forget_point(graph: MarkedDualGraph, x: str, sheaf: SheafType
     lost: list[str] = []  # far ends that lose one degree, with multiplicity
     if report.case == "b":
         if delta != 0:
-            raise PreconditionError(f"tail vertex must carry degree 0, got {delta}")
+            raise PreconditionError(f"tail vertex must carry degree 0, got {clip(delta, str)}")
     else:
         free = [e for e in report.removed_edges if e not in sheaf.nonfree_edges]
         t = delta + 2 - len(free)  # d({v0})
         if delta < -1 or t > 1:
             raise PreconditionError(
                 f"contracted vertex not admissible for pushforward: "
-                f"deg = {delta}, d({{v0}}) = {t}")
+                f"deg = {clip(delta, str)}, d({{v0}}) = {clip(t, str)}")
         if delta or len(free) < 2:
             nonfree |= {report.new_edge_index}
         if delta == -1:
@@ -206,14 +207,15 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *, genus: int,
     labels = sorted_labels(marking_labels)
     x, genus = require_marking(labels, x), require_genus(genus)
     if pol.a_map.get(x, Fraction(0)) != 0:
-        raise PreconditionError(f"forgetting {x} needs a_{x} = 0, got {pol.a_map[x]}")
+        raise PreconditionError(f"forgetting {clip(x, str)} needs a_{clip(x, str)} = 0, "
+                                f"got {clip(pol.a_map[x], str)}")
     new_alpha: dict[NodeTypeLabel, Fraction] = {}
     if pol.alpha:
         require_keys([k for k in pol.alpha_map if is_admissible(genus, labels, k)], pol.alpha_map,
                      "boundary coefficients", default=0)
         if labels[0] == x:
             raise PreconditionError(
-                f"cannot transport boundary coefficients: {x} is the "
+                f"cannot transport boundary coefficients: {clip(x, str)} is the "
                 f"smallest label, so canonical sides would flip")
         remaining = tuple(l for l in labels if l != x)
         for label, coefficient in pol.alpha:  # each equal to an admissible label
@@ -225,13 +227,14 @@ def forget_polarization(pol: ExplicitPolarization, x: str, *, genus: int,
                 if plain_c != with_x_c:
                     raise PreconditionError(
                         f"boundary coefficients must agree on the pair "
-                        f"{down} / {with_x}: got {plain_c} and {with_x_c}")
+                        f"{clip(down, str, 120)} / {clip(with_x, str, 120)}: "
+                        f"got {clip(plain_c, str)} and {clip(with_x_c, str)}")
                 if plain_c:
                     new_alpha[down] = plain_c
             elif coefficient:
                 raise PreconditionError(
-                    f"node type {NodeTypeLabel(b, tuple(B))} vanishes under the "
-                    f"contraction; its coefficient must be 0, got {coefficient}")
+                    f"node type {clip(NodeTypeLabel(b, tuple(B)), str, 120)} vanishes under "
+                    f"the contraction; its coefficient must be 0, got {clip(coefficient, str)}")
     return ExplicitPolarization.build(
         s=pol.s, r=pol.r,
         a={l: c for l, c in pol.a if l != x},

@@ -182,8 +182,8 @@ def _on_a_wall(graph: MarkedDualGraph, profile: QProfile) -> bool:
     """Some proper subcurve is integral: some wall is exact (b_{Yᶜ} = d - k_Y
     - b_Y then is an integer too; a piece of an integral subcurve or of its
     complement whose removal leaves the rest connected is such a wall)."""
-    return any(exact and sub.wall for sub, (_, exact) in zip(
-        subcurve_table(graph).subcurves, require_profile(graph, profile).thresholds))
+    thresholds = require_profile(graph, profile).thresholds
+    return any(thresholds[j][1] for j in subcurve_table(graph).walls)
 
 
 def is_general(graph: MarkedDualGraph, profile: QProfile

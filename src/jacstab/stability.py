@@ -8,21 +8,20 @@ stable when all inequalities are strict, and quasistable at a base vertex
 when it is semistable with strict inequality whenever the base lies in Y.
 deg_Y counts the non-free nodes inside Y: the popcount of the non-free edge
 mask and Y's ``inner`` mask.  Degrees, weights and cut counts are additive
-over connected components, so ``check`` decides on the connected subcurves
-of the shared subcurve table, against integer thresholds; the all-subsets
-check in rationals is the oracle.  Only the walls (connected, with connected
-complement) matter: another subcurve's inequality is the sum of those of the
-walls Zᶜ, Z a component of its complement.  Enumeration walks the degree box
-of the singletons and their complements in lexicographic order, testing the
-walls against degree sums carried down the walk, each node bounding its
-children, against bounds set once per call for the mode less each non-free
-set's popcounts.  Runs of vectors equal but in their last two entries go to
-one callback, non-free set by non-free set; ``count_components`` keeps none.
+over connected components, and a connected subcurve's inequality is the sum
+of those of the walls Zᶜ (connected, with connected complement), Z a component
+of its complement, each containing it.  So ``check`` decides on the walls of
+the shared table against integer thresholds and reads the others only to name
+the witness; the all-subsets check in rationals is the oracle.  Enumeration
+walks the degree box of the singletons and their complements in lexicographic
+order, testing the walls against degree sums carried down the walk, each node
+bounding its children, against bounds set once per call for the mode less each
+non-free set's popcounts.  Runs of vectors equal but in their last two entries
+go to one callback, non-free set by non-free set; ``count_components`` keeps none.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat
 from operator import add, sub as minus
@@ -71,30 +70,38 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
         raise PreconditionError(
             f"degree mismatch: sheaf has total degree {clip(total, str)}, "
             f"profile expects {clip(profile.d, str)}")
-
-    if all_subsets:  # the independent oracle, in rationals
-        slacks = ((tuple(sorted(Y)), deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)
-                   + Fraction(subcurve_k(graph, Y), 2))
-                  for Y in proper_subcurves(graph))
-    else:
-        slacks = _slack_signs(graph, profile, degrees, sheaf.nonfree_edges)
-    witness: tuple[str, ...] | None = None  # the sorted ids of the first equality
     quasi: bool | None = True if base is not None else None
-    for names, slack in slacks:
-        if slack < 0:
-            return StabilityVerdict("unstable", None if base is None else False, names)
-        if slack == 0:
-            witness = witness or names  # a subcurve is never empty
-            quasi = quasi and base not in names
-    return StabilityVerdict("strictly_semistable" if witness else "stable", quasi, witness)
-
-
-def _slack_signs(graph: MarkedDualGraph, profile: QProfile, degrees: list[int], nonfree):
-    """(sorted ids, sign of the slack) for every connected subcurve, in integers."""
-    edges = sum(1 << e for e in nonfree)
-    for sub, (need, exact) in zip(subcurve_table(graph).subcurves, profile.thresholds):
-        deg = sum(map(degrees.__getitem__, sub.members)) + (edges & sub.inner).bit_count()
-        yield sub.names, -1 if deg < need else int(deg > need or not exact)
+    if all_subsets:  # the independent oracle, in rationals: the sign of twice the slack
+        witness: tuple[str, ...] | None = None  # the sorted ids of the first equality
+        for Y in proper_subcurves(graph):
+            slack = 2 * (deg_subcurve(graph, sheaf, Y) - profile.q_of(Y)) + subcurve_k(graph, Y)
+            if slack < 0:
+                return StabilityVerdict("unstable", quasi and False, tuple(sorted(Y)))
+            if slack == 0:  # the witness is the first, never empty
+                witness, quasi = witness or tuple(sorted(Y)), quasi and base not in Y
+        return StabilityVerdict("strictly_semistable" if witness else "stable", quasi, witness)
+    table, thresholds, get = subcurve_table(graph), profile.thresholds, degrees.__getitem__
+    subcurves, edges = table.subcurves, sum(1 << e for e in sheaf.nonfree_edges)
+    first, violated = len(subcurves), False  # the first violated wall, else the first equality
+    for j in table.walls:
+        (names, members, _, _, inner), (need, exact) = subcurves[j], thresholds[j]
+        deg = sum(map(get, members)) + (edges & inner).bit_count()
+        if deg < need:
+            first, violated = j, True
+            break
+        if deg == need and exact:
+            first, quasi = first if first < j else j, quasi and base not in names
+    if first == len(subcurves):
+        return StabilityVerdict("stable", quasi)
+    # the witness may be another subcurve Y before it: each wall Zᶜ ⊋ Y is violated (tight) too
+    for j in table.others[:first - table.walls.index(first)]:
+        (_, members, _, _, inner), (need, exact) = subcurves[j], thresholds[j]
+        deg = sum(map(get, members)) + (edges & inner).bit_count()
+        if deg < need or not violated and deg == need and exact:
+            first = j
+            break
+    return StabilityVerdict("unstable" if violated else "strictly_semistable",
+                            quasi and not violated, subcurves[first].names)  # None, no base
 
 
 def _nonfree_candidates(graph: MarkedDualGraph) -> list[frozenset[int]]:

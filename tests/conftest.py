@@ -68,12 +68,18 @@ def random_profile(graph, rng: random.Random, d_range=(-3, 6),
 @st.composite
 def multigraphs(draw, max_vertices=5, max_edges=10):
     """Connected multigraphs with loops and parallel edges, made stable by
-    marking every vertex whose 2g - 2 + valence is below 1."""
+    ``stabilized``."""
     n = draw(st.integers(1, max_vertices))
     edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # a spanning tree
     edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                            max_size=max_edges - len(edges)))
-    genera = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return stabilized(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), edges)
+
+
+def stabilized(genera, edges) -> MarkedDualGraph:
+    """The graph on vertices v0, v1, ... of these genera, joined by ``edges`` (pairs
+    of positions), with a marking on each vertex per unit its 2g - 2 + valence is below 1."""
+    n = len(genera)
     valence = [0] * n
     for u, v in edges:
         valence[u] += 1

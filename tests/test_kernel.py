@@ -18,7 +18,9 @@ graphs, a box empty at the root) are compared with the scan of the box
 filtered by ``check``.  The popcount of a non-free set against a
 subcurve's ``inner`` mask is compared with a set count, and ``check``,
 ``enumerate_sheaves`` and ``count_components`` with verbatim copies of the
-kernel that counted non-free edges by their end masks.  Inputs are the
+kernel that counted non-free edges by their end masks; ``check``, which
+decides on the walls, equals that copy and the all-subsets check in full,
+witness included, on generated trees and multigraphs.  Inputs are the
 small corpora, chorded rings, K5, K6 and generated multigraphs with loops
 and parallel edges.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -46,7 +49,7 @@ from jacstab.graphs import (designated_side, mask_vertices, proper_subcurves, su
 from jacstab.sheaves import require_simple
 from jacstab.stability import MODES, _base_of, _box_runs, _nonfree_candidates, _walk
 
-from conftest import chorded_ring, multigraphs, random_profile
+from conftest import chorded_ring, multigraphs, random_profile, stabilized
 
 
 def complete_graph(n: int) -> MarkedDualGraph:
@@ -406,7 +409,9 @@ def test_walk_tests_exactly_the_walls(graphs):
         everything = frozenset(graph.vertex_ids)
         connected_rest = [len(components(graph, everything - set(sub.names))) == 1
                           for sub in table.subcurves]
-        assert [sub.wall for sub in table.subcurves] == connected_rest, graph
+        assert [*table.walls, *table.others] == sorted(table.walls) + sorted(table.others)
+        assert sorted(table.walls + table.others) == list(range(len(table.subcurves)))
+        assert [j in table.walls for j in range(len(table.subcurves))] == connected_rest, graph
         tested = sorted(j for level in table.walk[0] for _, js, _, parent_js in level
                         for j in js + parent_js)
         walls = [j for j, sub in enumerate(table.subcurves)
@@ -441,8 +446,7 @@ def assert_walk_layout_contract(graph):
                 assert 0 < v and masks[s] < 1 << v >> 1, (graph, v, s)
                 assert masks[s] | 1 << v - 1 | 1 << v == side, (graph, v, s)
             tested += js + parent_js
-    assert sorted(tested) == [j for j, sub in enumerate(table.subcurves)
-                              if sub.wall and len(sub.members) > 1], graph
+    assert sorted(tested) == [j for j in table.walls if len(table.subcurves[j].members) > 1], graph
 
 
 def test_walk_layout_contract(graphs):
@@ -655,6 +659,44 @@ def test_check_matches_all_subsets_check(graph, rng, data):
     assert fast == listed
     assert (fast.status, fast.quasistable_at_base) == \
         (oracle.status, oracle.quasistable_at_base)
+
+
+def test_walls_first_check_matches_full_scans():
+    # check decides on the walls and reads the other subcurves only for the
+    # witness; end_mask_check scans every connected subcurve and the all-subsets
+    # check every vertex subset.  The first violated subset is connected, as one
+    # of its components, which sort before it, is violated too; so is the first
+    # equality, all of whose components are equalities.  So the three agree in full.
+    # Every other case checks a semistable type, so that equalities are common.
+    rng = random.Random(29)
+    seen, not_walls = Counter(), Counter()
+    for case in range(300):
+        n = rng.randrange(1, 7)
+        edges = [(rng.randrange(i), i) for i in range(1, n)]  # a tree: cut vertices, bridges
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+        graph = stabilized([rng.randrange(3) for _ in range(n)], edges)
+        profile = random_profile(graph, rng, denominators=(1, 2))
+        base = rng.choice((None,) + graph.vertex_ids)
+        semistable = enumerate_sheaves(graph, profile, "semistable", include_nonfree=True) \
+            if case % 2 else []
+        if semistable:
+            sheaf = rng.choice(semistable)
+        else:
+            S = rng.choice(_nonfree_candidates(graph))
+            degrees = [math.floor(f) + rng.randrange(-1, 2) for _, f in profile.q]
+            degrees[-1] += profile.d - len(S) - sum(degrees)
+            sheaf = SheafType(S, tuple(zip(graph.vertex_ids, degrees)))
+        fast = check(graph, profile, sheaf, base_vertex=base)
+        assert fast == end_mask_check(graph, profile, sheaf, base_vertex=base) \
+            == check(graph, profile, sheaf, base_vertex=base, all_subsets=True), (graph, sheaf)
+        table = subcurve_table(graph)
+        seen.update([fast.status, fast.quasistable_at_base, ("nonfree", bool(sheaf.nonfree_edges)),
+                     ("loop", any(u == v for u, v in graph.edges))])
+        not_walls[fast.status] += fast.witness is not None and fast.witness not in {
+            table.subcurves[j].names for j in table.walls}
+    assert all(seen[key] >= 50 for key in ("stable", "strictly_semistable", "unstable", None,
+                                           True, False, ("nonfree", True), ("loop", True))), seen
+    assert not_walls["unstable"] >= 8 and not_walls["strictly_semistable"] >= 5, not_walls
 
 
 def end_mask_box_runs(graph: MarkedDualGraph, profile, mode: str,

@@ -39,7 +39,7 @@ from jacstab import (CanonicalPolarization, ExplicitPolarization,
                      twist_profile, two_component_graph)
 from jacstab.cli import main
 from jacstab.errors import parse_int, parse_rational, require_int, require_keys
-from jacstab.graphs import require_genus
+from jacstab.graphs import designated_side, require_genus
 from jacstab import io as docio
 from jacstab.io import polarization_document
 from jacstab.maps import PhiTable
@@ -347,6 +347,13 @@ def named() -> MarkedDualGraph:
 
 def named_sheaf():
     return SheafType.build(named(), {"None": 0, "a": 0})
+
+
+def tail_graph() -> MarkedDualGraph:
+    """A rational tail v0 with markings x and 1 on a genus-1 vertex: forgetting x
+    deletes the tail."""
+    return MarkedDualGraph.build([("v0", 0), ("v1", 1)], [("v0", "v1")],
+                                 markings={"x": "v0", "1": "v0"})
 
 
 CHAIN_LABEL = admissible_labels(2, ["1", "2", "x"])[0]
@@ -689,6 +696,46 @@ LIBRARY_REFUSALS = {
         f"non-free edge index 1{'0' * 59}... (5001 characters) out of range"),
     "node-type-edge-10-to-5000": (lambda: node_type(theta(), 10**5000), ValidationError,
                                   f"unknown edge index 1{'0' * 59}... (5001 characters)"),
+    # an edge index is read by require_int: text, a float and a bool are refused
+    "node-type-edge-string": (lambda: node_type(theta(), "x"), ValidationError,
+                              "edge index must be an integer, got 'x'"),
+    "designated-side-edge-float": (lambda: designated_side(theta(), 1.5), ValidationError,
+                                   "edge index must be an integer, got 1.5"),
+    "node-type-edge-bool": (lambda: node_type(theta(), True), ValidationError,
+                            "edge index must be an integer, got True"),
+    "designated-side-edge-negative": (lambda: designated_side(theta(), -1), ValidationError,
+                                      "unknown edge index -1"),
+    # unknown subcurve ids: 10 of them and their count, as require_keys names keys
+    "subcurve-20000-unknown-ids": (lambda: subcurve_invariants(
+        theta(), [f"u{i}" for i in range(20000)]), ValidationError,
+        "subcurve references unknown vertices: 20000 keys, first 10 ['u0', 'u1', 'u10', "
+        "'u100', 'u1000', 'u10000', 'u10001', 'u10002', 'u10003', 'u10004']"),
+    # a refusal in maps quotes a caller's number by clip
+    "forget-a-x-4000-digits": (lambda: forget_polarization(ExplicitPolarization.build(
+        s=0, r=1, a={"x": 10**3999}), "x", genus=2, marking_labels=["x", "1"]),
+        PreconditionError, f"forgetting x needs a_x = 0, got 1{'0' * 59}... (4000 characters)"),
+    "clutch-a-x-4000-digits": (lambda: clutch_irr_polarization(ExplicitPolarization.build(
+        s=0, r=1, a={"x": 10**3999, "y": 0}), "x", "y"), PreconditionError,
+        f"clutching transport needs a_x = s = 0, got 1{'0' * 59}... (4000 characters)"),
+    "forget-tail-degree-4000-digits": (lambda: forget_point(tail_graph(), "x", SheafType.build(
+        tail_graph(), {"v0": 10**3999, "v1": -10**3999})), PreconditionError,
+        f"tail vertex must carry degree 0, got 1{'0' * 59}... (4000 characters)"),
+    "forget-contracted-degree-4000-digits": (lambda: forget_point(marked_chain(), "x",
+        SheafType.build(marked_chain(), {"v1": -10**3999, "v0": 10**3999, "v2": 0})),
+        PreconditionError, f"deg = 1{'0' * 59}... (4000 characters), "
+        f"d({{v0}}) = 1{'0' * 59}... (4000 characters)"),
+    "forget-alpha-pair-4000-digits": (lambda: forget_polarization(ExplicitPolarization.build(
+        s=0, r=1, alpha={NodeTypeLabel.of(1, ["1"]): 10**3999}), "x", genus=2,
+        marking_labels=["1", "2", "x"]), PreconditionError,
+        f"got 1{'0' * 59}... (4000 characters) and 0"),
+    "forget-alpha-vanishing-4000-digits": (lambda: forget_polarization(
+        ExplicitPolarization.build(s=0, r=1, alpha={NodeTypeLabel.of(0, ["1", "x"]): 10**3999}),
+        "x", genus=2, marking_labels=["1", "2", "x"]), PreconditionError,
+        f"its coefficient must be 0, got 1{'0' * 59}... (4000 characters)"),
+    # a fraction whose terms are past str's 4,300 digits is quoted the same way
+    "profile-weight-10-to-5000-over-3": (lambda: make_profile(
+        theta(), {"v1": Fraction(10**5000, 3), "v2": 0}, 2), ValidationError,
+        f"profile weights sum to 1{'0' * 59}... (5003 characters), expected d = 2"),
     # a label-keyed map with a key that is not a NodeTypeLabel: refused before any sort
     "explicit-alpha-string-key": (lambda: ExplicitPolarization.build(
         s=0, r=1, alpha={"x": 1, NodeTypeLabel.of(0, ["1"]): 1}), ValidationError,
@@ -703,7 +750,8 @@ LIBRARY_REFUSALS = {
 def test_library_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as caught:
         call()
-    assert type(caught.value) is error and len(str(caught.value)) < 2000
+    assert type(caught.value) is error and len(str(caught.value).encode()) < 2000
+    assert "\n" not in str(caught.value)
 
 
 class CountingName(str):
