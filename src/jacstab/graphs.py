@@ -376,11 +376,10 @@ class Subcurve(NamedTuple):
 
 
 class SubcurveTable(NamedTuple):
-    """``adjacency[i]`` masks vertex i and its neighbours, ``edge_masks[e]`` the ends of edge e;
-    ``subcurves`` are the connected proper subcurves in canonical order, ``walls`` the indices
-    of those with connected complement, ``others`` the rest; ``walk`` the walls' ``walk_layout``."""
+    """``edge_masks[e]`` masks the ends of edge e; ``subcurves`` are the connected proper
+    subcurves in canonical order, ``walls`` the indices of those with connected complement,
+    ``others`` the rest; ``walk`` the walls' ``walk_layout``."""
 
-    adjacency: tuple[int, ...]
     edge_masks: tuple[int, ...]
     subcurves: tuple[Subcurve, ...]
     walls: tuple[int, ...]
@@ -433,7 +432,7 @@ def _subcurve_table(ids, edges) -> SubcurveTable:
     index = {v: i for i, v in enumerate(ids)}
     ends = [(index[u], index[v]) for u, v in edges]
     edge_masks = tuple(1 << i | 1 << j for i, j in ends)
-    adjacency = tuple(adjacency_masks(n, ends))
+    adjacency = adjacency_masks(n, ends)
     masks, level = set(), {1 << i for i in range(n)}
     while level:  # grow connected sets one neighbour at a time
         masks |= level
@@ -448,7 +447,7 @@ def _subcurve_table(ids, edges) -> SubcurveTable:
         key=lambda sub: (len(sub.names), sub.names))  # subcurve_sort_key
     walls = [j for j, sub in enumerate(subcurves) if full ^ sub.mask in masks]
     others = [j for j, sub in enumerate(subcurves) if full ^ sub.mask not in masks]
-    return SubcurveTable(adjacency, edge_masks, tuple(subcurves), tuple(walls), tuple(others),
+    return SubcurveTable(edge_masks, tuple(subcurves), tuple(walls), tuple(others),
                          walk_layout(n, subcurves, [j for j in walls if j >= n]))  # not {v}
 
 

@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import (PreconditionError, ValidationError, clip, parse_rational,
                      require_int, require_int_map, require_keys, require_name)
 from .graphs import (MarkedDualGraph, NodeTypeLabel, Record, is_admissible, label_sort_key,
-                     mask_components, mask_vertices, separating_ends, subcurve_sort_key,
-                     subcurve_table, vertex_subset)
+                     mask_vertices, separating_ends, subcurve_sort_key, subcurve_table,
+                     vertex_subset)
 
 
 def _marking_coefficients(a) -> tuple[tuple[str, Fraction], ...]:
@@ -193,23 +194,31 @@ def is_general(graph: MarkedDualGraph, profile: QProfile
     A proper subcurve Y is integral when q_Z - k_Z/2 is an integer for
     every connected component Z of Y and of its complement; the profile is
     general when no Y is integral.  Witnesses are the integral subcurves,
-    one canonical representative per complementary pair.
+    one canonical representative per complementary pair: a split into exact
+    table subcurves, no two on a side touching.  Each is found once, placing the
+    lowest vertex left by each exact part it leads that fits, where it touches none.
     """
     if not _on_a_wall(graph, profile):
         return (True, ())
-    table = subcurve_table(graph)
-    integral = {sub.mask for sub, (_, exact)
-                in zip(table.subcurves, profile.thresholds) if exact}
-    ids = graph.vertex_ids
-    full = (1 << len(ids)) - 1
-    witnesses = []
-    # masks without the last vertex meet each complementary pair once
-    for mask in range(1, 1 << (len(ids) - 1)):
-        if all(c in integral for m in (mask, full ^ mask)
-               for c in mask_components(table.adjacency, m)):
-            pair = [mask_vertices(ids, m) for m in (mask, full ^ mask)]
-            witnesses.append(min(pair, key=subcurve_sort_key))
-    # an exact wall is integral itself, so the witnesses are never empty here
+    table, ids = subcurve_table(graph), graph.vertex_ids
+    parts = {}  # lowest member -> (mask, mask with its neighbours) of each exact part
+    for sub, (_, exact) in zip(table.subcurves, profile.thresholds):
+        if exact:
+            parts.setdefault(sub.members[0], []).append(
+                (sub.mask, reduce(or_, (e for e in table.edge_masks if e & sub.mask))))
+    witnesses, stack = [], [(part, 0) for part, _ in parts[0]]  # v0's part on the low side
+    while stack:
+        low, high = stack.pop()
+        if not (rest := (1 << len(ids)) - 1 ^ low ^ high):  # then parts.get(-1) is empty
+            witnesses.append(min(mask_vertices(ids, low), mask_vertices(ids, high),
+                                 key=subcurve_sort_key))
+        for part, around in parts.get((rest & -rest).bit_length() - 1, ()):
+            if part & rest == part:
+                if not around & low:
+                    stack.append((low | part, high))
+                if not around & high:
+                    stack.append((low, high | part))
+    # an exact wall and its complement are a pair, so the witnesses are never empty here
     return (False, tuple(sorted(witnesses, key=subcurve_sort_key)))
 
 

@@ -31,8 +31,6 @@ from .graphs import MarkedDualGraph, Record, proper_subcurves, subcurve_k, subcu
 from .polarization import QProfile, _on_a_wall, require_profile
 from .sheaves import SheafType, deg_subcurve, require_simple
 
-MODES = ("semistable", "stable", "quasistable")
-
 
 class StabilityVerdict(Record):
     """stable / strictly_semistable / unstable, plus a witness subcurve.
@@ -46,6 +44,10 @@ class StabilityVerdict(Record):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "quasistable_at_base", quasistable_at_base)
         object.__setattr__(self, "witness", witness)
+
+
+MODES = ("semistable", "stable", "quasistable")
+_STABLE = {quasi: StabilityVerdict("stable", quasi) for quasi in (None, True)}  # no base, a base
 
 
 def _base_of(graph: MarkedDualGraph, profile: QProfile, base_vertex: str | None
@@ -91,8 +93,8 @@ def check(graph: MarkedDualGraph, profile: QProfile, sheaf: SheafType,
             break
         if deg == need and exact:
             first, quasi = first if first < j else j, quasi and base not in names
-    if first == len(subcurves):
-        return StabilityVerdict("stable", quasi)
+    if first == len(subcurves):  # no equality wall, so quasi is None or True: a shared verdict
+        return _STABLE[quasi]
     # the witness may be another subcurve Y before it: each wall Zᶜ ⊋ Y is violated (tight) too
     for j in table.others[:first - table.walls.index(first)]:
         (_, members, _, _, inner), (need, exact) = subcurves[j], thresholds[j]

@@ -20,9 +20,12 @@ subcurve's ``inner`` mask is compared with a set count, and ``check``,
 ``enumerate_sheaves`` and ``count_components`` with verbatim copies of the
 kernel that counted non-free edges by their end masks; ``check``, which
 decides on the walls, equals that copy and the all-subsets check in full,
-witness included, on generated trees and multigraphs.  Inputs are the
-small corpora, chorded rings, K5, K6 and generated multigraphs with loops
-and parallel edges.
+witness included, on generated trees and multigraphs.  The generality
+test, a search over the exact subcurves, meets the oracle on generated
+multigraphs with random and canonical profiles and on a canonical ring where
+every pair is a witness; on a ring of 22 vertices with one exact wall, too
+large for the oracle, it names that wall.  Inputs are the small corpora,
+chorded rings, K5, K6 and generated multigraphs with loops and parallel edges.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacstab import (MarkedDualGraph, PreconditionError, SheafType,
-                     StabilityVerdict, ValidationError, check, complexity,
-                     count_components, enumerate_sheaves, is_general,
+from jacstab import (CanonicalPolarization, MarkedDualGraph, PreconditionError, SheafType,
+                     StabilityVerdict, ValidationError, check, compile_polarization,
+                     complexity, count_components, enumerate_sheaves, is_general,
                      is_simple, make_profile, node_type, perturb_general,
                      subcurve_invariants)
 from jacstab.graphs import (designated_side, mask_vertices, proper_subcurves, subcurve_k,
@@ -289,6 +292,62 @@ def test_is_general_matches_all_subsets_definition(graphs):
                 exact for _, exact in profile.thresholds)
     assert walls > 20
     assert exact_but_general >= 10, exact_but_general
+
+
+def test_is_general_matches_all_subsets_definition_on_multigraphs():
+    # random profiles and the canonical ones of degree g - 1 and g, with weight 1 per
+    # marking; some witnesses have a part (a component of one side) that is not a wall
+    seen = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=70, deadline=None)
+    @given(multigraphs(), st.randoms(use_true_random=False))
+    def cases(graph, rng):
+        weights = dict.fromkeys(graph.marking_labels, 1)
+        profiles = [random_profile(graph, rng, denominators=rng.choice(((1, 2), (1, 2, 3))))]
+        profiles += [compile_polarization(CanonicalPolarization.build(d, weights), graph)
+                     for d in (graph.genus - 1, graph.genus)]
+        table, everything = subcurve_table(graph), frozenset(graph.vertex_ids)
+        walls = {frozenset(table.subcurves[j].names) for j in table.walls}
+        for profile in profiles:
+            expected = general_oracle(graph, profile)
+            assert is_general(graph, profile) == expected, (graph, profile)
+            seen["cases"] += 1
+            for Y in expected[1]:
+                seen["witnesses"] += 1
+                seen["not walls"] += any(Z not in walls for W in (Y, everything - Y)
+                                         for Z in components(graph, W))
+
+    cases()
+    assert seen["cases"] >= 200 and seen["not walls"] >= 20, seen
+
+
+def ring(n: int) -> MarkedDualGraph:
+    """The n-cycle of genus-1 vertices v0, ..., v(n-1): every arc is a wall."""
+    return MarkedDualGraph.build([(f"v{i}", 1) for i in range(n)],
+                                 [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+
+
+def test_is_general_on_a_ring_with_one_exact_wall():
+    # q_v = 1 + c_v/10007 with c_0 = -c_1 and every other arc sum nonzero and far
+    # below 10007: the arc {v0, v1} and its complement are the only exact subcurves
+    n = 22
+    graph = ring(n)
+    c = [3, -3, *range(2, n - 1)]
+    c.append(-sum(c))
+    profile = make_profile(graph, {v: 1 + Fraction(x, 10007) for v, x in zip(graph.vertex_ids, c)},
+                           n)
+    assert sum(exact for _, exact in profile.thresholds) == 2
+    assert is_general(graph, profile) == (False, (frozenset({"v0", "v1"}),))
+
+
+def test_is_general_on_a_canonical_ring_names_every_pair():
+    # degree g - 1: q_v = 1, so every arc is exact and every one of the 2^(n-1) - 1
+    # complementary pairs is a witness, each side a union of arcs
+    graph = ring(11)
+    profile = compile_polarization(CanonicalPolarization.build(graph.genus - 1), graph)
+    general, witnesses = is_general(graph, profile)
+    assert (general, len(witnesses)) == (False, 2 ** 10 - 1)
+    assert (general, witnesses) == general_oracle(graph, profile)
 
 
 def test_check_witness_is_first_connected_violation_or_equality(graphs):
