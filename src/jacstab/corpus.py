@@ -1,17 +1,10 @@
 """Exhaustive small corpora of stable marked dual graphs.
 
-Generates every stable graph of fixed genus and marking set with a bounded
-number of vertices, up to decorated isomorphism, by one-node degenerations
-(Maggiolo-Pagani, "Generating stable modular graphs") of the one-vertex graph
-of genus g with every marking: a loop at a vertex of positive genus, or a
-vertex split into two stable halves joined by a new edge, kept when the new
-edge ranks first in the child (``_ends``).  Contracting an edge of highest rank
-leaves a stable graph with no more vertices, and undoing it is a kept
-degeneration, so every graph is reached (McKay's canonical augmentation).  Rank
-ties are left to the deduplication of each level by the one canonical form,
-``canonical_key``: the least (genus vector, marking placement, adjacency upper
-triangle) over the vertex orders that list the genera in increasing order,
-found by an ordered individualise-and-refine search that branches only on ties."""
+Every stable graph of fixed genus and markings with a bounded number of
+vertices, up to decorated isomorphism: the one-node degenerations (Maggiolo-Pagani,
+"Generating stable modular graphs") of the stable one-vertex graph with the fewest
+markings, then each further marking put on every graph by inverting the map that
+forgets it.  Each level is deduplicated by the one canonical form, ``canonical_key``."""
 
 from __future__ import annotations
 
@@ -95,25 +88,33 @@ def graph_from_key(key: tuple) -> MarkedDualGraph:
         markings=tuple((l, ids[i]) for l, i in mark_t))
 
 
-def _ends(genus, mult, marks) -> list[tuple]:
-    """Vertex invariants (genus, valence with loops counted twice, loops, indices of markings in
-    label order); an edge ranks by (is a loop, its ends' sorted invariants, multiplicity)."""
-    return [(g, sum(row) + row[u], row[u], tuple(i for i, (_, w) in enumerate(marks) if w == u))
-            for u, (g, row) in enumerate(zip(genus, mult))]
+def _rows(key: tuple, size: int) -> list[list[int]]:
+    """The edge multiplicity rows of ``graph_from_key(key)``, padded with zeros to ``size``."""
+    mult = [[0] * size for _ in range(size)]
+    for (i, j), m in zip(itertools.combinations_with_replacement(range(key[0]), 2), key[3]):
+        mult[i][j] = mult[j][i] = m
+    return mult
+
+
+def _ends(genus, mult) -> list[tuple]:
+    """Vertex invariants (genus, valence with loops counted twice, loops); an edge ranks by (is a
+    loop, its ends' sorted invariants, multiplicity).  Contracting an edge of highest rank leaves
+    a stable graph with no more vertices, and undoing it is a kept degeneration, so any rank that
+    isomorphisms keep reaches every graph (McKay's canonical augmentation).  Markings could only
+    break ties, and only one-vertex graphs have them here."""
+    return [(g, sum(row) + row[u], row[u]) for u, (g, row) in enumerate(zip(genus, mult))]
 
 
 def _degenerations(key: tuple, bound: int):
-    """Encodings (genera, multiplicity rows, marks) of the graphs one node more
-    degenerate than ``graph_from_key(key)``, with at most ``bound`` vertices,
-    whose new edge ranks first among their edges (``_ends``)."""
-    n, genus, marks, adj = key
-    mult = [[0] * n for _ in range(n)]
-    for (i, j), m in zip(itertools.combinations_with_replacement(range(n), 2), adj):
-        mult[i][j] = mult[j][i] = m
-    ends, looped = _ends(genus, mult, marks), [v for v in range(n) if mult[v][v]]
-    for v, (g, valence, loops, mine) in enumerate(ends):
+    """Encodings (genera, multiplicity rows, marks) of the graphs one node more degenerate than
+    ``graph_from_key(key)``, with at most ``bound`` vertices, whose new edge ranks first
+    (``_ends``).  Markings stay put: a marked key has one vertex and no stable split."""
+    n, genus, marks, _ = key
+    mult = _rows(key, n)
+    ends, looped = _ends(genus, mult), [v for v in range(n) if mult[v][v]]
+    for v, (g, valence, loops) in enumerate(ends):
         # loops outrank the other edges, and only the end at v changes
-        if g and all(ends[u] <= (g - 1, valence + 2, loops + 1, mine) for u in looped if u != v):
+        if g and all(ends[u] <= (g - 1, valence + 2, loops + 1) for u in looped if u != v):
             child = [row.copy() for row in mult]
             child[v][v] += 1
             yield genus[:v] + (g - 1,) + genus[v + 1:], child, marks
@@ -122,31 +123,46 @@ def _degenerations(key: tuple, bound: int):
     if n == bound or len(looped) > 1:
         return
     for v in looped or range(n):
-        # the new vertex n takes a share of v's genus, markings and edges to each neighbour
+        # the new vertex n takes a share of v's genus and of its edges to each neighbour
         links = [u for u in range(n) if u != v and mult[v][u]]
         join, degree = 1 + mult[v][v], sum(mult[v][u] for u in links)
         untouched = max(((sorted((ends[a], ends[b])), mult[a][b]) for a in range(n)
                          for b in range(a + 1, n) if v not in (a, b) and mult[a][b]), default=())
-        for places in itertools.product(*((v, n) if u == v else (u,) for _, u in marks)):
-            at_v, at_n = (tuple(i for i, p in enumerate(places) if p == w) for w in (v, n))
-            for gw, shares in itertools.product(range(genus[v] + 1), itertools.product(
-                    *(range(mult[v][u] + 1) for u in links))):
-                ev = (genus[v] - gw, degree - sum(shares) + join, 0, at_v)
-                en = (gw, sum(shares) + join, 0, at_n)
-                new = ([en, ev], join)
-                # one of a split and its swap; stable halves; no edge outranks the new one
-                if ev < en or min(2 * e[0] + e[1] + len(e[3]) for e in (ev, en)) <= 2 \
-                        or untouched > new or any(
-                            (sorted((e, ends[u])), m) > new for u, s in zip(links, shares)
-                            for e, m in ((ev, mult[v][u] - s), (en, s)) if m):
-                    continue
-                split = [row + [0] for row in mult] + [[0] * (n + 1)]
-                for u, s in zip(links, shares):
-                    split[v][u] = split[u][v] = mult[v][u] - s
-                    split[n][u] = split[u][n] = s
-                split[v][v], split[v][n], split[n][v] = 0, join, join
-                yield (genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,), split,
-                       tuple((l, p) for (l, _), p in zip(marks, places)))
+        for gw, shares in itertools.product(range(genus[v] + 1), itertools.product(
+                *(range(mult[v][u] + 1) for u in links))):
+            ev, en = (genus[v] - gw, degree - sum(shares) + join, 0), (gw, sum(shares) + join, 0)
+            new = ([en, ev], join)
+            # one of a split and its swap; stable halves; no edge outranks the new one
+            if ev < en or min(2 * e[0] + e[1] for e in (ev, en)) <= 2 or untouched > new or any(
+                    (sorted((e, ends[u])), m) > new for u, s in zip(links, shares)
+                    for e, m in ((ev, mult[v][u] - s), (en, s)) if m):
+                continue
+            split = _rows(key, n + 1)
+            for u, s in zip(links, shares):
+                split[v][u] = split[u][v] = mult[v][u] - s
+                split[n][u] = split[u][n] = s
+            split[v][v], split[v][n], split[n][v] = 0, join, join
+            yield genus[:v] + (genus[v] - gw,) + genus[v + 1:] + (gw,), split, marks
+
+
+def _children(key: tuple, label):
+    """Encodings of the graphs that forgetting ``label``, last in label order, sends to
+    ``graph_from_key(key)``: ``label`` at a vertex, or on a new rational vertex n on an
+    edge (a loop becomes a double edge) or on the leg of a marking."""
+    n, genus, marks, _ = key
+    mult = _rows(key, n)
+    yield from ((genus, mult, marks + ((label, v),)) for v in range(n))
+    for u, w in itertools.combinations_with_replacement(range(n), 2):
+        if mult[u][w]:
+            child = _rows(key, n + 1)
+            child[u][w] = child[w][u] = mult[u][w] - 1
+            for x in (u, w):
+                child[x][n] = child[n][x] = child[n][x] + 1
+            yield genus + (0,), child, marks + ((label, n),)
+    for i, (l, u) in enumerate(marks):
+        child = _rows(key, n + 1)
+        child[u][n] = child[n][u] = 1
+        yield genus + (0,), child, marks[:i] + ((l, n),) + marks[i + 1:] + ((label, n),)
 
 
 def corpus_keys(genus: int, marking_labels, max_vertices: int) -> list[tuple]:
@@ -159,10 +175,16 @@ def corpus_keys(genus: int, marking_labels, max_vertices: int) -> list[tuple]:
         raise ValidationError("max_vertices must be at least 1")
 
     # one edge more per level, so keys never repeat across levels; they may within one
-    keys, level = [], {_canonical_form([genus], [[0]], [(l, 0) for l in labels])}
+    base = max(0, 3 - 2 * genus)
+    keys, level = [], {_canonical_form([genus], [[0]], [(l, 0) for l in labels[:base]])}
     while level:
         keys += level
         level = {_canonical_form(*e) for key in level for e in _degenerations(key, max_vertices)}
+    for label in labels[base:]:  # a graph has one image forgetting label: only siblings repeat
+        parents, keys = keys, []
+        while parents:  # each parent is dropped once its children are made
+            keys += {_canonical_form(*e) for e in _children(parents.pop(), label)
+                     if len(e[0]) <= max_vertices}
     return sorted(keys)
 
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from jacstab import (MarkedDualGraph, ValidationError, are_isomorphic,
                      canonical_key, generate_corpus)
-from jacstab.corpus import _canonical_form, _degenerations, _ends, graph_from_key
-from jacstab.graphs import adjacency_masks, label_sort_key, mask_components
+from jacstab.corpus import (_canonical_form, _children, _degenerations, _ends, corpus_keys,
+                            graph_from_key)
+from jacstab.graphs import (adjacency_masks, label_sort_key, mask_components,
+                            stabilize_forgetting)
 
 from conftest import dumbbell, multigraphs, theta
 
@@ -389,7 +391,7 @@ def encoding(graph: MarkedDualGraph) -> tuple:
 
 def edge_ranks(genus, mult, marks) -> dict:
     """{(u, w): rank} over the vertex pairs u <= w joined by an edge."""
-    ends = _ends(genus, mult, marks)
+    ends = _ends(genus, mult)
     return {(u, w): (u == w, sorted((ends[u], ends[w])), mult[u][w])
             for u in range(len(genus)) for w in range(u, len(genus)) if mult[u][w]}
 
@@ -420,11 +422,18 @@ def contracted(genus, mult, marks, a: int, b: int) -> tuple:
     return _canonical_form(merged, new, [(l, where[w]) for l, w in marks])
 
 
+# what the degeneration search serves: the unmarked specs, and the bases of the
+# marked ones, which carry the first max(0, 3 - 2g) labels
+BASES = sorted({(g, labels[:max(0, 3 - 2 * g)], bound) for g, labels, bound in SPECS})
+
+
 def test_kept_degenerations_have_a_top_edge_that_undoes_them():
     """From each parent, the kept children are, up to isomorphism, the
     degenerations with an edge of highest rank whose contraction gives the
-    parent back: the in-place rank comparisons agree with ``edge_ranks``."""
-    for genus, labels, bound in SPECS:
+    parent back: the in-place rank comparisons agree with ``edge_ranks``.  M_5 within 4
+    vertices adds new loops whose end ties another looped vertex in genus and valence,
+    which only the loop count in ``_ends`` orders."""
+    for genus, labels, bound in BASES + [(5, (), 4)]:
         for graph in generate_corpus(genus, labels, bound):
             key = canonical_key(graph)
             want = set()
@@ -434,6 +443,27 @@ def test_kept_degenerations_have_a_top_edge_that_undoes_them():
                 if any(contracted(*child, *pair) == key for pair, r in ranks.items() if r == top):
                     want.add(_canonical_form(*child))
             assert {_canonical_form(*child) for child in _degenerations(key, bound)} == want
+
+
+@pytest.mark.parametrize("genus,labels,bound", [s for s in SPECS if s not in BASES])
+def test_marking_step_inverts_the_forgetful_map(genus, labels, bound):
+    """Forgetting the last label maps the corpus onto the smaller one, and each
+    graph is among the children of its image, by ``graphs.stabilize_forgetting``."""
+    *rest, last = labels
+    images = {}
+    for graph in generate_corpus(genus, labels, bound):
+        image = canonical_key(stabilize_forgetting(graph, last)[0])
+        images.setdefault(image, set()).add(canonical_key(graph))
+    assert sorted(images) == corpus_keys(genus, rest, bound)
+    for image, keys in images.items():
+        assert keys <= {_canonical_form(*child) for child in _children(image, last)}
+
+
+def test_genus0_counts_are_schroeder_numbers():
+    """M_{0,n} has A000311(n - 1) strata; a tree of M_{0,n} has at most n - 2 vertices."""
+    for n, count in zip(range(3, 8), (1, 4, 26, 236, 2752)):
+        labels = [str(i) for i in range(1, n + 1)]
+        assert len(corpus_keys(0, labels, n - 2)) == len(corpus_keys(0, labels, n + 3)) == count
 
 
 def test_keys_build_their_graphs(small_corpora):
