@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Every subcommand reads JSON documents from files, writes one JSON result to
-stdout (fixed key order, no floats, byte-identical across runs) and reports
-problems on stderr.  Exit codes: 0 success, 2 invalid input data, 3
-unsatisfied precondition.
+Every subcommand reads JSON documents from files, and ``_emit`` streams its JSON
+result to stdout (fixed key order, no floats, byte-identical across runs); problems
+go to stderr.  Exit codes: 0 success, also when the reader closes the pipe early,
+2 invalid input data, 3 unsatisfied precondition.
 
 One table, ``COMMANDS``, gives each subcommand's help, arguments and handler.
 ``_run`` loads the graphs, then ``--pol`` as a profile on ``--graph``, then
@@ -18,6 +18,7 @@ change any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -65,8 +66,9 @@ def _parse_markings(text: str | None) -> tuple[str, ...]:
     return tuple(part.strip() for part in (text or "").split(",") if part.strip())
 
 
-def _emit(result: dict | str) -> None:  # a str is a document its handler rendered
-    sys.stdout.write((result if isinstance(result, str) else docio.dumps_document(result)) + "\n")
+def _emit(result: dict) -> None:
+    docio.write_document(result, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def _verdict_document(verdict) -> dict:
@@ -93,7 +95,7 @@ def _enumerate(args) -> dict:
         args.graph, args.pol, modes[0], base_vertex=args.base,
         include_nonfree=args.include_nonfree)
     return {"mode": modes[0], "count": len(sheaves),
-            "sheaves": [docio.sheaf_document(s) for s in sheaves]}
+            "sheaves": map(docio.sheaf_document, sheaves)}
 
 
 def _is_general(args) -> dict:
@@ -156,11 +158,11 @@ def _kp_translate(args) -> dict:
             "anchor": labels[0]}
 
 
-def _corpus(args) -> str:
+def _corpus(args) -> dict:
     labels = sorted_labels(_parse_markings(args.markings))
     keys = corpus_mod.corpus_keys(args.genus, labels, args.max_vertices)  # the root at least
-    graphs = ",\n    ".join(docio.key_graph_text(k, args.genus, labels, "\n    ") for k in keys)
-    return f'{{\n  "count": {len(keys)},\n  "graphs": [\n    {graphs}\n  ]\n}}'
+    graphs = [docio.Text(docio.key_graph_text(k, args.genus, labels, "\n    ")) for k in keys]
+    return {"count": len(keys), "graphs": graphs}  # a list: all keys checked before any write
 
 
 BASE = ("--base", {})
@@ -279,7 +281,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # parse_int refuses a flag with ValidationError
         _check_threads_env()
-        result = _run(args)
+        _emit(_run(args))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the validation code
         return int(exc.code or 0)
@@ -289,7 +291,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
-    _emit(result)
+    except BrokenPipeError:  # the reader left; the flush at exit goes to devnull
+        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # unless stdout has no descriptor
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Rationals travel as reduced fraction strings ("3", "-1/5"); no floating
 point is accepted anywhere.  Edges are identified by their index in the
-"edges" array, which multigraphs need.  Serialization emits keys in a
-fixed order so output is byte-identical across runs and platforms.
+"edges" array, which multigraphs need.  ``write_document``, the one JSON writer,
+streams keys in a fixed order, so output is byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ def loads_document(text: str) -> dict:
     return json.loads(text, parse_float=lambda text: parse_rational(float(text)))
 
 
-def dumps_document(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, bool and None; anything else is a TypeError."""
-    chunks: list[str] = []
-    _dump(value, "\n", chunks.append)
-    return "".join(chunks)
+class Text(str):
+    """A JSON value already rendered, at the indentation it is written at."""
 
 
-def _dump(value, newline: str, put) -> None:
+def write_document(value, put, newline: str = "\n") -> None:
+    """Puts the bytes of ``json.dumps(value, indent=2)`` through ``put``, for dicts with str
+    keys, lists, tuples, maps (read once), str, int, bool and None, with ``newline`` for each
+    line break; a ``Text`` is put as it is, and anything else is a TypeError."""
     if isinstance(value, str):
-        put(_quoted(value))
+        put(value if isinstance(value, Text) else _quoted(value))
     elif value is None or isinstance(value, bool):
         put("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -49,14 +48,15 @@ def _dump(value, newline: str, put) -> None:
         inner = newline + "  "
         for k, (key, item) in enumerate(value.items()):
             put(("," if k else "{") + inner + _quoted(key) + ": ")
-            _dump(item, inner, put)
+            write_document(item, put, inner)
         put(newline + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        for k, item in enumerate(value):
-            put(("," if k else "[") + inner)
-            _dump(item, inner, put)
-        put(newline + "]" if value else "[]")
+    elif isinstance(value, (list, tuple, map)):
+        inner, k = newline + "  ", -1
+        for k, item in enumerate(value):  # one put per item: a put may be a system call
+            chunks = [("," if k else "[") + inner]
+            write_document(item, chunks.append, inner)
+            put("".join(chunks))
+        put(newline + "]" if k >= 0 else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -115,8 +115,8 @@ def graph_document(graph: MarkedDualGraph) -> dict:
 
 
 def key_graph_text(key: tuple, genus: int, labels: tuple, newline: str) -> str:
-    """``dumps_document(graph_document(graph_from_key(key)))`` with ``newline`` for each
-    line break, once the graph passes ``check_positions`` with the genus and labels asked for."""
+    """What ``write_document`` puts for ``graph_document(graph_from_key(key))``, with ``newline``
+    for each line break, once the graph passes ``check_positions`` with the genus and labels."""
     n, genera, marks, adj = key
     ends = [pair for pair, m in zip(itertools.combinations_with_replacement(range(n), 2), adj)
             if m for pair in (pair,) * m]

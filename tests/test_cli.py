@@ -9,7 +9,7 @@ import pytest
 from jacstab import corpus as corpus_mod
 from jacstab import generate_corpus
 from jacstab.cli import build_parser, main
-from jacstab.io import dumps_document, graph_document
+from jacstab.io import graph_document
 
 BRIDGE = {
     "vertices": [{"id": "v1", "genus": 1}, {"id": "v2", "genus": 2}],
@@ -532,7 +532,8 @@ def test_corpus_stdout_is_the_library_document(capsys, genus, markings, bound):
     argv = ["corpus", "--genus", genus, "--max-vertices", bound]
     argv += ["--markings", markings] if markings else []
     graphs = generate_corpus(int(genus), markings.split(",") if markings else (), int(bound))
-    want = dumps_document({"count": len(graphs), "graphs": [graph_document(g) for g in graphs]})
+    want = json.dumps({"count": len(graphs), "graphs": [graph_document(g) for g in graphs]},
+                      indent=2)
     assert run_cli(capsys, *argv) == (0, want + "\n", "")
 
 
@@ -543,6 +544,37 @@ def test_corpus_refuses_a_key_the_shared_rule_refuses(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "corpus", "--genus", "2", "--max-vertices", "2")
     assert (code, out) == (2, "")
     assert err.startswith("error: unstable vertex v0: 2g-2+valence+markings = -1 <= 0")
+
+
+class ClosedAfterOneChunk:
+    """A stdout with no descriptor whose reader leaves after the first chunk."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text: str) -> int:
+        if self.chunks:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.chunks.append(text)
+        return len(text)
+
+
+def test_a_reader_that_leaves_mid_document_ends_the_call_quietly(capsys, monkeypatch):
+    stdout = ClosedAfterOneChunk()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["corpus", "--genus", "2", "--max-vertices", "2"]) == 0
+    assert stdout.chunks == ['{\n  "count": ']
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_the_process_quietly():
+    """M_{0,7}'s 1.9 MB document overfills the pipe, so the write fails mid-document."""
+    argv = [sys.executable, "-m", "jacstab.cli", "corpus", "--genus", "0",
+            "--markings", "1,2,3,4,5,6,7", "--max-vertices", "5"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(64).startswith(b'{\n  "count": 2752,\n')
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait()) == (b"", 0)
 
 
 def test_corpus_negative_genus_exits_2(capsys):

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from jacstab import MarkedDualGraph, NodeTypeLabel, ValidationError, canonical_key
 from jacstab.corpus import corpus_keys, graph_from_key
 from jacstab.graphs import sorted_labels
-from jacstab.io import (dumps_document, format_rational, graph_document, key_graph_text,
+from jacstab.io import (Text, format_rational, graph_document, key_graph_text,
                         loads_document, parse_graph_document, parse_polarization_document,
                         parse_phi_document, parse_rational,
                         parse_sheaf_document, polarization_document,
-                        profile_document, sheaf_document)
+                        profile_document, sheaf_document, write_document)
 from jacstab.polarization import (CanonicalPolarization, ExplicitPolarization,
                                   compile_polarization)
 
@@ -143,23 +143,39 @@ documents = st.recursive(
     max_leaves=12)
 
 
+def dumped(value) -> str:
+    """What ``write_document`` puts for ``value``, gathered through a list's ``append``."""
+    chunks: list[str] = []
+    write_document(value, chunks.append)
+    return "".join(chunks)
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(documents)
 def test_dumps_document_is_indented_json(value):
-    assert dumps_document(value) == json.dumps(value, indent=2)
+    want = json.dumps(value, indent=2)
+    assert dumped(value) == want
+    # a list given as a map is read once; a Text is put as it is, here the value
+    # rendered at the indentation of a list's item and of a field's list's item
+    assert dumped(map(lambda item: item, [value, value])) == json.dumps([value] * 2, indent=2)
+    item, field_item = (Text(want.replace("\n", "\n" + indent)) for indent in ("  ", "    "))
+    assert dumped([item, 0, item]) == json.dumps([value, 0, value], indent=2)
+    assert dumped({"k": map(Text, [field_item])}) == json.dumps({"k": [value]}, indent=2)
+    assert dumped(map(Text, [])) == "[]"
+    assert dumped({"k": map(Text, [])}) == json.dumps({"k": []}, indent=2)
 
 
 def test_dumps_document_edge_cases():
     for value in ({}, [], (), "", {"a": {}, "b": [[]], "c": ()}, "\x00\n\"é😀\u2028",
                   -10 ** 30, [True, False, None, 0]):
-        assert dumps_document(value) == json.dumps(value, indent=2)
+        assert dumped(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), {1: "one"}, [1.5], {"a": {None: 0}},
                                    {"a": {1, 2}}])
 def test_dumps_document_refuses_other_values(value):
     with pytest.raises(TypeError):
-        dumps_document(value)
+        write_document(value, [].append)
 
 
 # -- graph documents written from canonical keys ------------------------------
@@ -169,11 +185,11 @@ ESCAPED = ("\u00e9", 'a"b', "\\", "1", "01")  # é, a quote, a backslash, one nu
 
 
 def assert_key_texts_match(genus, labels, keys) -> None:
-    """Each key's text is its graph's document as ``dumps_document`` writes it,
+    """Each key's text is its graph's document as ``json.dumps(indent=2)`` writes it,
     at the top level and nested in the corpus document's list."""
     labels = sorted_labels(labels)
     for key in keys:
-        want = dumps_document(graph_document(graph_from_key(key)))
+        want = json.dumps(graph_document(graph_from_key(key)), indent=2)
         assert key_graph_text(key, genus, labels, "\n") == want
         assert key_graph_text(key, genus, labels, "\n    ") == want.replace("\n", "\n    ")
 

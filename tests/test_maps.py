@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +20,7 @@ from jacstab import (ContractionReport, ExplicitPolarization, MarkedDualGraph,
                      two_component_graph)
 from jacstab.errors import require_keys, require_name
 from jacstab.graphs import require_genus, sorted_labels
-from jacstab.io import dumps_document, polarization_document
+from jacstab.io import polarization_document
 from jacstab.sheaves import require_simple
 
 from conftest import check_forget_degree_law, marked_chain
@@ -566,8 +567,8 @@ def test_forget_polarization_matches_parent(case):
     outcomes = []
     for forget in (forget_polarization, parent_forget_polarization):
         try:
-            outcomes.append(dumps_document(polarization_document(
-                forget(pol, x, genus=genus, marking_labels=labels))))
+            outcomes.append(json.dumps(polarization_document(
+                forget(pol, x, genus=genus, marking_labels=labels)), indent=2))
         except (ValidationError, PreconditionError) as error:
             outcomes.append(error)
     new, old = outcomes
